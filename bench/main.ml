@@ -334,26 +334,15 @@ let dataflow_programs () =
   in
   kernels @ [ ("synthetic10k", Synthetic.large ~size:10_000 ()) ]
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_dataflow_json path cases speedups ~jobs ~seconds =
   let oc = open_out path in
   let ppf = Format.formatter_of_out_channel oc in
   let pp_case ppf c =
     Fmt.pf ppf {|    {"name": "%s", "median_ns_per_run": %.1f, "samples": %d}|}
-      (json_escape c.df_name) c.median_ns c.samples
+      (Report.json_escape c.df_name) c.median_ns c.samples
   in
   let pp_speedup ppf (id, s) =
-    Fmt.pf ppf {|    "%s": %.2f|} (json_escape id) s
+    Fmt.pf ppf {|    "%s": %.2f|} (Report.json_escape id) s
   in
   Fmt.pf ppf
     "{@\n  \"benchmark\": \"dataflow\",@\n  \"unit\": \"ns/run\",@\n  \

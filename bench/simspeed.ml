@@ -3,8 +3,8 @@
    Two guarded measurements, written to BENCH_simspeed.json.
 
    Engine sweep — every registry kernel as a balanced four-thread
-   system, run to completion repeatedly under each engine variant
-   (legacy, decoded, soa) with the sentinel off, so the soa burst loop
+   system, run to completion repeatedly under each engine (the legacy
+   oracle and soa) with the sentinel off, so the soa burst loop
    actually engages. The figure of merit is simulated cycles per wall
    second; the deterministic cycle count per run is read off a first
    run and cross-checked across engines, so the rate is anchored to the
@@ -19,11 +19,12 @@
    makespan ratio (fixed over steal) — deterministic on any host — and
    the wall clocks are reported as observations only.
 
-   Floors (exit 1 below any): the makespan ratio at jobs 4 in every
-   mode; in full mode also the sweep-wide soa/decoded rate ratio and an
-   absolute soa cycles/sec floor. Quick mode only sanity-checks that
-   soa does not lose to decoded overall, because its quotas are too
-   short to defend a 2x claim against CI noise. *)
+   Floors (exit 1 below any): soa at least as fast as legacy on every
+   kernel and the makespan ratio at jobs 4, in every mode; in full mode
+   also the sweep-wide soa/legacy rate ratio and an absolute soa
+   cycles/sec floor. Quick mode only sanity-checks that soa does not
+   lose to legacy overall, because its quotas are too short to defend
+   the full-mode ratio against CI noise. *)
 
 open Npra_workloads
 open Npra_core
@@ -34,8 +35,8 @@ module Metrics = Npra_traffic.Metrics
 
 (* ---- floors: the committed claims CI holds this file to ---- *)
 
-let floor_soa_over_decoded = 2.0 (* full-mode sweep ratio *)
-let floor_soa_over_decoded_quick = 1.0 (* quick-mode sanity bound *)
+let floor_soa_over_legacy = 6.3 (* full-mode sweep ratio *)
+let floor_soa_over_legacy_quick = 1.0 (* quick-mode sanity bound *)
 let floor_soa_cps = 2_000_000. (* absolute soa sweep rate, full mode *)
 let floor_pool_ratio_jobs4 = 1.2 (* fixed/steal makespan, every mode *)
 
@@ -46,7 +47,6 @@ type kernel_speed = {
   k_name : string;
   k_cycles : int;  (* deterministic simulated cycles of one system run *)
   k_legacy : float;  (* cycles per second *)
-  k_decoded : float;
   k_soa : float;
 }
 
@@ -91,18 +91,13 @@ let measure_kernel ~quick spec =
       .Machine.total_cycles
   in
   let c = cycles `Soa in
-  List.iter
-    (fun engine ->
-      if cycles engine <> c then
-        Fmt.failwith "simspeed: engine cycle counts diverge on %s"
-          spec.Workload.id)
-    [ `Decoded; `Legacy ];
+  if cycles `Legacy <> c then
+    Fmt.failwith "simspeed: engine cycle counts diverge on %s" spec.Workload.id;
   let min_s = if quick then 0.02 else 0.25 in
   {
     k_name = spec.Workload.id;
     k_cycles = c;
     k_legacy = cps ~min_s ~cycles:c (run `Legacy);
-    k_decoded = cps ~min_s ~cycles:c (run `Decoded);
     k_soa = cps ~min_s ~cycles:c (run `Soa);
   }
 
@@ -212,29 +207,28 @@ let timed f =
 let run ~quick ~seed ~jobs ~json =
   let seed = Option.value seed ~default:42 in
   Fmt.pr
-    "@.== Simspeed: engine variants + work-stealing pool model (seed %d, %d \
+    "@.== Simspeed: engines + work-stealing pool model (seed %d, %d \
      jobs%s) ==@."
     seed jobs
     (if quick then ", quick" else "");
   let t0 = Unix.gettimeofday () in
   (* engine sweep *)
-  Fmt.pr "%-12s %10s %14s %14s %14s %8s@." "kernel" "cycles" "legacy c/s"
-    "decoded c/s" "soa c/s" "soa/dec";
+  Fmt.pr "%-12s %10s %14s %14s %8s@." "kernel" "cycles" "legacy c/s" "soa c/s"
+    "soa/leg";
   let kernels =
     List.map
       (fun spec ->
         let k = measure_kernel ~quick spec in
-        Fmt.pr "%-12s %10d %14.0f %14.0f %14.0f %7.2fx@." k.k_name k.k_cycles
-          k.k_legacy k.k_decoded k.k_soa (k.k_soa /. k.k_decoded);
+        Fmt.pr "%-12s %10d %14.0f %14.0f %7.2fx@." k.k_name k.k_cycles
+          k.k_legacy k.k_soa (k.k_soa /. k.k_legacy);
         k)
       Registry.all
   in
   let s_legacy = sweep_cps kernels (fun k -> k.k_legacy) in
-  let s_decoded = sweep_cps kernels (fun k -> k.k_decoded) in
   let s_soa = sweep_cps kernels (fun k -> k.k_soa) in
-  let soa_over_decoded = s_soa /. s_decoded in
-  Fmt.pr "%-12s %10s %14.0f %14.0f %14.0f %7.2fx@." "sweep" "-" s_legacy
-    s_decoded s_soa soa_over_decoded;
+  let soa_over_legacy = s_soa /. s_legacy in
+  Fmt.pr "%-12s %10s %14.0f %14.0f %7.2fx@." "sweep" "-" s_legacy s_soa
+    soa_over_legacy;
   (* pool matrix: both strategies must agree byte for byte *)
   let cells = cells ~quick in
   let fixed_runs, wall_fixed =
@@ -271,13 +265,19 @@ let run ~quick ~seed ~jobs ~json =
     wall_fixed wall_steal;
   let jobs4 = List.nth plans 2 in
   (* floors *)
-  let ratio_floor = if quick then floor_soa_over_decoded_quick else floor_soa_over_decoded in
-  let ok_engine = soa_over_decoded >= ratio_floor in
+  let ratio_floor = if quick then floor_soa_over_legacy_quick else floor_soa_over_legacy in
+  let slow_kernels = List.filter (fun k -> k.k_soa < k.k_legacy) kernels in
+  let ok_engine = soa_over_legacy >= ratio_floor && slow_kernels = [] in
   let ok_abs = quick || s_soa >= floor_soa_cps in
   let ok_pool = ratio jobs4 >= floor_pool_ratio_jobs4 in
-  if not ok_engine then
-    Fmt.epr "SIMSPEED FAILURE: soa/decoded sweep ratio %.2f below floor %.2f@."
-      soa_over_decoded ratio_floor;
+  List.iter
+    (fun k ->
+      Fmt.epr "SIMSPEED FAILURE: %s soa %.0f c/s below legacy %.0f c/s@."
+        k.k_name k.k_soa k.k_legacy)
+    slow_kernels;
+  if soa_over_legacy < ratio_floor then
+    Fmt.epr "SIMSPEED FAILURE: soa/legacy sweep ratio %.2f below floor %.2f@."
+      soa_over_legacy ratio_floor;
   if not ok_abs then
     Fmt.epr "SIMSPEED FAILURE: soa sweep rate %.0f c/s below floor %.0f@."
       s_soa floor_soa_cps;
@@ -304,15 +304,13 @@ let run ~quick ~seed ~jobs ~json =
          (List.map
             (fun k ->
               Fmt.str
-                {|      {"name": "%s", "cycles": %d, "legacy_cps": %.0f, "decoded_cps": %.0f, "soa_cps": %.0f, "soa_over_decoded": %.3f}|}
-                k.k_name k.k_cycles k.k_legacy k.k_decoded k.k_soa
-                (k.k_soa /. k.k_decoded))
+                {|      {"name": "%s", "cycles": %d, "legacy_cps": %.0f, "soa_cps": %.0f, "soa_over_legacy": %.3f}|}
+                k.k_name k.k_cycles k.k_legacy k.k_soa (k.k_soa /. k.k_legacy))
             kernels));
     add
-      "    \"sweep\": {\"legacy_cps\": %.0f, \"decoded_cps\": %.0f, \
-       \"soa_cps\": %.0f, \"soa_over_decoded\": %.3f, \"soa_over_legacy\": \
-       %.3f}\n"
-      s_legacy s_decoded s_soa soa_over_decoded (s_soa /. s_legacy);
+      "    \"sweep\": {\"legacy_cps\": %.0f, \"soa_cps\": %.0f, \
+       \"soa_over_legacy\": %.3f}\n"
+      s_legacy s_soa soa_over_legacy;
     add "  },\n";
     add "  \"pool\": {\n";
     add "    \"cells\": [%s],\n"
@@ -339,7 +337,7 @@ let run ~quick ~seed ~jobs ~json =
     add "    \"wall_clock_steal_s\": %.3f\n" wall_steal;
     add "  },\n";
     add
-      "  \"floors\": {\"soa_over_decoded_min\": %.2f, \"soa_cps_min\": %.0f, \
+      "  \"floors\": {\"soa_over_legacy_min\": %.2f, \"soa_cps_min\": %.0f, \
        \"pool_ratio_jobs4_min\": %.2f, \"enforced_engine_floors\": %b},\n"
       ratio_floor floor_soa_cps floor_pool_ratio_jobs4 (not quick);
     add "  \"ok\": %b,\n" ok;

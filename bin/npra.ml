@@ -175,7 +175,7 @@ let allocate_cmd =
 (* ---- simulate ---- *)
 
 let simulate_cmd =
-  let run nreg iters baseline_too show_timeline engine ids =
+  let run nreg iters baseline_too show_timeline ids =
     let ws = instantiate_all ?iters ids in
     let progs = List.map (fun w -> w.Workload.prog) ws in
     let iters_l = List.map (fun w -> w.Workload.iters) ws in
@@ -191,7 +191,7 @@ let simulate_cmd =
       List.iter (fun e -> Fmt.epr "verify: %a@." Verify.pp_error e) errs;
       exit 1);
     let machine =
-      Npra_sim.Machine.run ~engine ~mem_image ~timeline:show_timeline
+      Npra_sim.Machine.run ~mem_image ~timeline:show_timeline
         bal.Pipeline.programs
     in
     let report = Npra_sim.Machine.report machine in
@@ -229,25 +229,11 @@ let simulate_cmd =
   let timeline_flag =
     Arg.(value & flag & info [ "timeline" ] ~doc:"Print the scheduling timeline.")
   in
-  let engine_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("soa", `Soa); ("decoded", `Decoded); ("legacy", `Legacy) ])
-          `Soa
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Simulator engine: $(b,soa) (batched struct-of-arrays, the \
-             fastest), $(b,decoded) (per-step pre-decoded) or $(b,legacy) \
-             (the differential oracle). All three are proven cycle-equal; \
-             only wall-clock speed differs.")
-  in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Allocate and run kernels on the machine model")
     Term.(
       const run $ nreg_arg $ iters_arg $ baseline_flag $ timeline_flag
-      $ engine_arg $ kernels_arg)
+      $ kernels_arg)
 
 (* ---- throughput ---- *)
 

@@ -178,8 +178,8 @@ let mix ~seed a b =
 
 let packet_size ~seed id = 1 + (mix ~seed id 5 mod max_packet_size)
 
-let run ?(pool = Npra_par.Pool.sequential) ?(sim_engine = `Soa) ?machine_config
-    ?(slice = 256) ?drain_budget ~seed ~duration cf =
+let run ?(pool = Npra_par.Pool.sequential) ?machine_config ?(slice = 256)
+    ?drain_budget ~seed ~duration cf =
   if cf.cf_stages = [] then Fmt.invalid_arg "Chain.run: no stages";
   if cf.cf_sources < 1 then Fmt.invalid_arg "Chain.run: no sources";
   let machine_config =
@@ -220,8 +220,8 @@ let run ?(pool = Npra_par.Pool.sequential) ?(sim_engine = `Soa) ?machine_config
         let ws, progs, mem_image = stage_build.(si) in
         Array.init st.st_width (fun _ ->
             let m =
-              Machine.create ~config:machine_config ~engine:sim_engine
-                ~sentinel:`Trap ~mem_image progs
+              Machine.create ~config:machine_config ~sentinel:`Trap
+                ~mem_image progs
             in
             for i = 0 to st.st_threads - 1 do
               Machine.park_thread m i
@@ -441,18 +441,6 @@ let run ?(pool = Npra_par.Pool.sequential) ?(sim_engine = `Soa) ?machine_config
 
 (* ---- rendering ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let pctls_json = function
   | None -> "null"
   | Some p ->
@@ -463,7 +451,9 @@ let to_json t =
   let stage_json sm =
     Fmt.str
       {|{"stage": %d, "kernel": "%s", "role": "%s", "width": %d, "threads": %d, "handled": %d, "latency": %s, "max_queue": %d}|}
-      sm.sm_stage (json_escape sm.sm_kernel) (json_escape sm.sm_role)
+      sm.sm_stage
+      (Npra_core.Report.json_escape sm.sm_kernel)
+      (Npra_core.Report.json_escape sm.sm_role)
       sm.sm_width sm.sm_threads sm.sm_handled
       (pctls_json sm.sm_latency)
       sm.sm_max_queue

@@ -73,7 +73,6 @@ val conservation_ok : t -> bool
 
 val run :
   ?pool:Npra_par.Pool.t ->
-  ?sim_engine:Machine.engine ->
   ?machine_config:Machine.config ->
   ?slice:int ->
   ?drain_budget:int ->
@@ -86,7 +85,9 @@ val run :
     [max duration 10_000]) more; whatever remains is [ch_residual].
     [machine_config] (typically carrying a {!Npra_sim.Memory.hierarchy})
     applies to every stage engine; [slice] (default 256) is the barrier
-    granularity. Deterministic in every argument. *)
+    granularity. Stage machines run on the default {!Machine.engine}
+    with the sentinel armed, so they step one instruction at a time.
+    Deterministic in every argument. *)
 
 val to_json : t -> string
 val pp : t Fmt.t

@@ -79,7 +79,7 @@ let solo_times base_programs ws =
       let m =
         Machine.run
           ~config:{ chip_machine_config with max_cycles = 100_000_000 }
-          ~engine:`Soa ~mem_image:w.Workload.mem_image [ prog ]
+          ~mem_image:w.Workload.mem_image [ prog ]
       in
       match
         (List.hd (Machine.report m).Machine.thread_reports).Machine.completion
@@ -231,8 +231,7 @@ let solo_of spec =
   let m =
     Machine.run
       ~config:{ chip_machine_config with max_cycles = 100_000_000 }
-      ~engine:`Soa ~mem_image:w.Workload.mem_image
-      base.Npra_core.Pipeline.base_programs
+      ~mem_image:w.Workload.mem_image base.Npra_core.Pipeline.base_programs
   in
   match
     (List.hd (Machine.report m).Machine.thread_reports).Machine.completion

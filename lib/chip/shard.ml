@@ -59,9 +59,9 @@ let empty_metrics ~duration ~seed =
     rm_trail = [];
   }
 
-let run ?(pool = Npra_par.Pool.sequential) ?(sim_engine = `Soa)
-    ?(sentinel = `Trap) ?machine_config ?refresh ?chaos_spec ?shed ~seed
-    ~engines ~shards ~duration ~specs ~mem_image progs =
+let run ?(pool = Npra_par.Pool.sequential) ?(sentinel = `Trap) ?machine_config
+    ?refresh ?chaos_spec ?shed ~seed ~engines ~shards ~duration ~specs
+    ~mem_image progs =
   let shard_of = spread ~seed ~engines ~shards in
   let members = members_of shard_of shards in
   let nthreads = List.length progs in
@@ -81,7 +81,7 @@ let run ?(pool = Npra_par.Pool.sequential) ?(sim_engine = `Soa)
             in
             (* Fabric path only when chaos is requested; the inner pool
                stays sequential so pool tasks never nest. *)
-            Dispatch.run ~engines:n ~sim_engine ~sentinel ?machine_config
+            Dispatch.run ~engines:n ~sentinel ?machine_config
               ?refresh ?chaos
               ?watchdog:
                 (Option.map (fun _ -> Dispatch.default_watchdog) chaos)
@@ -181,18 +181,6 @@ let served_of_thread t i =
 
 (* ---- canonical JSON ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
   let tt = totals t in
   let shard_json r =
@@ -211,7 +199,9 @@ let to_json t =
   let thread_json x =
     Fmt.str
       {|{"thread": %d, "kernel": "%s", "offered": %d, "served": %d, "dropped": %d}|}
-      x.tt_thread (json_escape x.tt_name) x.tt_offered x.tt_served x.tt_dropped
+      x.tt_thread
+      (Npra_core.Report.json_escape x.tt_name)
+      x.tt_offered x.tt_served x.tt_dropped
   in
   Fmt.str
     {|{"seed": %d, "engines": %d, "shards": %d, "duration": %d, "offered": %d, "served": %d, "drops": {"queue_full": %d, "shed": %d, "quarantine": %d, "flood": %d}, "residual": %d, "surviving": %d, "conservation": %b, "threads": [%s], "shards_detail": [%s]}|}

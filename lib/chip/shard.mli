@@ -39,7 +39,6 @@ type t = {
 
 val run :
   ?pool:Npra_par.Pool.t ->
-  ?sim_engine:Machine.engine ->
   ?sentinel:Machine.sentinel_mode ->
   ?machine_config:Machine.config ->
   ?refresh:(engine:int -> thread:int -> seq:int -> (int * int) list) ->
@@ -59,7 +58,9 @@ val run :
     independent fault schedule per shard from the shard seed and
     selects the fabric path with the default watchdog; otherwise the
     legacy independent-engine path runs. An empty shard (the hash left
-    it no engines) yields empty metrics. *)
+    it no engines) yields empty metrics. Machines run on the default
+    {!Machine.engine}: with [sentinel] (default [`Trap]) armed they step
+    one instruction at a time, with [`Off] they burst. *)
 
 type totals = {
   t_offered : int;

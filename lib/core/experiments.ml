@@ -573,18 +573,6 @@ let portfolio_report rows =
          @ [ string_of_int r.p_probed; (if r.p_never_loses then "yes" else "NO") ])
        rows)
 
-let portfolio_json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* The deterministic payload of BENCH_portfolio.json: same seed, same
    bytes at any job count. The harness appends the wall_clock block. *)
 let portfolio_json ~seed ~quick rows =
@@ -595,7 +583,7 @@ let portfolio_json ~seed ~quick rows =
     | Some (st, sc) ->
       add
         {|{"stage": "%s", "unsafe": %d, "spilled": %d, "moves": %d, "demand": %d, "probe": %s}|}
-        (portfolio_json_escape (stage_name st))
+        (Report.json_escape (stage_name st))
         sc.Pipeline.sc_unsafe sc.Pipeline.sc_spills sc.Pipeline.sc_moves
         sc.Pipeline.sc_demand
         (match sc.Pipeline.sc_probe with
@@ -607,7 +595,7 @@ let portfolio_json ~seed ~quick rows =
   List.iteri
     (fun i r ->
       if i > 0 then add ",\n";
-      add "    {\"kernel\": \"%s\", \"chain\": " (portfolio_json_escape r.p_kernel);
+      add "    {\"kernel\": \"%s\", \"chain\": " (Report.json_escape r.p_kernel);
       scored r.p_chain;
       add ", \"winner\": ";
       scored r.p_winner;
@@ -631,8 +619,8 @@ let portfolio_json ~seed ~quick rows =
             | Pipeline.Failed reason -> "failed: " ^ reason
           in
           add {|       {"stage": "%s", "outcome": "%s"}|}
-            (portfolio_json_escape (stage_name st))
-            (portfolio_json_escape outcome))
+            (Report.json_escape (stage_name st))
+            (Report.json_escape outcome))
         r.p_entrants;
       add "\n     ]}")
     rows;
@@ -657,7 +645,7 @@ let portfolio_race_json ~seed ~nreg (p : Pipeline.portfolio) =
   add "{\n  \"seed\": %d,\n  \"nreg\": %d,\n  \"probed\": %d,\n" seed nreg
     p.Pipeline.probed;
   add "  \"winner\": {\"stage\": \"%s\", \"score\": "
-    (portfolio_json_escape (stage_name p.Pipeline.winner.Pipeline.provenance));
+    (Report.json_escape (stage_name p.Pipeline.winner.Pipeline.provenance));
   score p.Pipeline.winner_score;
   add ", \"moves\": %d, \"spilled_ranges\": [%s], \"verified\": %b},\n"
     p.Pipeline.winner.Pipeline.moves
@@ -675,8 +663,8 @@ let portfolio_race_json ~seed ~nreg (p : Pipeline.portfolio) =
         | Pipeline.Failed reason -> "failed: " ^ reason
       in
       add {|    {"stage": "%s", "outcome": "%s"}|}
-        (portfolio_json_escape (stage_name st))
-        (portfolio_json_escape outcome))
+        (Report.json_escape (stage_name st))
+        (Report.json_escape outcome))
     p.Pipeline.slate;
   add "\n  ]\n}\n";
   Buffer.contents b

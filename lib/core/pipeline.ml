@@ -461,7 +461,7 @@ let probe_served probe programs =
       nthd;
   match
     let m =
-      Machine.create ~engine:`Soa ~mem_image:probe.probe_mem_image programs
+      Machine.create ~mem_image:probe.probe_mem_image programs
     in
     for i = 0 to nthd - 1 do
       Machine.park_thread m i

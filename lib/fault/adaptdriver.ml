@@ -349,18 +349,6 @@ let pp ppf m =
       List.iter (fun s -> Fmt.pf ppf "      %a@." Adapt.pp_swap s) c.c_swaps)
     m.m_cells
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let run_json r =
   Fmt.str
     {|{"offered": %d, "served": %d, "dropped": %d, "thread_served": [%s], "critical_served": %d, "conservation": %b}|}
@@ -375,7 +363,7 @@ let swap_json (s : Adapt.swap_record) =
     s.Adapt.sw_slice s.Adapt.sw_cycle s.Adapt.sw_critical
     (match s.Adapt.sw_previous with None -> "null" | Some p -> string_of_int p)
     s.Adapt.sw_dwell s.Adapt.sw_required_dwell
-    (json_escape s.Adapt.sw_provenance)
+    (Report.json_escape s.Adapt.sw_provenance)
     s.Adapt.sw_cache_hit
 
 let trail_count kind trail =
@@ -394,7 +382,7 @@ let trail_count kind trail =
 let cell_json c =
   Fmt.str
     {|{"scenario": "%s", "shifting": %b, "critical": [%s], "static": %s, "adaptive": %s, "rebalances": %d, "bound": %d, "alloc_failures": %d, "swaps": [%s], "trail": {"rebalance": %d, "swap": %d, "watchdog_fired": %d, "quarantined": %d}, "ok": %b}|}
-    (json_escape c.c_scenario) c.c_shifting
+    (Report.json_escape c.c_scenario) c.c_shifting
     (String.concat ", " (List.map string_of_int c.c_critical))
     (run_json c.c_static) (run_json c.c_adaptive) c.c_rebalances c.c_bound
     c.c_alloc_failures

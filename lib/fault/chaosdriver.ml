@@ -165,18 +165,6 @@ let pp ppf m =
         c.c_faults)
     m.m_cells
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let cell_json m c =
   let trail_counts =
     List.map
@@ -210,7 +198,9 @@ let cell_json m c =
   in
   Fmt.str
     {|{"mix": "%s", "scenario": "%s", "offered": %d, "served": %d, "drops": {"queue_full": %d, "shed": %d, "quarantine": %d, "flood": %d}, "residual": %d, "surviving": %d, "engines": %d, "delivered": %.4f, "bound": %.4f, "conservation": %b, "trail": {%s}, "faults": [%s], "ok": %b}|}
-    (json_escape c.c_mix) (json_escape c.c_scenario) c.c_offered c.c_served
+    (Report.json_escape c.c_mix)
+    (Report.json_escape c.c_scenario)
+    c.c_offered c.c_served
     c.c_drops.Metrics.queue_full c.c_drops.Metrics.shed
     c.c_drops.Metrics.quarantine c.c_drops.Metrics.flood c.c_residual
     c.c_surviving m.m_engines c.c_delivered c.c_bound c.c_conservation
@@ -219,7 +209,7 @@ let cell_json m c =
     (String.concat ", "
        (List.map
           (fun (e, msg) ->
-            Fmt.str {|{"engine": %d, "fault": "%s"}|} e (json_escape msg))
+            Fmt.str {|{"engine": %d, "fault": "%s"}|} e (Report.json_escape msg))
           c.c_faults))
     c.c_ok
 

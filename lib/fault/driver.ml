@@ -77,8 +77,7 @@ let kernel_report ?seed spec =
   (* Clean run, sentinel armed: must complete without any trap. *)
   let clean_fault, clean_cycles =
     match
-      Machine.run ~engine:`Soa ~sentinel:`Trap ~mem_image
-        bal.Pipeline.programs
+      Machine.run ~sentinel:`Trap ~mem_image bal.Pipeline.programs
     with
     | m -> (None, (Machine.report m).Machine.total_cycles)
     | exception Machine.Corruption c ->
@@ -105,8 +104,7 @@ let kernel_report ?seed spec =
       in
       let runtime =
         match
-          Machine.run ~config ~engine:`Soa ~sentinel:`Trap ~mem_image
-            inj.Mutate.programs
+          Machine.run ~config ~sentinel:`Trap ~mem_image inj.Mutate.programs
         with
         | _ -> Silent
         | exception Machine.Corruption c -> Trapped c
@@ -198,18 +196,6 @@ let pp ppf m =
   let inj, det, na = totals m in
   Fmt.pf ppf "@.injected %d, detected %d, not applicable %d@." inj det na
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json m =
   let b = Buffer.create 4096 in
   let add fmt = Fmt.kstr (Buffer.add_string b) fmt in
@@ -221,8 +207,8 @@ let to_json m =
   List.iteri
     (fun ki k ->
       add "    {\"kernel\": \"%s\", \"provenance\": \"%s\",\n"
-        (json_escape k.k_name)
-        (json_escape (Fmt.str "%a" Pipeline.pp_stage k.provenance));
+        (Report.json_escape k.k_name)
+        (Report.json_escape (Fmt.str "%a" Pipeline.pp_stage k.provenance));
       add "     \"clean_sentinel_silent\": %b, \"clean_cycles\": %d,\n"
         (k.clean_fault = None) k.clean_cycles;
       add "     \"faults\": [\n";
@@ -233,14 +219,14 @@ let to_json m =
             add
               "       {\"fault\": \"%s\", \"applied\": false, \"reason\": \
                \"%s\"}"
-              (Mutate.kind_name c.fault) (json_escape reason)
+              (Mutate.kind_name c.fault) (Report.json_escape reason)
           | Injected i ->
             add
               "       {\"fault\": \"%s\", \"applied\": true, \"thread\": %d, \
                \"static_errors\": %d, \"runtime\": \"%s\", \"detected\": %b, \
                \"detail\": \"%s\"}"
               (Mutate.kind_name c.fault) i.thread i.static_errors
-              (runtime_name i.runtime) i.detected (json_escape i.detail));
+              (runtime_name i.runtime) i.detected (Report.json_escape i.detail));
           if ci < List.length k.cells - 1 then add ",";
           add "\n")
         k.cells;

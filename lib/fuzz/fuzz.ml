@@ -47,8 +47,7 @@ let run_input ?(nreg = 64) ?(max_cycles = 30_000) lang src =
     | [] -> (
       let config = { Machine.default_config with nreg; max_cycles } in
       match
-        Machine.run ~config ~engine:`Soa ~sentinel:`Trap ~mem_image:[]
-          bal.Pipeline.programs
+        Machine.run ~config ~sentinel:`Trap ~mem_image:[] bal.Pipeline.programs
       with
       | _ -> Accepted
       | exception Machine.Stuck s ->
@@ -385,23 +384,11 @@ let run ?(pool = Npra_par.Pool.sequential) ?(seed = 1) ?(count = 12_000) ?nreg
 
 let ok s = s.crashes = 0 && s.hangs = 0
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json s =
   let crash ppf (lang, src, exn) =
     Fmt.pf ppf
       {|    {"lang": "%s", "input": "%s", "exception": "%s"}|}
-      (lang_name lang) (json_escape src) (json_escape exn)
+      (lang_name lang) (Report.json_escape src) (Report.json_escape exn)
   in
   Fmt.str
     "{@\n\

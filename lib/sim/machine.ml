@@ -187,28 +187,20 @@ type timeline_event =
 
 type sentinel_mode = [ `Off | `Trap | `Quarantine ]
 
-type engine = [ `Decoded | `Legacy | `Soa ]
+type engine = [ `Legacy | `Soa ]
 
-(* Struct-of-arrays execution state for the [`Soa] engine: every
-   thread's decoded quads concatenated into one machine-wide flat code
-   row, indexed through per-thread base/limit rows. Together with the
-   shared register row [t.regs] this is the whole working set the
-   batched burst loop touches. The per-thread pc and status deliberately
-   stay in the [thread] record: [park_thread]/[restart_thread]/
-   [swap_programs] mutate them between slices, and a mirrored row would
-   be a divergence hazard — the burst instead holds them in locals for
-   the duration of a slice. Mutable so a hot-swap can rebuild the rows
-   in place. *)
+(* Struct-of-arrays rows for the batched burst: every thread's decoded
+   quads concatenated into one machine-wide flat code row, indexed
+   through per-thread base/limit rows. Together with the shared register
+   row [t.regs] this is the whole working set the burst loop touches.
+   The per-thread pc and status deliberately stay in the [thread]
+   record: [park_thread]/[restart_thread]/[swap_programs] mutate them
+   between slices, and a mirrored row would be a divergence hazard — the
+   burst instead holds them in locals for the duration of a slice. *)
 type soa = {
-  mutable s_code : int array;  (* all threads' quads, concatenated *)
-  mutable s_base : int array;  (* per-thread first word in [s_code] *)
-  mutable s_lim : int array;  (* per-thread exclusive word bound *)
-  mutable s_clean : bool array;
-      (* per thread: every register operand of every quad is a valid
-         file index, proven once at build time, so the burst loop can
-         access the register row unchecked; a thread with any
-         out-of-range operand takes the per-step decoded path instead,
-         which traps at access time exactly like the legacy engine *)
+  s_code : int array;  (* all threads' quads, concatenated *)
+  s_base : int array;  (* per-thread first word in [s_code] *)
+  s_lim : int array;  (* per-thread exclusive word bound *)
 }
 
 type sentinel = {
@@ -247,11 +239,9 @@ type t = {
       (* chaos-injected hang: while [cycle < stalled_until] a bounded
          run advances the clock but retires nothing — the observable a
          dispatcher-level watchdog detects *)
-  soa : soa option;  (* [Some] exactly when [engine = `Soa] *)
-  soa_fast : bool;
-      (* the batched burst is sound only with no sentinel bookkeeping
-         and no timeline recording; otherwise [`Soa] takes the decoded
-         per-step path, which is shared code and trivially equal *)
+  mutable soa : soa option;
+      (* {!burst_rows}: [Some] when the machine bursts through
+         [exec_soa], [None] when it steps through [exec_generic] *)
 }
 
 let status_view th =
@@ -272,7 +262,7 @@ let statuses t = Array.to_list (Array.map status_view t.threads)
 (* ------------------------------------------------------------------ *)
 (* Pre-decoded program form.
 
-   The decoded engine flattens each program into an immutable int array
+   The [`Soa] engine flattens each program into an immutable int array
    of four words per instruction — [op; f1; f2; f3] — with register
    operands resolved to file indices and branch targets to instruction
    indices (sound because {!Prog.make} validates every target). [step]
@@ -369,16 +359,18 @@ let quad_regs_ok ~nreg code w =
     | _ -> true
 
 (* Concatenate every thread's quads into the machine-wide code row,
-   recording each thread's word range and whether every register operand
-   is file-bounds-clean (see [s_clean]). Threads with no program occupy
-   an empty range, which the burst's fetch guard rejects exactly like
-   the decoded engine's fetch of an empty [dcode]. *)
+   recording each thread's word range. [None] when any register operand
+   of any quad lies outside the file: the burst accesses the register
+   row unchecked, so such a machine steps through [read_idx]/[write_idx]
+   instead, which trap at access time exactly like the legacy engine.
+   Threads with no program occupy an empty range, which the burst's
+   fetch guard rejects exactly like [step_decoded]'s fetch of an empty
+   [dcode]. *)
 let build_soa ~nreg threads =
   let nthd = Array.length threads in
   let total = Array.fold_left (fun a th -> a + Array.length th.dcode) 0 threads in
   let code = Array.make (max 1 total) 0 in
   let base = Array.make nthd 0 and lim = Array.make nthd 0 in
-  let clean = Array.make nthd true in
   let off = ref 0 in
   Array.iteri
     (fun i th ->
@@ -386,16 +378,23 @@ let build_soa ~nreg threads =
       base.(i) <- !off;
       lim.(i) <- !off + len;
       Array.blit th.dcode 0 code !off len;
-      let w = ref !off in
-      while !w < !off + len do
-        if not (quad_regs_ok ~nreg code !w) then clean.(i) <- false;
-        w := !w + 4
-      done;
       off := !off + len)
     threads;
-  { s_code = code; s_base = base; s_lim = lim; s_clean = clean }
+  let rec clean w = w >= total || (quad_regs_ok ~nreg code w && clean (w + 4)) in
+  if clean 0 then Some { s_code = code; s_base = base; s_lim = lim } else None
 
-let create ?(config = default_config) ?(engine = `Decoded) ?(mem_image = [])
+let decode_for engine prog =
+  match engine with `Soa -> decode prog | `Legacy -> [||]
+
+(* The one scheduler decision: burst when the engine is [`Soa], there is
+   no sentinel bookkeeping and no timeline to record, and every thread
+   is register-clean; otherwise step. *)
+let burst_rows t =
+  if t.engine = `Soa && t.sentinel = None && not t.record_timeline then
+    build_soa ~nreg:t.config.nreg t.threads
+  else None
+
+let create ?(config = default_config) ?(engine = `Soa) ?(mem_image = [])
     ?(timeline = false) ?(sentinel = `Off) progs =
   List.iter
     (fun p ->
@@ -413,9 +412,7 @@ let create ?(config = default_config) ?(engine = `Decoded) ?(mem_image = [])
            {
              id;
              prog;
-             dcode = (match engine with
-               | `Decoded | `Soa -> decode prog
-               | `Legacy -> [||]);
+             dcode = decode_for engine prog;
              pc = 0;
              status = Ready;
              instrs = 0;
@@ -430,40 +427,40 @@ let create ?(config = default_config) ?(engine = `Decoded) ?(mem_image = [])
            })
          progs)
   in
-  {
-    config;
-    engine;
-    regs = Array.make config.nreg 0;
-    mem;
-    threads;
-    soa =
-      (match engine with
-      | `Soa -> Some (build_soa ~nreg:config.nreg threads)
-      | `Decoded | `Legacy -> None);
-    soa_fast = (engine = `Soa && sentinel = `Off && not timeline);
-    cycle = 0;
-    dispatches = 0;
-    busy_cycles = 0;
-    switch_cycles = 0;
-    record_timeline = timeline;
-    timeline_rev = [];
-    holder = None;
-    rr_from = nthd - 1;
-    last_yielder = None;
-    stalled_until = 0;
-    sentinel =
-      (match sentinel with
-      | `Off -> None
-      | (`Trap | `Quarantine) as mode ->
-        Some
-          {
-            mode;
-            owner = Array.make config.nreg (-1);
-            owner_cycle = Array.make config.nreg 0;
-            snap_owned = Array.init nthd (fun _ -> Array.make config.nreg false);
-            snap_value = Array.init nthd (fun _ -> Array.make config.nreg 0);
-          });
-  }
+  let t =
+    {
+      config;
+      engine;
+      regs = Array.make config.nreg 0;
+      mem;
+      threads;
+      soa = None;
+      cycle = 0;
+      dispatches = 0;
+      busy_cycles = 0;
+      switch_cycles = 0;
+      record_timeline = timeline;
+      timeline_rev = [];
+      holder = None;
+      rr_from = nthd - 1;
+      last_yielder = None;
+      stalled_until = 0;
+      sentinel =
+        (match sentinel with
+        | `Off -> None
+        | (`Trap | `Quarantine) as mode ->
+          Some
+            {
+              mode;
+              owner = Array.make config.nreg (-1);
+              owner_cycle = Array.make config.nreg 0;
+              snap_owned = Array.init nthd (fun _ -> Array.make config.nreg false);
+              snap_value = Array.init nthd (fun _ -> Array.make config.nreg 0);
+            });
+    }
+  in
+  t.soa <- burst_rows t;
+  t
 
 let memory t = t.mem
 
@@ -473,10 +470,10 @@ let record t thread event =
 
 let timeline t = List.rev t.timeline_rev
 
-(* All register traffic funnels through [read_idx]/[write_idx]: the
-   file-bounds check and the sentinel's ownership bookkeeping happen at
-   access time, by register {e index}, so the decoded and legacy engines
-   share exactly the same trap and corruption behaviour. *)
+(* All per-step register traffic funnels through [read_idx]/[write_idx]:
+   the file-bounds check and the sentinel's ownership bookkeeping happen
+   at access time, by register {e index}, so [step_decoded] and
+   [step_legacy] share exactly the same trap and corruption behaviour. *)
 
 let read_idx t th n =
   if n < 0 || n >= t.config.nreg then
@@ -551,7 +548,7 @@ let access_latency t a =
 (* Executes one instruction of [th]; returns [`Continue] to keep running
    the same thread or [`Yield] when the PU must be rescheduled. This is
    the legacy engine, interpreting [Instr.t] directly; kept as the
-   differential oracle for the decoded engine below. *)
+   differential oracle for the [`Soa] engine's two paths below. *)
 let step_legacy t th =
   let ins = Prog.instr th.prog th.pc in
   t.cycle <- t.cycle + 1;
@@ -616,12 +613,14 @@ let step_legacy t th =
     record t th.id Halted;
     `Yield
 
-(* The decoded engine: same observable semantics as [step_legacy],
-   executed off the thread's flat [dcode] quads. Operand reads keep the
-   legacy engine's order — OCaml evaluates arguments right-to-left, so
-   the legacy ALU and conditional branches read src2 {e before} src1 —
-   because with the sentinel armed the first corrupted read wins, and
-   the two engines must name the same register in the diagnostic. *)
+(* The [`Soa] engine's per-step path: same observable semantics as
+   [step_legacy], executed off the thread's flat [dcode] quads. It runs
+   whenever the machine cannot burst (see {!burst_rows}). Operand reads
+   keep the legacy engine's order — OCaml evaluates arguments
+   right-to-left, so the legacy ALU and conditional branches read src2
+   {e before} src1 — because with the sentinel armed the first corrupted
+   read wins, and the two engines must name the same register in the
+   diagnostic. *)
 let step_decoded t th =
   let code = th.dcode in
   let base = th.pc * 4 in
@@ -699,7 +698,7 @@ let step_decoded t th =
 
 let step t th =
   match t.engine with
-  | `Decoded | `Soa -> step_decoded t th
+  | `Soa -> step_decoded t th
   | `Legacy -> step_legacy t th
 
 (* ------------------------------------------------------------------ *)
@@ -716,14 +715,13 @@ let step t th =
    between traffic events therefore costs no per-instruction scheduler
    dispatch, closure call, or sentinel match.
 
-   Only entered when [t.soa_fast] and the thread's code row is
-   register-clean ([s_clean], proven at build time): with the sentinel
-   or timeline on, or any out-of-range register operand in the code,
-   [`Soa] takes the per-step decoded path above, which is shared code
-   and therefore trivially trap- and cycle-equal. Cleanliness is what
-   lets the loop touch the register row with unchecked accesses — the
-   per-access bounds test [step_decoded] pays through [read_idx] is the
-   single biggest per-instruction cost once dispatch is inlined.
+   Only entered when {!burst_rows} built the rows: with the sentinel or
+   timeline on, or any out-of-range register operand in any thread's
+   code, the machine takes the per-step path above instead. Cleanliness
+   is what lets the loop touch the register row with unchecked accesses
+   — the per-access bounds test [step_decoded] pays through [read_idx]
+   is the single biggest per-instruction cost once dispatch is
+   inlined.
 
    The loop itself is a tail-recursive function over plain integer
    state (pc, cycle, mov count), which the compiler keeps in machine
@@ -765,7 +763,7 @@ let rec burst_go t th code b0 blim regs limit pc cycle moves =
     let cycle = cycle + 1 in
     (* remaining quad words are in-range: [blim - b0] is a multiple
        of 4 and so is [w - b0], hence [w + 3 < blim]; register
-       operands are in-range by [s_clean] *)
+       operands are in-range by {!build_soa} *)
     if op < 16 then begin
       (* ALU: 0-7 register src2, 8-15 immediate src2 *)
       let s2 = Array.unsafe_get code (w + 3) in
@@ -854,8 +852,7 @@ let rec burst_go t th code b0 blim regs limit pc cycle moves =
         `Yield
   end
 
-let burst_soa t th ~limit =
-  let soa = match t.soa with Some s -> s | None -> assert false in
+let burst_soa t soa th ~limit =
   burst_go t th soa.s_code soa.s_base.(th.id) soa.s_lim.(th.id) t.regs limit
     th.pc t.cycle 0
 
@@ -915,11 +912,11 @@ let dispatch t i =
   record t i Dispatched;
   t.dispatches <- t.dispatches + 1
 
-(* The execution loop, shared by the one-shot [run] (strict: the cycle
-   budget and deadlock detection are enforced with exceptions) and the
-   re-entrant [run_until] (bounded: progress stops at [horizon] and the
-   machine can always be resumed). Returns [`Done] only in strict mode,
-   when no thread can ever run again. *)
+(* The per-step execution loop, shared by the one-shot [run] (strict:
+   the cycle budget and deadlock detection are enforced with exceptions)
+   and the re-entrant [run_until] (bounded: progress stops at [horizon]
+   and the machine can always be resumed). Returns [`Done] only in
+   strict mode, when no thread can ever run again. *)
 let exec_generic t ~horizon ~strict ~stop_on_halt =
   let ret = ref None in
   while !ret = None do
@@ -955,25 +952,7 @@ let exec_generic t ~horizon ~strict ~stop_on_halt =
       else if (not strict) && t.cycle >= horizon then ret := Some `Horizon
       else begin
         let th = t.threads.(cur) in
-        let burstable =
-          t.soa_fast
-          && match t.soa with Some s -> s.s_clean.(cur) | None -> false
-        in
         let outcome =
-          if burstable then
-            (* batched slice: run the holder straight out of the flat
-               rows up to the horizon (bounded) or the cycle budget + 1
-               (strict — the budget-exceeding instruction must execute
-               so the loop re-check raises the same [Cycle_limit] as
-               the per-step engines) *)
-            let limit =
-              if strict then
-                if t.config.max_cycles = max_int then max_int
-                else t.config.max_cycles + 1
-              else horizon
-            in
-            burst_soa t th ~limit
-          else
           match step t th with
           | verdict -> verdict
           | exception Quarantine_fault c ->
@@ -999,9 +978,8 @@ let exec_generic t ~horizon ~strict ~stop_on_halt =
   done;
   match !ret with Some r -> r | None -> assert false
 
-(* Specialised driver for a machine whose every thread can burst: the
-   [`Soa] engine with the sentinel off, no timeline, and every code row
-   register-clean. Exactly the state machine of [exec_generic] — the
+(* Specialised driver for a machine whose every thread can burst (see
+   {!burst_rows}). Exactly the state machine of [exec_generic] — the
    differential suite pins the two drivers cycle-for-cycle, trap state
    included — but monomorphised for the burst: scheduler state lives in
    locals with [-1] for "none" (no [Some] allocation per dispatch), the
@@ -1012,9 +990,12 @@ let exec_generic t ~horizon ~strict ~stop_on_halt =
    scheduler as in the burst itself. Scheduler state is written back to
    [t] on every exit, exceptional ones included, so pausing, resuming
    and trap reports are indistinguishable from the generic driver. *)
-let exec_soa t ~horizon ~strict ~stop_on_halt =
+let exec_soa t soa ~horizon ~strict ~stop_on_halt =
   let threads = t.threads in
   let n = Array.length threads in
+  (* run the holder up to the horizon (bounded) or the cycle budget + 1
+     (strict — the budget-exceeding instruction must execute so the loop
+     re-check raises the same [Cycle_limit] as the per-step path) *)
   let limit =
     if strict then
       if t.config.max_cycles = max_int then max_int else t.config.max_cycles + 1
@@ -1112,7 +1093,7 @@ let exec_soa t ~horizon ~strict ~stop_on_halt =
        else begin
          let cur = !holder in
          let th = threads.(cur) in
-         match burst_soa t th ~limit with
+         match burst_soa t soa th ~limit with
          | `Continue -> ()
          | `Yield ->
            holder := -1;
@@ -1130,15 +1111,11 @@ let exec_soa t ~horizon ~strict ~stop_on_halt =
   match !ret with Some r -> r | None -> assert false
 
 let exec t ~horizon ~strict ~stop_on_halt =
-  if
-    t.soa_fast
-    && match t.soa with
-       | Some s -> Array.for_all (fun c -> c) s.s_clean
-       | None -> false
-  then exec_soa t ~horizon ~strict ~stop_on_halt
-  else exec_generic t ~horizon ~strict ~stop_on_halt
+  match t.soa with
+  | Some soa -> exec_soa t soa ~horizon ~strict ~stop_on_halt
+  | None -> exec_generic t ~horizon ~strict ~stop_on_halt
 
-let run ?(config = default_config) ?(engine = `Decoded) ?(mem_image = [])
+let run ?(config = default_config) ?(engine = `Soa) ?(mem_image = [])
     ?(timeline = false) ?(sentinel = `Off) progs =
   let t = create ~config ~engine ~mem_image ~timeline ~sentinel progs in
   (match exec t ~horizon:max_int ~strict:true ~stop_on_halt:false with
@@ -1328,24 +1305,15 @@ let swap_programs t progs =
           {
             th with
             prog;
-            dcode = (match t.engine with
-              | `Decoded | `Soa -> decode prog
-              | `Legacy -> [||]);
+            dcode = decode_for t.engine prog;
             pc = 0;
             pending_writeback = None;
             (* counters, traces and completion stamps accumulate across
                the swap so IPC and store-order checks stay continuous *)
           })
       progs;
-    (* program lengths may have changed: rebuild the flat rows in place *)
-    (match t.soa with
-    | Some s ->
-      let ns = build_soa ~nreg:t.config.nreg t.threads in
-      s.s_code <- ns.s_code;
-      s.s_base <- ns.s_base;
-      s.s_lim <- ns.s_lim;
-      s.s_clean <- ns.s_clean
-    | None -> ());
+    (* the new programs may differ in length and in cleanliness *)
+    t.soa <- burst_rows t;
     (match t.sentinel with
     | None -> ()
     | Some s ->

@@ -91,25 +91,24 @@ type sentinel_mode = [ `Off | `Trap | `Quarantine ]
     [`Quarantine] permanently parks the faulting thread (recorded in its
     {!thread_report}) and keeps the other threads running. *)
 
-type engine = [ `Decoded | `Legacy | `Soa ]
-(** [`Decoded] (the default) pre-decodes every program at {!create} into
-    a flat immutable int-array form — register operands resolved to file
-    indices, branch targets to instruction indices — so the per-cycle
-    step allocates nothing and touches no label tables. [`Legacy]
-    interprets {!Npra_ir.Instr.t} directly; it is kept as a differential
-    oracle and is proved cycle- and trap-equal by the test suite.
+type engine = [ `Legacy | `Soa ]
+(** [`Soa] (the default) pre-decodes every program at {!create} into a
+    flat immutable int-array form — register operands resolved to file
+    indices, branch targets to instruction indices — and concatenates
+    every thread's code into one machine-wide struct-of-arrays row over
+    the shared register row. When the sentinel and timeline are off and
+    every register operand of every thread lies inside the file, the
+    machine runs each dispatched thread in a batched burst — pc, clock
+    and retired count in locals, ALU/condition evaluation inlined —
+    until it yields the PU or the slice horizon arrives, with no
+    per-instruction scheduler dispatch. Otherwise it steps one decoded
+    instruction at a time through the checked register accessors. The
+    choice is made at {!create} and again at every {!swap_programs}.
 
-    [`Soa] executes the same decoded opcode map out of machine-wide
-    struct-of-arrays rows: every thread's quads concatenated into one
-    flat code row over the shared register row, with the dispatched
-    thread run in a batched burst — pc, clock and retired count in
-    locals, ALU/condition evaluation inlined — until it yields the PU or
-    the slice horizon arrives, eliminating all per-instruction scheduler
-    and closure dispatch. The burst engages when the sentinel and
-    timeline are off; an armed or recording [`Soa] machine takes the
-    per-step decoded path. Proven cycle-, trap- and report-equal to
-    [`Decoded] by the differential suite (registry kernels, sentinel
-    modes, chaos stall/scribble, tiered memory, bounded slices). *)
+    [`Legacy] interprets {!Npra_ir.Instr.t} directly. It is the
+    differential oracle: the test suite proves both [`Soa] paths cycle-,
+    trap- and report-equal to it (registry kernels, sentinel modes,
+    chaos stall/scribble, tiered memory, bounded slices, hot-swaps). *)
 
 val create :
   ?config:config ->

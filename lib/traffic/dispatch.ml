@@ -165,11 +165,10 @@ let port_seed ~seed ~engine ~thread =
   let x = x lxor (x lsl 5) land 0x3FFFFFFF in
   if x = 0 then 1 else x
 
-let make_engine ~seed ~sim_engine ~sentinel ~machine_config ~mem_image ~specs
-    ~progs ~retries ~burst index =
+let make_engine ~seed ~sentinel ~machine_config ~mem_image ~specs ~progs
+    ~retries ~burst index =
   let machine =
-    Machine.create ~config:machine_config ~engine:sim_engine ~mem_image
-      ~sentinel progs
+    Machine.create ~config:machine_config ~mem_image ~sentinel progs
   in
   (* threads start dormant: they run only when a packet arrives *)
   List.iteri (fun i _ -> Machine.park_thread machine i) progs;
@@ -440,7 +439,7 @@ let build_metrics ~duration ~seed ~trail ~names es =
 (* After traffic stops, accepted packets must still complete; an engine
    that cannot drain within the budget is deadlocked — reported as a
    structured fault carrying the per-thread machine states. *)
-let drain e ~deadline ~refresh ~shed =
+let drain e ~deadline ~refresh =
   guard_faults e (fun () ->
       let made_progress = ref true in
       while
@@ -456,7 +455,6 @@ let drain e ~deadline ~refresh ~shed =
         | `Horizon -> ()
         | `Idle -> made_progress := false
       done);
-  ignore shed;
   if e.fault = None && pending e then
     e.fault <-
       Some
@@ -468,7 +466,7 @@ let drain e ~deadline ~refresh ~shed =
              threads = Machine.thread_statuses e.machine;
            })
 
-let run_legacy ~pool ~engines ~slice ~sim_engine ~sentinel ~machine_config
+let run_legacy ~pool ~engines ~slice ~sentinel ~machine_config
     ~refresh ~drain_budget ~shed ~seed ~duration ~specs ~mem_image ~progs =
   (* Engines never share registers, memory or arrival streams: each one
      is a pure function of (seed, engine index, specs, programs). The
@@ -480,8 +478,8 @@ let run_legacy ~pool ~engines ~slice ~sim_engine ~sentinel ~machine_config
   let es =
     Npra_par.Pool.tasks pool engines (fun index ->
         let e =
-          make_engine ~seed ~sim_engine ~sentinel ~machine_config ~mem_image
-            ~specs ~progs ~retries:0 ~burst index
+          make_engine ~seed ~sentinel ~machine_config ~mem_image ~specs
+            ~progs ~retries:0 ~burst index
         in
         let t = ref 0 in
         while !t < duration do
@@ -490,7 +488,7 @@ let run_legacy ~pool ~engines ~slice ~sim_engine ~sentinel ~machine_config
           advance e ~upto ~duration ~refresh ~shed;
           t := upto
         done;
-        drain e ~deadline:(duration + drain_budget) ~refresh ~shed;
+        drain e ~deadline:(duration + drain_budget) ~refresh;
         e)
   in
   let names = List.map (fun p -> p.Prog.name) progs in
@@ -522,14 +520,14 @@ let salvage e =
     e.ports;
   List.rev !acc
 
-let run_fabric ~pool ~engines ~slice ~sim_engine ~sentinel ~machine_config
+let run_fabric ~pool ~engines ~slice ~sentinel ~machine_config
     ~refresh ~drain_budget ~chaos ~wd ~shed ~controller ~seed ~duration ~specs
     ~mem_image ~progs =
   let burst = match shed with Some s -> s.burst | None -> 0 in
   let es =
     Array.init engines
-      (make_engine ~seed ~sim_engine ~sentinel ~machine_config ~mem_image
-         ~specs ~progs ~retries:wd.retries ~burst)
+      (make_engine ~seed ~sentinel ~machine_config ~mem_image ~specs ~progs
+         ~retries:wd.retries ~burst)
   in
   (* The allocation currently deployed: re-balances replace it, and
      backoff resets build their fresh machine from it, so a recovered
@@ -722,8 +720,7 @@ let run_fabric ~pool ~engines ~slice ~sim_engine ~sentinel ~machine_config
         | Backoff until when barrier_no >= until ->
           let progs = !current_progs in
           let m =
-            Machine.create ~config:machine_config ~engine:sim_engine ~mem_image
-              ~sentinel progs
+            Machine.create ~config:machine_config ~mem_image ~sentinel progs
           in
           List.iteri (fun i _ -> Machine.park_thread m i) progs;
           ignore (Machine.run_until m ~horizon:now);
@@ -899,7 +896,7 @@ let run_fabric ~pool ~engines ~slice ~sim_engine ~sentinel ~machine_config
   build_metrics ~duration ~seed ~trail:(List.rev !trail) ~names es
 
 let run ?(pool = Npra_par.Pool.sequential) ?(engines = 1) ?(slice = 1024)
-    ?(sim_engine = `Soa) ?(sentinel = `Off) ?machine_config ?refresh
+    ?(sentinel = `Off) ?machine_config ?refresh
     ?drain_budget ?chaos ?watchdog ?shed ?controller ~seed ~duration ~specs
     ~mem_image progs =
   if engines < 1 then invalid_arg "Dispatch.run: engines must be >= 1";
@@ -916,10 +913,10 @@ let run ?(pool = Npra_par.Pool.sequential) ?(engines = 1) ?(slice = 1024)
   in
   match (chaos, watchdog, controller) with
   | None, None, None ->
-    run_legacy ~pool ~engines ~slice ~sim_engine ~sentinel ~machine_config
+    run_legacy ~pool ~engines ~slice ~sentinel ~machine_config
       ~refresh ~drain_budget ~shed ~seed ~duration ~specs ~mem_image ~progs
   | _ ->
     let wd = Option.value watchdog ~default:default_watchdog in
-    run_fabric ~pool ~engines ~slice ~sim_engine ~sentinel ~machine_config
+    run_fabric ~pool ~engines ~slice ~sentinel ~machine_config
       ~refresh ~drain_budget ~chaos ~wd ~shed ~controller ~seed ~duration
       ~specs ~mem_image ~progs

@@ -98,7 +98,6 @@ val run :
   ?pool:Npra_par.Pool.t ->
   ?engines:int ->
   ?slice:int ->
-  ?sim_engine:Machine.engine ->
   ?sentinel:Machine.sentinel_mode ->
   ?machine_config:Machine.config ->
   ?refresh:(engine:int -> thread:int -> seq:int -> (int * int) list) ->
@@ -129,10 +128,9 @@ val run :
     loop. Passing any of [chaos]/[watchdog]/[controller] selects the
     fabric path; otherwise the legacy independent-engine path runs.
 
-    [sim_engine] (default [`Soa], the batched struct-of-arrays engine)
-    picks the {!Machine.engine} every machine in the run executes on —
-    proven cycle-equal across variants, so it changes wall-clock speed,
-    never metrics.
+    Every machine runs on the default [`Soa] {!Machine.engine}: it
+    bursts when [sentinel] is [`Off] and steps one instruction at a time
+    otherwise — the sentinel, not the engine, decides the speed.
 
     [refresh], when given, is called at each service start and returns
     [(address, value)] words poked into the engine's memory — the

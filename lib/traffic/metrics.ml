@@ -319,18 +319,6 @@ let pp ppf r =
     Fmt.pf ppf "  recovery trail:@.";
     List.iter (fun ev -> Fmt.pf ppf "    %a@." pp_trail_event ev) trail
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let pctls_json = function
   | None -> "null"
   | Some p ->
@@ -344,7 +332,9 @@ let drops_json d =
 let thread_summary_json s =
   Fmt.str
     {|{"thread": %d, "name": "%s", "offered": %d, "served": %d, "dropped": %d, "drops": %s, "max_queue": %d, "mean_wait": %.2f, "mean_service": %.2f, "latency": %s, "instructions": %d, "ipc": %.4f}|}
-    s.ts_thread (json_escape s.ts_name) s.ts_offered s.ts_served s.ts_dropped
+    s.ts_thread
+    (Npra_core.Report.json_escape s.ts_name)
+    s.ts_offered s.ts_served s.ts_dropped
     (drops_json s.ts_drops) s.ts_max_queue s.ts_mean_wait s.ts_mean_service
     (pctls_json s.ts_latency)
     s.ts_instructions s.ts_ipc
@@ -362,12 +352,14 @@ let engine_json e =
     (drops_total drops) e.em_residual
     (match e.em_fault with
     | None -> "null"
-    | Some f -> Fmt.str {|"%s"|} (json_escape (fault_message f)))
+    | Some f -> Fmt.str {|"%s"|} (Npra_core.Report.json_escape (fault_message f)))
 
 let trail_event_json ev =
   let cycle, engine, kind, detail = trail_fields ev in
   Fmt.str {|{"cycle": %d, "engine": %d, "event": "%s", "detail": "%s"}|} cycle
-    engine (json_escape kind) (json_escape detail)
+    engine
+    (Npra_core.Report.json_escape kind)
+    (Npra_core.Report.json_escape detail)
 
 let to_json r =
   let b = Buffer.create 4096 in

@@ -12,7 +12,7 @@
    The other contracts: losing entrants are recorded in the winner's
    trail as [Rejected] with reasons (never silently dropped); cache
    hits carry the entrant's own provenance, not a slate default; the
-   winner simulates identically under the `Decoded and `Legacy
+   winner simulates identically under the `Soa and `Legacy
    engines; and the whole result — including the BENCH_portfolio.json
    payload — is byte-identical at any job count. *)
 
@@ -271,32 +271,36 @@ let cache_tests =
 
 (* ---------------- engine differential ---------------- *)
 
-(* The portfolio winner must behave identically under the pre-decoded
-   fast path and the legacy interpreter — same extension of the
-   sim.engines contract to the new allocation producer. *)
+(* The portfolio winner must behave identically under both paths of the
+   soa engine and the legacy interpreter — same extension of the
+   sim.engines contract to the new allocation producer. The armed
+   sentinel covers the per-step path, the disarmed one the burst. *)
 let engine_tests =
   List.map
     (fun id ->
-      test (Fmt.str "decoded = legacy on the portfolio winner of %s" id)
+      test (Fmt.str "soa = legacy on the portfolio winner of %s" id)
         (fun () ->
           let ws = ws_of [ id; id; id; id ] in
           let progs = List.map (fun w -> w.Workload.prog) ws in
           let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
           let spill_bases = List.map Workload.spill_base ws in
           let p = portfolio_exn ~spill_bases ~seed:1 progs in
-          let report engine =
+          let report sentinel engine =
             Machine.report
-              (Machine.run ~engine ~sentinel:`Trap ~mem_image
+              (Machine.run ~engine ~sentinel ~mem_image
                  p.Pipeline.winner.Pipeline.programs)
           in
-          let d = report `Decoded in
-          let l = report `Legacy in
-          check Alcotest.int "total cycles" l.Machine.total_cycles
-            d.Machine.total_cycles;
-          check Alcotest.string "full report"
-            (Fmt.str "%a" Machine.pp_report l)
-            (Fmt.str "%a" Machine.pp_report d);
-          check Alcotest.bool "structurally equal" true (d = l)))
+          List.iter
+            (fun sentinel ->
+              let s = report sentinel `Soa in
+              let l = report sentinel `Legacy in
+              check Alcotest.int "total cycles" l.Machine.total_cycles
+                s.Machine.total_cycles;
+              check Alcotest.string "full report"
+                (Fmt.str "%a" Machine.pp_report l)
+                (Fmt.str "%a" Machine.pp_report s);
+              check Alcotest.bool "structurally equal" true (s = l))
+            [ `Trap; `Off ]))
     [ "md5"; "crc32"; "drr"; "url"; "wraps_tx" ]
 
 (* ---------------- jobs invariance ---------------- *)

@@ -355,16 +355,15 @@ let memory_tests =
         check Alcotest.int "reads" 0 (Memory.reads m));
   ]
 
-(* ---------------- decoded vs legacy vs soa engines ---------------- *)
+(* ---------------- soa vs legacy engines ---------------- *)
 
-(* Every fast path must be indistinguishable from the legacy Instr.t
-   interpreter: same cycle counts, same per-thread reports, same store
-   traces, and the same traps on the same cycle. Every registry kernel,
-   allocated as a four-thread system, is the witness set; traps are
-   exercised by hand-built out-of-file programs. The [`Soa] engine gets
-   two comparisons per kernel: sentinel armed (where it shares the
-   decoded per-step path) and sentinel off (where the batched burst
-   loop actually runs). *)
+(* Both paths of the [`Soa] engine must be indistinguishable from the
+   legacy Instr.t interpreter: same cycle counts, same per-thread
+   reports, same store traces, and the same traps on the same cycle.
+   Every registry kernel, allocated as a four-thread system, is the
+   witness set; traps are exercised by hand-built out-of-file programs.
+   Each kernel gets two comparisons: sentinel armed (the per-step path)
+   and sentinel off (the batched burst). *)
 let engine_report ?(sentinel = `Trap) engine progs mem_image =
   Machine.report (Machine.run ~engine ~sentinel ~mem_image progs)
 
@@ -377,9 +376,9 @@ let kernel_system spec =
   let bal = Npra_core.Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
   (bal.Npra_core.Pipeline.programs, mem_image)
 
-let check_engines_equal ?sentinel reference candidate progs mem_image =
-  let r = engine_report ?sentinel reference progs mem_image in
-  let c = engine_report ?sentinel candidate progs mem_image in
+let check_engines_equal ?sentinel progs mem_image =
+  let r = engine_report ?sentinel `Legacy progs mem_image in
+  let c = engine_report ?sentinel `Soa progs mem_image in
   check Alcotest.int "total cycles" r.Machine.total_cycles
     c.Machine.total_cycles;
   check Alcotest.string "full report"
@@ -393,45 +392,75 @@ let engine_differential_tests =
     (fun spec ->
       [
         test
-          (Fmt.str "decoded = legacy on kernel %s (4 threads)"
+          (Fmt.str "soa = legacy on kernel %s (sentinel armed)"
              spec.Workload.id)
           (fun () ->
             let progs, mem_image = kernel_system spec in
-            check_engines_equal `Legacy `Decoded progs mem_image);
+            check_engines_equal progs mem_image);
         test
-          (Fmt.str "soa = decoded on kernel %s (sentinel armed)"
+          (Fmt.str "soa burst = legacy on kernel %s (sentinel off)"
              spec.Workload.id)
           (fun () ->
             let progs, mem_image = kernel_system spec in
-            check_engines_equal `Decoded `Soa progs mem_image);
-        test
-          (Fmt.str "soa burst = decoded on kernel %s (sentinel off)"
-             spec.Workload.id)
-          (fun () ->
-            let progs, mem_image = kernel_system spec in
-            check_engines_equal ~sentinel:`Off `Decoded `Soa progs mem_image);
+            check_engines_equal ~sentinel:`Off progs mem_image);
       ])
     Registry.all
 
-(* Each trap case compares all three engines; the sentinel defaults to
-   [`Off] here, so [`Soa] raises from inside its burst loop. *)
-let stuck_outcome ?config engine p =
-  match Machine.run ?config ~engine [ p ] with
+(* Each trap case compares both engines with the sentinel off, so
+   [`Soa] raises from inside its burst loop wherever the code is
+   register-clean. *)
+let stuck_outcome ?config engine progs =
+  match Machine.run ?config ~engine progs with
   | (_ : Machine.t) -> Alcotest.fail "expected Stuck"
   | exception Machine.Stuck s -> Fmt.str "%a" Machine.pp_stuck s
 
-let check_same_stuck ?config p =
-  let l = stuck_outcome ?config `Legacy p in
-  check Alcotest.string "decoded stuck diagnostic" l
-    (stuck_outcome ?config `Decoded p);
-  check Alcotest.string "soa stuck diagnostic" l
-    (stuck_outcome ?config `Soa p)
+let check_same_stuck ?config progs =
+  check Alcotest.string "soa stuck diagnostic"
+    (stuck_outcome ?config `Legacy progs)
+    (stuck_outcome ?config `Soa progs)
+
+(* A clean thread beside one whose code writes the out-of-file register
+   r999 behind a branch taken only when [reach]. Either way the machine
+   is not register-clean, so [`Soa] steps every thread — the clean one
+   included — through the checked accessors. *)
+let unclean_pair ~reach =
+  [
+    store_all "clean" ~addr:10 [ 1; 2; 3 ];
+    prog "unclean"
+      [
+        Instr.Movi { dst = Reg.P 2; imm = (if reach then 1 else 0) };
+        Instr.Movi { dst = Reg.P 3; imm = 40 };
+        Instr.Store { src = Reg.P 2; addr = Reg.P 3; off = 0 };
+        Instr.Brc
+          { cond = Instr.Eq; src1 = Reg.P 2; src2 = Instr.Imm 0; target = "out" };
+        Instr.Movi { dst = Reg.P 999; imm = 7 };
+        Instr.Halt;
+      ]
+      [ ("out", 5) ];
+  ]
+
+(* One machine through a sequence of hot-swapped program sets: each
+   phase restarts every thread and runs it to completion, recording the
+   report, or the trap diagnostic that ended the run. *)
+let swap_drive engine phases =
+  let m = Machine.create ~engine ~sentinel:`Off (List.hd phases) in
+  List.mapi
+    (fun i progs ->
+      (if i > 0 then
+         match Machine.swap_programs m progs with
+         | Ok () -> List.iteri (fun j _ -> Machine.restart_thread m j) progs
+         | Error e -> Alcotest.failf "swap %d: %a" i Machine.pp_swap_error e);
+      match Machine.run_until m ~horizon:(Machine.cycle m + 10_000) with
+      | (_ : Machine.pause) -> Fmt.str "%a" Machine.pp_report (Machine.report m)
+      | exception Machine.Stuck s ->
+        Fmt.str "stuck at %d: %a" (Machine.cycle m) Machine.pp_stuck s)
+    phases
 
 let engine_trap_tests =
   [
     test "engines trap identically on an out-of-file read" (fun () ->
         check_same_stuck
-          (prog "oob"
+          [ prog "oob"
              [
                Instr.Movi { dst = Reg.P 0; imm = 1 };
                Instr.Alu
@@ -443,23 +472,44 @@ let engine_trap_tests =
                  };
                Instr.Halt;
              ]
-             []));
+             [] ]);
     test "engines trap identically on an out-of-file write" (fun () ->
         check_same_stuck
-          (prog "oob-dst"
+          [ prog "oob-dst"
              [ Instr.Movi { dst = Reg.P 999; imm = 1 }; Instr.Halt ]
-             []));
+             [] ]);
     test "engines reject virtual registers identically" (fun () ->
         check_same_stuck
-          (prog "virt"
+          [ prog "virt"
              [ Instr.Mov { dst = Reg.P 0; src = Reg.V 3 }; Instr.Halt ]
-             []));
+             [] ]);
     test "engines hit the cycle limit identically" (fun () ->
         (* the spin loop runs entirely inside the soa burst, so this
            pins the burst's strict cycle budget to the per-step one *)
         let p = prog "spin" [ Instr.Br { target = "top" } ] [ ("top", 0) ] in
         let config = { Machine.default_config with max_cycles = 1000 } in
-        check_same_stuck ~config p);
+        check_same_stuck ~config [ p ]);
+    test "engines agree beside an out-of-file operand never executed"
+      (fun () -> check_engines_equal ~sentinel:`Off (unclean_pair ~reach:false) []);
+    test "engines trap identically beside a clean thread" (fun () ->
+        check_same_stuck (unclean_pair ~reach:true));
+    test "swap_programs recomputes the burst decision" (fun () ->
+        (* clean -> unclean (operand unreached) -> clean -> unclean
+           (operand reached): stale rows would replay the previous
+           programs, and a burst over unclean code would write r999
+           unchecked instead of trapping *)
+        let phases =
+          [
+            [ store_all "a" ~addr:10 [ 1; 2 ]; store_all "b" ~addr:20 [ 3; 4 ] ];
+            unclean_pair ~reach:false;
+            [ store_all "a" ~addr:30 [ 5 ]; store_all "b" ~addr:40 [ 6; 7; 8 ] ];
+            unclean_pair ~reach:true;
+          ]
+        in
+        let l = swap_drive `Legacy phases in
+        check Alcotest.(list string) "phase outcomes" l (swap_drive `Soa phases);
+        Alcotest.(check bool) "last phase trapped" true
+          (String.starts_with ~prefix:"stuck" (List.nth l 3)));
   ]
 
 (* ---------------- soa burst under the dispatcher's conditions ------ *)
@@ -489,8 +539,8 @@ let tier_probes () =
         [])
     [ 10; 600; 5000 ]
 
-let slice_report engine ~slice progs =
-  let m = Machine.create ~engine ~sentinel:`Off progs in
+let slice_report ?(mem_image = []) engine ~slice progs =
+  let m = Machine.create ~engine ~sentinel:`Off ~mem_image progs in
   let horizon = ref 0 in
   let pauses = ref [] in
   let continue = ref true in
@@ -512,51 +562,47 @@ let slice_report engine ~slice progs =
   done;
   (List.rev !pauses, Machine.report m)
 
+let check_slices_equal ?mem_image ~slice progs =
+  let lp, lr = slice_report ?mem_image `Legacy ~slice (progs ()) in
+  let sp, sr = slice_report ?mem_image `Soa ~slice (progs ()) in
+  check Alcotest.int
+    (Fmt.str "pause count at slice %d" slice)
+    (List.length lp) (List.length sp);
+  Alcotest.(check bool) (Fmt.str "same pauses at slice %d" slice) true (lp = sp);
+  check Alcotest.string
+    (Fmt.str "same report at slice %d" slice)
+    (Fmt.str "%a" Machine.pp_report lr)
+    (Fmt.str "%a" Machine.pp_report sr)
+
 let soa_burst_tests =
   [
-    test "soa = decoded = legacy under tiered memory latencies" (fun () ->
+    test "soa = legacy under tiered memory latencies" (fun () ->
         let config = { Machine.default_config with tiers = Some three_tiers } in
-        let report engine =
-          Machine.report (Machine.run ~config ~engine (tier_probes ()))
+        let report sentinel engine =
+          Machine.report (Machine.run ~config ~engine ~sentinel (tier_probes ()))
         in
-        let l = report `Legacy and d = report `Decoded and s = report `Soa in
-        check Alcotest.string "decoded = legacy"
-          (Fmt.str "%a" Machine.pp_report l)
-          (Fmt.str "%a" Machine.pp_report d);
-        check Alcotest.string "soa = decoded"
-          (Fmt.str "%a" Machine.pp_report d)
-          (Fmt.str "%a" Machine.pp_report s);
-        Alcotest.(check bool) "structurally equal" true (s = d);
+        List.iter
+          (fun sentinel ->
+            let l = report sentinel `Legacy and s = report sentinel `Soa in
+            check Alcotest.string "soa = legacy"
+              (Fmt.str "%a" Machine.pp_report l)
+              (Fmt.str "%a" Machine.pp_report s);
+            Alcotest.(check bool) "structurally equal" true (s = l))
+          [ `Trap; `Off ];
         (* and the tiers really engaged: a flat-latency run differs *)
-        let flat =
-          Machine.report (Machine.run ~engine:`Soa (tier_probes ()))
-        in
+        let flat = Machine.report (Machine.run (tier_probes ())) in
         Alcotest.(check bool) "tier latencies observable" true
-          (flat.Machine.total_cycles <> s.Machine.total_cycles));
-    test "soa = decoded across bounded run_until slices" (fun () ->
+          (flat.Machine.total_cycles <> (report `Off `Soa).Machine.total_cycles));
+    test "soa = legacy across bounded run_until slices" (fun () ->
         let progs () =
           [ store_all "a" ~addr:10 [ 1; 2; 3 ]; store_all "b" ~addr:20 [ 4; 5; 6 ] ]
         in
-        List.iter
-          (fun slice ->
-            let dp, dr = slice_report `Decoded ~slice (progs ()) in
-            let sp, sr = slice_report `Soa ~slice (progs ()) in
-            check Alcotest.int
-              (Fmt.str "pause count at slice %d" slice)
-              (List.length dp) (List.length sp);
-            Alcotest.(check bool)
-              (Fmt.str "same pauses at slice %d" slice)
-              true (dp = sp);
-            check Alcotest.string
-              (Fmt.str "same report at slice %d" slice)
-              (Fmt.str "%a" Machine.pp_report dr)
-              (Fmt.str "%a" Machine.pp_report sr))
-          [ 1; 7; 64 ];
+        List.iter (fun slice -> check_slices_equal ~slice progs) [ 1; 7; 64 ];
         (* a sliced soa run equals one strict soa run *)
         let _, sliced = slice_report `Soa ~slice:7 (progs ()) in
         let whole = Machine.report (Machine.run ~engine:`Soa (progs ())) in
         Alcotest.(check bool) "sliced = whole" true (sliced = whole));
-    test "soa = decoded under a chaos stall" (fun () ->
+    test "soa = legacy under a chaos stall" (fun () ->
         let drive engine =
           let m =
             Machine.create ~engine ~sentinel:`Off
@@ -571,8 +617,8 @@ let soa_burst_tests =
             Fmt.str "%a" Machine.pp_report (Machine.report m) )
         in
         Alcotest.(check bool) "identical stall behaviour" true
-          (drive `Decoded = drive `Soa));
-    test "soa = decoded under a scribble storm (quarantine sentinel)"
+          (drive `Legacy = drive `Soa));
+    test "soa = legacy under a scribble storm (quarantine sentinel)"
       (fun () ->
         let drive engine =
           let m =
@@ -585,8 +631,17 @@ let soa_burst_tests =
             Fmt.str "%a" Machine.pp_report (Machine.report m) )
         in
         Alcotest.(check bool) "identical storm behaviour" true
-          (drive `Decoded = drive `Soa));
+          (drive `Legacy = drive `Soa));
   ]
+  @ List.map
+      (fun spec ->
+        test
+          (Fmt.str "soa burst = legacy on kernel %s in run_until slices"
+             spec.Npra_workloads.Workload.id)
+          (fun () ->
+            let progs, mem_image = kernel_system spec in
+            check_slices_equal ~mem_image ~slice:97 (fun () -> progs)))
+      Npra_workloads.Registry.all
 
 let suite =
   [
