@@ -10,6 +10,8 @@
      --json PATH   overrides the selected subcommand's JSON output
                    path; valid only when the selection contains exactly
                    one JSON-writing subcommand
+     --check FILE  applies the selected subcommand's checks to a report
+                   already on disk instead of running it
      --quick       tiny Bechamel quota and short traffic runs, for CI
      --seed N      replayable seed for the randomised harnesses; each
                    keeps its historical default when absent
@@ -25,6 +27,7 @@ open Npra_cfg
 open Npra_regalloc
 open Npra_workloads
 open Npra_core
+open Npra_bench
 
 (* ------------------------------------------------------------------ *)
 (* Experiment reproduction.                                            *)
@@ -265,33 +268,10 @@ let run_timing () =
 (* synthetic program. Writes the BENCH_dataflow.json trajectory file.  *)
 
 (* The shared flags arrive pre-parsed in a {!Cli.opts}: --quick, --seed
-   (each randomised harness keeps its historical default when absent),
-   --jobs (the pool contract keeps every report identical at any job
-   count; only wall-clock observations change), and --json (resolved
-   per subcommand by {!Cli.json_path}). *)
+   (each randomised harness keeps its historical default when absent)
+   and --jobs (the pool contract keeps every report identical at any job
+   count; only the wall_clock member changes). *)
 let pool (o : Cli.opts) = Npra_par.Pool.create ~jobs:o.Cli.jobs ()
-
-(* Every BENCH_*.json carries a wall_clock block recording how long the
-   harness took and at how many jobs — appended by the harness, outside
-   the deterministic payload, so same-seed runs at different job counts
-   differ only here. [splice_wall_clock] grafts the block into a JSON
-   object serialised by a library (fuzz stats, fault matrix) without
-   the library knowing about wall clocks. *)
-let wall_clock_json ~jobs ~seconds =
-  Fmt.str {|"wall_clock": {"jobs": %d, "seconds": %.3f}|} jobs seconds
-
-let splice_wall_clock ~jobs ~seconds json =
-  match String.rindex_opt json '}' with
-  | None -> json
-  | Some i ->
-    String.sub json 0 i
-    ^ Fmt.str ",\n  %s\n" (wall_clock_json ~jobs ~seconds)
-    ^ String.sub json i (String.length json - i)
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
 
 type df_case = { df_name : string; median_ns : float; samples : int }
 
@@ -334,40 +314,9 @@ let dataflow_programs () =
   in
   kernels @ [ ("synthetic10k", Synthetic.large ~size:10_000 ()) ]
 
-let write_dataflow_json path cases speedups ~jobs ~seconds =
-  let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  let pp_case ppf c =
-    Fmt.pf ppf {|    {"name": "%s", "median_ns_per_run": %.1f, "samples": %d}|}
-      (Report.json_escape c.df_name) c.median_ns c.samples
-  in
-  let pp_speedup ppf (id, s) =
-    Fmt.pf ppf {|    "%s": %.2f|} (Report.json_escape id) s
-  in
-  Fmt.pf ppf
-    "{@\n  \"benchmark\": \"dataflow\",@\n  \"unit\": \"ns/run\",@\n  \
-     \"cases\": [@\n%a@\n  ],@\n  \"speedup_dense_over_reference\": {@\n%a@\n  \
-     },@\n  %s@\n}@."
-    Fmt.(list ~sep:(any ",@\n") pp_case)
-    cases
-    Fmt.(list ~sep:(any ",@\n") pp_speedup)
-    speedups
-    (wall_clock_json ~jobs ~seconds);
-  close_out oc
-
-let run_dataflow (o : Cli.opts) ~json =
-  let json_path = Option.get json in
-  (* Fail on an unwritable JSON path before the minutes-long run, not
-     after it. *)
-  (match open_out_gen [ Open_append; Open_creat ] 0o644 json_path with
-  | oc -> close_out oc
-  | exception Sys_error msg ->
-    Fmt.epr "cannot write %s: %s@." json_path msg;
-    exit 2);
+let run_dataflow (o : Cli.opts) =
   Fmt.pr "@.== Dataflow: dense bitset engine vs Reg.Set reference ==@.";
   let open Bechamel in
-  let programs = dataflow_programs () in
-  let t0 = Unix.gettimeofday () in
   Fmt.pr "%-24s %14s %14s %9s@." "program" "dense ns" "reference ns" "speedup";
   let cases, speedups =
     List.fold_left
@@ -391,11 +340,18 @@ let run_dataflow (o : Cli.opts) ~json =
         Fmt.pr "%-24s %14.1f %14.1f %8.2fx@." id dense.median_ns
           reference.median_ns speedup;
         (cases @ [ dense; reference ], speedups @ [ (id, speedup) ]))
-      ([], []) programs
+      ([], []) (dataflow_programs ())
   in
-  write_dataflow_json json_path cases speedups ~jobs:o.Cli.jobs
-    ~seconds:(Unix.gettimeofday () -. t0);
-  Fmt.pr "wrote %s@." json_path
+  let case c =
+    Json.Obj
+      [ ("name", String c.df_name); ("median_ns_per_run", Float (1, c.median_ns));
+        ("samples", Int c.samples) ]
+  in
+  Json.Obj
+    [ ("benchmark", String "dataflow"); ("unit", String "ns/run");
+      ("quick", Bool o.Cli.quick); ("cases", List (List.map case cases));
+      ( "speedup_dense_over_reference",
+        Obj (List.map (fun (id, s) -> (id, Json.Float (2, s))) speedups) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Fault-injection detection matrix: every (kernel x fault) cell        *)
@@ -403,8 +359,7 @@ let run_dataflow (o : Cli.opts) ~json =
 (* BENCH_faults.json and fails the process if any injected fault goes   *)
 (* undetected — the robustness gate CI leans on.                        *)
 
-let run_faults (o : Cli.opts) ~json =
-  let faults_json = Option.get json in
+let run_faults (o : Cli.opts) =
   let specs =
     if o.Cli.quick then
       (* a light smoke subset; wraps_rx exercises the Chaitin fallback *)
@@ -415,23 +370,9 @@ let run_faults (o : Cli.opts) ~json =
   in
   Fmt.pr "@.== Fault injection: static verify + runtime sentinel (%d jobs) ==@."
     o.Cli.jobs;
-  let m, seconds =
-    timed (fun () ->
-        Npra_fault.Driver.run ~pool:(pool o) ?seed:o.Cli.seed ~specs ())
-  in
+  let m = Npra_fault.Driver.run ~pool:(pool o) ?seed:o.Cli.seed ~specs () in
   Fmt.pr "%a" Npra_fault.Driver.pp m;
-  Fmt.pr "wall clock: %.3fs at %d jobs@." seconds o.Cli.jobs;
-  let oc = open_out faults_json in
-  output_string oc
-    (splice_wall_clock ~jobs:o.Cli.jobs ~seconds (Npra_fault.Driver.to_json m));
-  close_out oc;
-  Fmt.pr "wrote %s@." faults_json;
-  if not (Npra_fault.Driver.all_detected m) then begin
-    Fmt.epr
-      "FAULT HARNESS FAILURE: an injected fault went undetected, or the \
-       sentinel trapped on a clean system@.";
-    exit 1
-  end
+  Npra_fault.Driver.to_json m
 
 (* ------------------------------------------------------------------ *)
 (* Never-crash fuzzing: random bytes, mutated kernels and round-trips   *)
@@ -440,19 +381,15 @@ let run_faults (o : Cli.opts) ~json =
 (* any wall-clock hang, or any seeded crasher that is not rejected      *)
 (* with structured diagnostics.                                         *)
 
-let run_fuzz (o : Cli.opts) ~json =
-  let fuzz_json = Option.get json in
+let run_fuzz (o : Cli.opts) =
   let open Npra_fuzz in
   let count = if o.Cli.quick then 1_500 else 12_000 in
   Fmt.pr
     "@.== Fuzz: never-crash contract over both frontends (%d inputs, %d jobs) \
      ==@."
     count o.Cli.jobs;
-  let stats, seconds =
-    timed (fun () ->
-        Fuzz.run ~pool:(pool o)
-          ~seed:(Option.value o.Cli.seed ~default:42)
-          ~count ())
+  let stats =
+    Fuzz.run ~pool:(pool o) ~seed:(Option.value o.Cli.seed ~default:42) ~count ()
   in
   Fmt.pr "inputs          %8d@." stats.Fuzz.inputs;
   Fmt.pr "  rejected      %8d  (structured diagnostics)@." stats.Fuzz.rejected;
@@ -470,24 +407,16 @@ let run_fuzz (o : Cli.opts) ~json =
     (fun (lang, src, exn) ->
       Fmt.epr "CRASH [%s]: %s@.  input: %s@." (Fuzz.lang_name lang) exn src)
     stats.Fuzz.crash_reports;
-  let unrejected = Fuzz.crashers_rejected () in
-  List.iter
+  Fuzz.to_json stats
+
+(* The seeded crasher corpus is a fixed property of the frontends, not
+   of a fuzz run, so it gates every fuzz report alongside its counters. *)
+let unrejected_crashers () =
+  List.map
     (fun (lang, src, why) ->
-      Fmt.epr "CRASHER NOT REJECTED [%s]: %s@.  input: %S@."
-        (Fuzz.lang_name lang) why src)
-    unrejected;
-  Fmt.pr "wall clock: %.3fs at %d jobs@." seconds o.Cli.jobs;
-  let oc = open_out fuzz_json in
-  output_string oc
-    (splice_wall_clock ~jobs:o.Cli.jobs ~seconds (Fuzz.to_json stats));
-  close_out oc;
-  Fmt.pr "wrote %s@." fuzz_json;
-  if not (Fuzz.ok stats && unrejected = []) then begin
-    Fmt.epr
-      "FUZZ HARNESS FAILURE: the never-crash contract was violated (see \
-       reports above)@.";
-    exit 1
-  end
+      Fmt.str "crasher not rejected [%s]: %s; input: %S"
+        (Npra_fuzz.Fuzz.lang_name lang) why src)
+    (Npra_fuzz.Fuzz.crashers_rejected ())
 
 (* ------------------------------------------------------------------ *)
 (* Packet-traffic throughput: the paper's headline claim, measured as   *)
@@ -619,46 +548,26 @@ let run_throughput_mix ~pool ~quick ~seed ~engines mix =
   }
 
 let throughput_mix_json r =
-  let open Npra_traffic in
-  let b = Buffer.create 4096 in
-  let add fmt = Fmt.kstr (Buffer.add_string b) fmt in
-  let crit = r.r_mix.critical in
-  add "    {\n";
-  add "      \"mix\": \"%s\",\n" r.r_mix.mix_name;
-  add "      \"kernels\": [%s],\n"
-    (String.concat ", "
-       (List.map (fun id -> Fmt.str "\"%s\"" id) r.r_mix.mix_ids));
-  add "      \"critical\": %d,\n" crit;
-  add "      \"critical_kernel\": \"%s\",\n" (List.nth r.r_mix.mix_ids crit);
-  add "      \"provenance\": \"%s\",\n"
-    (Fmt.str "%a" Npra_core.Pipeline.pp_stage r.r_provenance);
-  add "      \"duration\": %d,\n" r.r_duration;
-  add "      \"critical_speedup_pct\": %.2f,\n"
-    (change_pct r.r_pressure_fixed r.r_pressure_bal crit);
-  add "      \"critical_service_speedup_pct\": %.2f,\n"
-    (service_speedup_pct r.r_pressure_fixed r.r_pressure_bal crit);
-  add "      \"coresident_change_pct\": [%s],\n"
-    (String.concat ", "
-       (List.concat_map
-          (fun i ->
-            if i = crit then []
-            else
-              [
-                Fmt.str "%.2f"
-                  (change_pct r.r_pressure_fixed r.r_pressure_bal i);
-              ])
-          (List.init (List.length r.r_mix.mix_ids) Fun.id)));
-  add "      \"pressure\": {\"fixed\": %s, \"balanced\": %s},\n"
-    (Metrics.to_json r.r_pressure_fixed)
-    (Metrics.to_json r.r_pressure_bal);
-  add "      \"offered\": {\"fixed\": %s, \"balanced\": %s}\n"
-    (Metrics.to_json r.r_offered_fixed)
-    (Metrics.to_json r.r_offered_bal);
-  add "    }";
-  Buffer.contents b
+  let crit = r.r_mix.critical and fixed = r.r_pressure_fixed and bal = r.r_pressure_bal in
+  let pair f b =
+    Npra_traffic.Metrics.(Json.Obj [ ("fixed", json f); ("balanced", json b) ])
+  in
+  let coresident =
+    List.filter (fun i -> i <> crit) (List.init (List.length r.r_mix.mix_ids) Fun.id)
+  in
+  Json.Obj
+    [ ("mix", String r.r_mix.mix_name);
+      ("kernels", List (List.map (fun id -> Json.String id) r.r_mix.mix_ids));
+      ("critical", Int crit); ("critical_kernel", String (List.nth r.r_mix.mix_ids crit));
+      ("provenance", String (Fmt.str "%a" Pipeline.pp_stage r.r_provenance));
+      ("duration", Int r.r_duration);
+      ("critical_speedup_pct", Float (2, change_pct fixed bal crit));
+      ("critical_service_speedup_pct", Float (2, service_speedup_pct fixed bal crit));
+      ( "coresident_change_pct",
+        List (List.map (fun i -> Json.Float (2, change_pct fixed bal i)) coresident) );
+      ("pressure", pair fixed bal); ("offered", pair r.r_offered_fixed r.r_offered_bal) ]
 
-let run_throughput (o : Cli.opts) ~json =
-  let throughput_json = Option.get json in
+let run_throughput (o : Cli.opts) =
   let open Npra_traffic in
   let seed = Option.value o.Cli.seed ~default:1 in
   let engines = if o.Cli.quick then 2 else 3 in
@@ -666,14 +575,11 @@ let run_throughput (o : Cli.opts) ~json =
     "@.== Throughput: balanced vs fixed-partition under packet traffic \
      (%d engines, seed %d, %d jobs) ==@."
     engines seed o.Cli.jobs;
-  let results, seconds =
-    timed (fun () ->
-        List.map
-          (run_throughput_mix ~pool:(pool o) ~quick:o.Cli.quick ~seed ~engines)
-          throughput_mixes)
+  let results =
+    List.map
+      (run_throughput_mix ~pool:(pool o) ~quick:o.Cli.quick ~seed ~engines)
+      throughput_mixes
   in
-  Fmt.pr "wall clock: %.3fs at %d jobs@." seconds o.Cli.jobs;
-  let ok = ref true in
   List.iter
     (fun r ->
       let crit = r.r_mix.critical in
@@ -698,57 +604,15 @@ let run_throughput (o : Cli.opts) ~json =
             Fmt.pr "  co-resident %-12s throughput %+.1f%% (paper: -1..-4%%)@."
               id
               (change_pct r.r_pressure_fixed r.r_pressure_bal i))
-        r.r_mix.mix_ids;
-      let all_runs =
-        [
-          ("pressure/fixed", r.r_pressure_fixed);
-          ("pressure/balanced", r.r_pressure_bal);
-          ("offered/fixed", r.r_offered_fixed);
-          ("offered/balanced", r.r_offered_bal);
-        ]
-      in
-      List.iter
-        (fun (label, m) ->
-          List.iter
-            (fun (e, f) ->
-              ok := false;
-              Fmt.epr "THROUGHPUT FAILURE: %s %s engine %d: %s@."
-                r.r_mix.mix_name label e f)
-            (Metrics.faults m))
-        all_runs;
-      if served_of r.r_pressure_bal crit < served_of r.r_pressure_fixed crit
-      then begin
-        ok := false;
-        Fmt.epr
-          "THROUGHPUT FAILURE: %s: balanced served fewer critical-thread \
-           packets (%d) than the fixed partition (%d) under saturation@."
-          r.r_mix.mix_name
-          (served_of r.r_pressure_bal crit)
-          (served_of r.r_pressure_fixed crit)
-      end)
+        r.r_mix.mix_ids)
     results;
-  let oc = open_out throughput_json in
-  let add fmt = Fmt.kstr (output_string oc) fmt in
-  add "{\n";
-  add "  \"benchmark\": \"throughput\",\n";
-  add "  \"seed\": %d,\n" seed;
-  add "  \"engines\": %d,\n" engines;
-  add "  \"quick\": %b,\n" o.Cli.quick;
-  add "  \"mixes\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map throughput_mix_json results));
-  add "  \"ok\": %b,\n" !ok;
-  (* The wall_clock block is the only jobs-dependent field; everything
-     above it is byte-identical for the same seed at any job count. *)
-  add "  %s\n" (wall_clock_json ~jobs:o.Cli.jobs ~seconds);
-  add "}\n";
-  close_out oc;
-  Fmt.pr "@.wrote %s@." throughput_json;
-  if not !ok then begin
-    Fmt.epr
-      "THROUGHPUT HARNESS FAILURE: an engine faulted or the balanced \
-       allocator lost critical-thread throughput (see above)@.";
-    exit 1
-  end
+  let members =
+    [ ("benchmark", Json.String "throughput"); ("seed", Int seed);
+      ("engines", Int engines); ("quick", Bool o.Cli.quick);
+      ("mixes", List (List.map throughput_mix_json results)) ]
+  in
+  let ok = Checks.apply Checks.throughput_gates (Obj members) = [] in
+  Json.Obj (members @ [ ("ok", Bool ok) ])
 
 (* ------------------------------------------------------------------ *)
 (* Portfolio race: the parallel strategy slate vs the sequential       *)
@@ -756,175 +620,77 @@ let run_throughput (o : Cli.opts) ~json =
 (* BENCH_portfolio.json (deterministic payload + wall_clock block) and *)
 (* exits non-zero if the portfolio ever scores worse than the chain.   *)
 
-let run_portfolio (o : Cli.opts) ~json =
-  let portfolio_json_path = Option.get json in
+let run_portfolio (o : Cli.opts) =
   let seed = Option.value o.Cli.seed ~default:1 in
   Fmt.pr
     "@.== Portfolio: strategy race vs the fallback chain (seed %d, %d \
      jobs%s) ==@."
     seed o.Cli.jobs
     (if o.Cli.quick then ", quick" else "");
-  let rows, seconds =
-    timed (fun () ->
-        Experiments.portfolio_rows ~pool:(pool o) ~quick:o.Cli.quick ~seed ())
+  let rows =
+    Experiments.portfolio_rows ~pool:(pool o) ~quick:o.Cli.quick ~seed ()
   in
   Report.print (Experiments.portfolio_report rows);
-  List.iter
-    (fun r ->
-      if not r.Experiments.p_never_loses then
-        Fmt.epr
-          "PORTFOLIO FAILURE: %s: the portfolio winner scores worse than \
-           the fallback chain@."
-          r.Experiments.p_kernel)
-    rows;
-  Fmt.pr "wall clock: %.3fs at %d jobs@." seconds o.Cli.jobs;
-  let oc = open_out portfolio_json_path in
-  output_string oc
-    (splice_wall_clock ~jobs:o.Cli.jobs ~seconds
-       (Experiments.portfolio_json ~seed ~quick:o.Cli.quick rows));
-  close_out oc;
-  Fmt.pr "wrote %s@." portfolio_json_path;
-  if not (Experiments.portfolio_ok rows) then begin
-    Fmt.epr
-      "PORTFOLIO HARNESS FAILURE: the never-loses property was violated \
-       (see above)@.";
-    exit 1
-  end
+  Experiments.portfolio_json ~seed ~quick:o.Cli.quick rows
 
 (* ------------------------------------------------------------------ *)
-(* Chaos matrix: kernel mixes x injected fault schedules through the    *)
-(* fabric path of the dispatcher. Writes BENCH_chaos.json and fails     *)
-(* the process if any cell aborts, violates exact packet conservation,  *)
-(* or delivers below the degradation floor.                             *)
+(* The seeded matrices of the fabric drivers, each run under --seed    *)
+(* (default 42), --quick and --jobs:                                    *)
+(*   chaos — kernel mixes x injected fault schedules through the        *)
+(*     dispatcher's fabric path; every cell completes, conserves        *)
+(*     packets and delivers above its degradation floor;                *)
+(*   adapt — every shifting-traffic scenario with the allocation        *)
+(*     frozen vs the Adapt control loop; adaptive serves >= static      *)
+(*     within the hysteresis bound, conserving packets;                 *)
+(*   chip — sharded dispatch over the tiered memory hierarchy plus      *)
+(*     inter-engine chains; conservation, SLOs, the offered floor and   *)
+(*     balanced >= fixed on the critical thread.                        *)
 
-let run_chaos (o : Cli.opts) ~json =
-  let chaos_json = Option.get json in
+let run_matrix title run pp to_json (o : Cli.opts) =
   let seed = Option.value o.Cli.seed ~default:42 in
-  Fmt.pr
-    "@.== Chaos: engine failure injection, watchdog quarantine, re-dispatch \
-     (seed %d, %d jobs%s) ==@."
-    seed o.Cli.jobs
+  Fmt.pr "@.== %s (seed %d, %d jobs%s) ==@." title seed o.Cli.jobs
     (if o.Cli.quick then ", quick" else "");
-  let m, seconds =
-    timed (fun () ->
-        Npra_fault.Chaosdriver.run ~pool:(pool o) ~seed ~quick:o.Cli.quick ())
-  in
-  Fmt.pr "%a" Npra_fault.Chaosdriver.pp m;
-  Fmt.pr "wall clock: %.3fs at %d jobs@." seconds o.Cli.jobs;
-  let oc = open_out chaos_json in
-  output_string oc
-    (splice_wall_clock ~jobs:o.Cli.jobs ~seconds
-       (Npra_fault.Chaosdriver.to_json m));
-  close_out oc;
-  Fmt.pr "wrote %s@." chaos_json;
-  if not (Npra_fault.Chaosdriver.all_ok m) then begin
-    Fmt.epr
-      "CHAOS HARNESS FAILURE: a cell aborted, lost packets, or delivered \
-       below the degradation floor (see the matrix above)@.";
-    exit 1
-  end
+  let m = run ~pool:(pool o) ~seed ~quick:o.Cli.quick () in
+  Fmt.pr "%a" pp m;
+  to_json m
 
-(* ------------------------------------------------------------------ *)
-(* Adaptive re-allocation: every shifting-traffic scenario run twice    *)
-(* (allocation frozen vs the Adapt control loop re-balancing online).   *)
-(* Writes BENCH_adapt.json and fails the process if the adaptive run    *)
-(* ever serves fewer critical-thread packets than static, breaks the    *)
-(* hysteresis bound, or loses packets.                                  *)
+let run_chaos =
+  Npra_fault.Chaosdriver.(
+    run_matrix "Chaos: engine failure injection, watchdog quarantine, re-dispatch"
+      (fun ~pool ~seed ~quick () -> run ~pool ~seed ~quick ()) pp to_json)
 
-let run_adapt (o : Cli.opts) ~json =
-  let adapt_json = Option.get json in
-  let seed = Option.value o.Cli.seed ~default:42 in
-  Fmt.pr
-    "@.== Adapt: metrics-driven re-balancing vs a frozen allocation (seed \
-     %d, %d jobs%s) ==@."
-    seed o.Cli.jobs
-    (if o.Cli.quick then ", quick" else "");
-  let m, seconds =
-    timed (fun () ->
-        Npra_fault.Adaptdriver.run ~pool:(pool o) ~seed ~quick:o.Cli.quick ())
-  in
-  Fmt.pr "%a" Npra_fault.Adaptdriver.pp m;
-  Fmt.pr "wall clock: %.3fs at %d jobs@." seconds o.Cli.jobs;
-  let oc = open_out adapt_json in
-  output_string oc
-    (splice_wall_clock ~jobs:o.Cli.jobs ~seconds
-       (Npra_fault.Adaptdriver.to_json m));
-  close_out oc;
-  Fmt.pr "wrote %s@." adapt_json;
-  if not (Npra_fault.Adaptdriver.all_ok m) then begin
-    Fmt.epr
-      "ADAPT HARNESS FAILURE: a cell served below static, exceeded the \
-       hysteresis bound, or lost packets (see the matrix above)@.";
-    exit 1
-  end
+let run_adapt =
+  Npra_fault.Adaptdriver.(
+    run_matrix "Adapt: metrics-driven re-balancing vs a frozen allocation"
+      (fun ~pool ~seed ~quick () -> run ~pool ~seed ~quick ()) pp to_json)
 
-(* ------------------------------------------------------------------ *)
-(* Full-chip fabric: sharded dispatch over the tiered memory hierarchy  *)
-(* plus inter-engine rx -> classify -> tx chains. Writes               *)
-(* BENCH_chip.json and fails the process on any conservation or SLO     *)
-(* violation, or if the balanced allocation serves fewer critical-      *)
-(* thread packets than the fixed partition.                             *)
-
-let run_chip (o : Cli.opts) ~json =
-  let chip_json = Option.get json in
-  let seed = Option.value o.Cli.seed ~default:42 in
-  Fmt.pr
-    "@.== Chip: sharded dispatch, tiered memory, inter-engine chains (seed \
-     %d, %d jobs%s) ==@."
-    seed o.Cli.jobs
-    (if o.Cli.quick then ", quick" else "");
-  let m, seconds =
-    timed (fun () ->
-        Npra_chip.Driver.run ~pool:(pool o) ~seed ~quick:o.Cli.quick ())
-  in
-  Fmt.pr "%a" Npra_chip.Driver.pp m;
-  Fmt.pr "wall clock: %.3fs at %d jobs@." seconds o.Cli.jobs;
-  let oc = open_out chip_json in
-  output_string oc
-    (splice_wall_clock ~jobs:o.Cli.jobs ~seconds (Npra_chip.Driver.to_json m));
-  close_out oc;
-  Fmt.pr "wrote %s@." chip_json;
-  if not (Npra_chip.Driver.all_ok m) then begin
-    Fmt.epr
-      "CHIP HARNESS FAILURE: a cell violated conservation, missed its SLO, \
-       fell short of the offered floor, or the balanced allocation lost to \
-       the fixed partition (see the matrix above)@.";
-    exit 1
-  end
+let run_chip =
+  Npra_chip.Driver.(
+    run_matrix "Chip: sharded dispatch, tiered memory, inter-engine chains"
+      (fun ~pool ~seed ~quick () -> run ~pool ~seed ~quick ()) pp to_json)
 
 (* ------------------------------------------------------------------ *)
 
 let () =
-  (* The full argument spec lives in {!Cli}; every subcommand declares
-     its JSON output (or lack of one) here, so --json resolves against
-     the actual selection instead of silently applying to [dataflow]
-     only. *)
-  let plain name run =
-    { Cli.name; json_default = None; run = (fun _ ~json:_ -> run ()) }
+  let report name run check =
+    Cli.Report { Cli.name; json_default = Fmt.str "BENCH_%s.json" name; run; check }
   in
-  let writes name json_default run =
-    { Cli.name; json_default = Some json_default; run }
-  in
-  let specs =
+  Cli.main
     [
-      plain "table1" run_table1;
-      plain "fig14" run_fig14;
-      plain "table2" run_table2;
-      plain "table3" run_table3;
-      plain "ablation" run_ablation;
-      plain "timing" run_timing;
-      writes "dataflow" "BENCH_dataflow.json" run_dataflow;
-      writes "faults" "BENCH_faults.json" run_faults;
-      writes "fuzz" "BENCH_fuzz.json" run_fuzz;
-      writes "throughput" "BENCH_throughput.json" run_throughput;
-      writes "portfolio" "BENCH_portfolio.json" run_portfolio;
-      writes "chaos" "BENCH_chaos.json" run_chaos;
-      writes "adapt" "BENCH_adapt.json" run_adapt;
-      writes "chip" "BENCH_chip.json" run_chip;
-      writes "simspeed" "BENCH_simspeed.json" (fun (o : Cli.opts) ~json ->
-          Simspeed.run ~quick:o.Cli.quick ~seed:o.Cli.seed ~jobs:o.Cli.jobs
-            ~json);
+      Text ("table1", run_table1);
+      Text ("fig14", run_fig14);
+      Text ("table2", run_table2);
+      Text ("table3", run_table3);
+      Text ("ablation", run_ablation);
+      Text ("timing", run_timing);
+      report "dataflow" run_dataflow Checks.dataflow;
+      report "faults" run_faults Checks.faults;
+      report "fuzz" run_fuzz (fun r -> Checks.fuzz r @ unrejected_crashers ());
+      report "throughput" run_throughput Checks.throughput;
+      report "portfolio" run_portfolio Checks.portfolio;
+      report "chaos" run_chaos Checks.chaos;
+      report "adapt" run_adapt Checks.adapt;
+      report "chip" run_chip Checks.chip;
+      report "simspeed" Simspeed.run Checks.simspeed;
     ]
-  in
-  let opts, selected = Cli.parse ~specs (List.tl (Array.to_list Sys.argv)) in
-  List.iter (fun s -> s.Cli.run opts ~json:(Cli.json_path opts s)) selected
+    (List.tl (Array.to_list Sys.argv))

@@ -19,26 +19,16 @@
    makespan ratio (fixed over steal) — deterministic on any host — and
    the wall clocks are reported as observations only.
 
-   Floors (exit 1 below any): soa at least as fast as legacy on every
-   kernel and the makespan ratio at jobs 4, in every mode; in full mode
-   also the sweep-wide soa/legacy rate ratio and an absolute soa
-   cycles/sec floor. Quick mode only sanity-checks that soa does not
-   lose to legacy overall, because its quotas are too short to defend
-   the full-mode ratio against CI noise. *)
+   The floors the report is held to (exit 1 below any) live in
+   {!Checks.simspeed}. *)
 
 open Npra_workloads
 open Npra_core
+open Npra_bench
 module Machine = Npra_sim.Machine
 module Pool = Npra_par.Pool
 module Shard = Npra_chip.Shard
 module Metrics = Npra_traffic.Metrics
-
-(* ---- floors: the committed claims CI holds this file to ---- *)
-
-let floor_soa_over_legacy = 6.3 (* full-mode sweep ratio *)
-let floor_soa_over_legacy_quick = 1.0 (* quick-mode sanity bound *)
-let floor_soa_cps = 2_000_000. (* absolute soa sweep rate, full mode *)
-let floor_pool_ratio_jobs4 = 1.2 (* fixed/steal makespan, every mode *)
 
 (* ------------------------------------------------------------------ *)
 (* Engine sweep.                                                       *)
@@ -204,14 +194,14 @@ let timed f =
   let v = f () in
   (v, Unix.gettimeofday () -. t0)
 
-let run ~quick ~seed ~jobs ~json =
-  let seed = Option.value seed ~default:42 in
+let run (o : Cli.opts) =
+  let quick = o.Cli.quick and jobs = o.Cli.jobs in
+  let seed = Option.value o.Cli.seed ~default:42 in
   Fmt.pr
     "@.== Simspeed: engines + work-stealing pool model (seed %d, %d \
      jobs%s) ==@."
     seed jobs
     (if quick then ", quick" else "");
-  let t0 = Unix.gettimeofday () in
   (* engine sweep *)
   Fmt.pr "%-12s %10s %14s %14s %8s@." "kernel" "cycles" "legacy c/s" "soa c/s"
     "soa/leg";
@@ -244,10 +234,6 @@ let run ~quick ~seed ~jobs ~json =
       (fun a b -> String.equal (Shard.to_json a) (Shard.to_json b))
       fixed_runs steal_runs
   in
-  if not identical then
-    Fmt.epr
-      "SIMSPEED FAILURE: shard matrix differs between fixed and stealing \
-       pools@.";
   let costs = matrix_costs steal_runs in
   let plans = List.map (makespans ~costs) [ 1; 2; 4 ] in
   Fmt.pr "@.pool model over %d shard tasks (costs %d..%d busy-cycles):@."
@@ -263,91 +249,47 @@ let run ~quick ~seed ~jobs ~json =
     plans;
   Fmt.pr "  matrix wall clock at %d jobs: fixed %.3fs, steal %.3fs@." jobs
     wall_fixed wall_steal;
-  let jobs4 = List.nth plans 2 in
-  (* floors *)
-  let ratio_floor = if quick then floor_soa_over_legacy_quick else floor_soa_over_legacy in
-  let slow_kernels = List.filter (fun k -> k.k_soa < k.k_legacy) kernels in
-  let ok_engine = soa_over_legacy >= ratio_floor && slow_kernels = [] in
-  let ok_abs = quick || s_soa >= floor_soa_cps in
-  let ok_pool = ratio jobs4 >= floor_pool_ratio_jobs4 in
-  List.iter
-    (fun k ->
-      Fmt.epr "SIMSPEED FAILURE: %s soa %.0f c/s below legacy %.0f c/s@."
-        k.k_name k.k_soa k.k_legacy)
-    slow_kernels;
-  if soa_over_legacy < ratio_floor then
-    Fmt.epr "SIMSPEED FAILURE: soa/legacy sweep ratio %.2f below floor %.2f@."
-      soa_over_legacy ratio_floor;
-  if not ok_abs then
-    Fmt.epr "SIMSPEED FAILURE: soa sweep rate %.0f c/s below floor %.0f@."
-      s_soa floor_soa_cps;
-  if not ok_pool then
-    Fmt.epr
-      "SIMSPEED FAILURE: fixed/steal makespan ratio %.2f at jobs 4 below \
-       floor %.2f@."
-      (ratio jobs4) floor_pool_ratio_jobs4;
-  let ok = ok_engine && ok_abs && ok_pool && identical in
-  (* JSON *)
-  let seconds = Unix.gettimeofday () -. t0 in
-  (match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    let add fmt = Fmt.kstr (output_string oc) fmt in
-    add "{\n";
-    add "  \"benchmark\": \"simspeed\",\n";
-    add "  \"quick\": %b,\n" quick;
-    add "  \"seed\": %d,\n" seed;
-    add "  \"engines\": {\n";
-    add "    \"kernels\": [\n%s\n    ],\n"
-      (String.concat ",\n"
-         (List.map
-            (fun k ->
-              Fmt.str
-                {|      {"name": "%s", "cycles": %d, "legacy_cps": %.0f, "soa_cps": %.0f, "soa_over_legacy": %.3f}|}
-                k.k_name k.k_cycles k.k_legacy k.k_soa (k.k_soa /. k.k_legacy))
-            kernels));
-    add
-      "    \"sweep\": {\"legacy_cps\": %.0f, \"soa_cps\": %.0f, \
-       \"soa_over_legacy\": %.3f}\n"
-      s_legacy s_soa soa_over_legacy;
-    add "  },\n";
-    add "  \"pool\": {\n";
-    add "    \"cells\": [%s],\n"
-      (String.concat ", "
-         (List.map
-            (fun c ->
-              Fmt.str
-                {|{"engines": %d, "shards": %d, "duration": %d}|}
-                c.cl_engines c.cl_shards c.cl_duration)
-            cells));
-    add "    \"costs\": [%s],\n"
-      (String.concat ", "
-         (Array.to_list (Array.map string_of_int costs)));
-    add "    \"makespan\": {%s},\n"
-      (String.concat ", "
-         (List.map
-            (fun m ->
-              Fmt.str
-                {|"jobs%d": {"fixed": %d, "steal": %d, "ratio": %.3f, "steals": %d}|}
-                m.mk_jobs m.mk_fixed m.mk_steal (ratio m) m.mk_steals)
-            plans));
-    add "    \"identical_at_fixed_and_steal\": %b,\n" identical;
-    add "    \"wall_clock_fixed_s\": %.3f,\n" wall_fixed;
-    add "    \"wall_clock_steal_s\": %.3f\n" wall_steal;
-    add "  },\n";
-    add
-      "  \"floors\": {\"soa_over_legacy_min\": %.2f, \"soa_cps_min\": %.0f, \
-       \"pool_ratio_jobs4_min\": %.2f, \"enforced_engine_floors\": %b},\n"
-      ratio_floor floor_soa_cps floor_pool_ratio_jobs4 (not quick);
-    add "  \"ok\": %b,\n" ok;
-    add "  \"wall_clock\": {\"jobs\": %d, \"seconds\": %.3f}\n" jobs seconds;
-    add "}\n";
-    close_out oc;
-    Fmt.pr "wrote %s@." path);
-  if not ok then begin
-    Fmt.epr
-      "SIMSPEED HARNESS FAILURE: an engine or pool floor was missed (see \
-       above)@.";
-    exit 1
-  end
+  let rate x = Json.Float (0, x) in
+  let kernel k =
+    Json.Obj
+      [ ("name", String k.k_name); ("cycles", Int k.k_cycles);
+        ("legacy_cps", rate k.k_legacy); ("soa_cps", rate k.k_soa);
+        ("soa_over_legacy", Float (3, k.k_soa /. k.k_legacy)) ]
+  in
+  let cell c =
+    Json.Obj
+      [ ("engines", Int c.cl_engines); ("shards", Int c.cl_shards);
+        ("duration", Int c.cl_duration) ]
+  in
+  let plan m =
+    ( Fmt.str "jobs%d" m.mk_jobs,
+      Json.Obj
+        [ ("fixed", Int m.mk_fixed); ("steal", Int m.mk_steal);
+          ("ratio", Float (3, ratio m)); ("steals", Int m.mk_steals) ] )
+  in
+  let members =
+    [ ("benchmark", Json.String "simspeed"); ("quick", Bool quick); ("seed", Int seed);
+      ( "engines",
+        Obj
+          [ ("kernels", List (List.map kernel kernels));
+            ( "sweep",
+              Obj
+                [ ("legacy_cps", rate s_legacy); ("soa_cps", rate s_soa);
+                  ("soa_over_legacy", Float (3, soa_over_legacy)) ] ) ] );
+      ( "pool",
+        Obj
+          [ ("cells", List (List.map cell cells));
+            ("costs", List (Array.to_list (Array.map (fun c -> Json.Int c) costs)));
+            ("makespan", Obj (List.map plan plans));
+            ("identical_at_fixed_and_steal", Bool identical);
+            ("wall_clock_fixed_s", Float (3, wall_fixed));
+            ("wall_clock_steal_s", Float (3, wall_steal)) ] );
+      ( "floors",
+        Obj
+          [ ("soa_over_legacy_min", Float (2, Checks.simspeed_ratio_floor ~quick));
+            ("soa_cps_min", rate Checks.floor_soa_cps);
+            ("pool_ratio_jobs4_min", Float (2, Checks.floor_pool_ratio_jobs4));
+            ("enforced_engine_floors", Bool (not quick)) ] ) ]
+  in
+  let ok = Checks.apply Checks.simspeed_floors (Obj members) = [] in
+  Json.Obj (members @ [ ("ok", Bool ok) ])

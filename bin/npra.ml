@@ -464,13 +464,16 @@ let chaos_cmd =
 
 (* ---- adapt ---- *)
 
+let scenarios_json names =
+  Json.to_string
+    (Json.Obj [ ("scenarios", List (List.map (fun n -> Json.String n) names)) ])
+
 let adapt_cmd =
   let run scenario seed jobs quick json list_scenarios =
     let names = Npra_fault.Adaptdriver.scenario_names in
     if list_scenarios then
       if json then
-        Fmt.pr {|{"scenarios": [%s]}|}
-          (String.concat ", " (List.map (Fmt.str "%S") names))
+        print_string (scenarios_json names)
       else List.iter (fun n -> Fmt.pr "%s@." n) names
     else begin
       let pool = Npra_par.Pool.create ~jobs () in
@@ -480,7 +483,7 @@ let adapt_cmd =
           (String.concat ", " names);
         exit 2
       | Some cell ->
-        if json then print_string (Npra_fault.Adaptdriver.cell_to_json cell)
+        if json then print_string (Json.to_string (Npra_fault.Adaptdriver.cell_json cell))
         else Fmt.pr "%a" Npra_fault.Adaptdriver.pp_cell cell;
         if not cell.Npra_fault.Adaptdriver.c_ok then exit 1
     end
@@ -543,8 +546,7 @@ let chip_cmd =
     let names = Npra_chip.Driver.scenario_names ~quick in
     if list_scenarios then
       if json then
-        Fmt.pr {|{"scenarios": [%s]}|}
-          (String.concat ", " (List.map (Fmt.str "%S") names))
+        print_string (scenarios_json names)
       else List.iter (fun n -> Fmt.pr "%s@." n) names
     else begin
       let pool = Npra_par.Pool.create ~jobs () in
@@ -554,7 +556,7 @@ let chip_cmd =
           (String.concat ", " names);
         exit 2
       | Some cell ->
-        if json then print_string (Npra_chip.Driver.cell_json cell)
+        if json then print_string (Json.to_string (Npra_chip.Driver.cell_json cell))
         else Fmt.pr "%a" Npra_chip.Driver.pp_cell cell;
         if not (Npra_chip.Driver.cell_ok cell) then exit 1
     end
@@ -647,7 +649,7 @@ let portfolio_cmd =
       List.iter (fun d -> Fmt.epr "  %a@." Pipeline.pp_diagnostic d) trail;
       exit 1
     | Ok p when json ->
-      print_string (Experiments.portfolio_race_json ~seed ~nreg p);
+      print_string (Json.to_string (Experiments.portfolio_race_json ~seed ~nreg p));
       if p.Pipeline.winner.Pipeline.verify_errors <> [] then exit 1
     | Ok p ->
       Fmt.pr "slate (%d entrants, %d probed):@."

@@ -31,6 +31,7 @@
 open Npra_sim
 open Npra_workloads
 open Npra_traffic
+module Json = Npra_core.Json
 
 type stage_spec = {
   st_kernel : Workload.spec;
@@ -441,29 +442,25 @@ let run ?(pool = Npra_par.Pool.sequential) ?machine_config ?(slice = 256)
 
 (* ---- rendering ---- *)
 
-let pctls_json = function
-  | None -> "null"
-  | Some p ->
-    Fmt.str {|{"p50": %d, "p95": %d, "p99": %d, "max": %d}|} p.Metrics.p50
-      p.Metrics.p95 p.Metrics.p99 p.Metrics.pmax
-
-let to_json t =
+let json t =
   let stage_json sm =
-    Fmt.str
-      {|{"stage": %d, "kernel": "%s", "role": "%s", "width": %d, "threads": %d, "handled": %d, "latency": %s, "max_queue": %d}|}
-      sm.sm_stage
-      (Npra_core.Report.json_escape sm.sm_kernel)
-      (Npra_core.Report.json_escape sm.sm_role)
-      sm.sm_width sm.sm_threads sm.sm_handled
-      (pctls_json sm.sm_latency)
-      sm.sm_max_queue
+    Json.Obj
+      [ ("stage", Int sm.sm_stage); ("kernel", String sm.sm_kernel);
+        ("role", String sm.sm_role); ("width", Int sm.sm_width);
+        ("threads", Int sm.sm_threads); ("handled", Int sm.sm_handled);
+        ("latency", Metrics.pctls_json sm.sm_latency);
+        ("max_queue", Int sm.sm_max_queue) ]
   in
-  Fmt.str
-    {|{"seed": %d, "duration": %d, "offered": %d, "served": %d, "dropped": %d, "residual": %d, "conservation": %b, "queue_capacity": %d, "max_queue": %d, "e2e": %s, "slo_p99": %d, "slo_ok": %b, "stages": [%s]}|}
-    t.ch_seed t.ch_duration t.ch_offered t.ch_served t.ch_dropped t.ch_residual
-    (conservation_ok t) t.ch_queue_capacity t.ch_max_queue (pctls_json t.ch_e2e)
-    t.ch_slo_p99 t.ch_slo_ok
-    (String.concat ", " (List.map stage_json t.ch_stages))
+  Json.Obj
+    [ ("seed", Int t.ch_seed); ("duration", Int t.ch_duration);
+      ("offered", Int t.ch_offered); ("served", Int t.ch_served);
+      ("dropped", Int t.ch_dropped); ("residual", Int t.ch_residual);
+      ("conservation", Bool (conservation_ok t));
+      ("queue_capacity", Int t.ch_queue_capacity); ("max_queue", Int t.ch_max_queue);
+      ("e2e", Metrics.pctls_json t.ch_e2e); ("slo_p99", Int t.ch_slo_p99);
+      ("slo_ok", Bool t.ch_slo_ok); ("stages", List (List.map stage_json t.ch_stages)) ]
+
+let to_json t = Json.to_string (json t)
 
 let pp ppf t =
   Fmt.pf ppf

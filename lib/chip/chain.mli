@@ -89,5 +89,9 @@ val run :
     with the sentinel armed, so they step one instruction at a time.
     Deterministic in every argument. *)
 
+val json : t -> Npra_core.Json.t
+
 val to_json : t -> string
+(** [json] in its canonical text. *)
+
 val pp : t Fmt.t

@@ -24,6 +24,7 @@
 open Npra_sim
 open Npra_workloads
 open Npra_traffic
+module Json = Npra_core.Json
 
 (* The chip memory map: a small fast scratch window, SRAM covering the
    first two instance slots, SDRAM behind. Kernels on slots >= 2 pay
@@ -379,46 +380,38 @@ let pp ppf m =
 
 let cell_json = function
   | Shard_cell c ->
-    Fmt.str
-      {|{"name": "%s", "kind": "shard", "mix": [%s], "critical": %d, "critical_kernel": "%s", "min_offered": %d, "fixed_critical_served": %d, "balanced_critical_served": %d, "fixed": %s, "balanced": %s, "ok": %b}|}
-      c.sc_name
-      (String.concat ", " (List.map (Fmt.str "%S") c.sc_mix))
-      c.sc_critical
-      (List.nth c.sc_mix c.sc_critical)
-      c.sc_min_offered
-      (Shard.served_of_thread c.sc_fixed c.sc_critical)
-      (Shard.served_of_thread c.sc_balanced c.sc_critical)
-      (Shard.to_json c.sc_fixed)
-      (Shard.to_json c.sc_balanced)
-      c.sc_ok
+    Json.Obj
+      [ ("name", String c.sc_name); ("kind", String "shard");
+        ("mix", List (List.map (fun k -> Json.String k) c.sc_mix));
+        ("critical", Int c.sc_critical);
+        ("critical_kernel", String (List.nth c.sc_mix c.sc_critical));
+        ("min_offered", Int c.sc_min_offered);
+        ("fixed_critical_served", Int (Shard.served_of_thread c.sc_fixed c.sc_critical));
+        ( "balanced_critical_served",
+          Int (Shard.served_of_thread c.sc_balanced c.sc_critical) );
+        ("fixed", Shard.json c.sc_fixed); ("balanced", Shard.json c.sc_balanced);
+        ("ok", Bool c.sc_ok) ]
   | Chaos_cell c ->
-    Fmt.str {|{"name": "%s", "kind": "shard-chaos", "run": %s, "ok": %b}|}
-      c.cc_name (Shard.to_json c.cc_run) c.cc_ok
+    Json.Obj
+      [ ("name", String c.cc_name); ("kind", String "shard-chaos");
+        ("run", Shard.json c.cc_run); ("ok", Bool c.cc_ok) ]
   | Chain_cell c ->
-    Fmt.str {|{"name": "%s", "kind": "chain", "chain": %s, "ok": %b}|}
-      c.nc_name (Chain.to_json c.nc_chain) c.nc_ok
+    Json.Obj
+      [ ("name", String c.nc_name); ("kind", String "chain");
+        ("chain", Chain.json c.nc_chain); ("ok", Bool c.nc_ok) ]
 
 let to_json m =
-  let b = Buffer.create 8192 in
-  let add fmt = Fmt.kstr (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"benchmark\": \"chip\",\n";
-  add "  \"seed\": %d,\n" m.m_seed;
-  add "  \"quick\": %b,\n" m.m_quick;
-  add "  \"all_ok\": %b,\n" (all_ok m);
-  (match balanced_vs_fixed m with
-  | Some (kernel, fixed, balanced) ->
-    add
-      "  \"balanced_vs_fixed\": {\"critical_kernel\": \"%s\", \
-       \"fixed_served\": %d, \"balanced_served\": %d, \"ok\": %b},\n"
-      kernel fixed balanced (balanced >= fixed)
-  | None -> ());
-  add "  \"cells\": [\n";
-  List.iteri
-    (fun i c ->
-      add "    %s%s\n" (cell_json c)
-        (if i < List.length m.m_cells - 1 then "," else ""))
-    m.m_cells;
-  add "  ]\n";
-  add "}";
-  Buffer.contents b
+  let bvf =
+    match balanced_vs_fixed m with
+    | Some (kernel, fixed, balanced) ->
+      [ ( "balanced_vs_fixed",
+          Json.Obj
+            [ ("critical_kernel", String kernel); ("fixed_served", Int fixed);
+              ("balanced_served", Int balanced); ("ok", Bool (balanced >= fixed)) ] ) ]
+    | None -> []
+  in
+  Json.Obj
+    ([ ("benchmark", Json.String "chip"); ("seed", Int m.m_seed);
+       ("quick", Bool m.m_quick); ("all_ok", Bool (all_ok m)) ]
+    @ bvf
+    @ [ ("cells", List (List.map cell_json m.m_cells)) ])

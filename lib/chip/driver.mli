@@ -66,7 +66,9 @@ val balanced_vs_fixed : matrix -> (string * int * int) option
 (** (critical kernel, fixed served, balanced served) from the shard
     cell, if present. *)
 
-val cell_json : cell -> string
+val cell_json : cell -> Npra_core.Json.t
 val pp_cell : cell Fmt.t
-val to_json : matrix -> string
+val to_json : matrix -> Npra_core.Json.t
+(** The BENCH_chip.json payload, without its wall_clock member. *)
+
 val pp : matrix Fmt.t

@@ -13,6 +13,7 @@
    conservation holds shard by shard and across the sum. *)
 
 open Npra_traffic
+module Json = Npra_core.Json
 
 (* Two xorshift steps over mixed lanes; 30-bit like every repo seed.
    One step leaves the low bits of an arithmetic progression nearly
@@ -181,36 +182,36 @@ let served_of_thread t i =
 
 (* ---- canonical JSON ---- *)
 
-let to_json t =
+let json t =
   let tt = totals t in
   let shard_json r =
-    let open Metrics in
-    Fmt.str
-      {|{"shard": %d, "seed": %d, "members": [%s], "offered": %d, "served": %d, "dropped": %d, "residual": %d, "surviving": %d, "conservation": %b}|}
-      r.sr_shard r.sr_seed
-      (String.concat ", " (List.map string_of_int r.sr_members))
-      (total_offered r.sr_metrics)
-      (total_served r.sr_metrics)
-      (total_dropped r.sr_metrics)
-      (total_residual r.sr_metrics)
-      (surviving_engines r.sr_metrics)
-      (conservation_ok r.sr_metrics)
+    let m = r.sr_metrics in
+    Json.Obj
+      [ ("shard", Int r.sr_shard); ("seed", Int r.sr_seed);
+        ("members", List (List.map (fun e -> Json.Int e) r.sr_members));
+        ("offered", Int (Metrics.total_offered m));
+        ("served", Int (Metrics.total_served m));
+        ("dropped", Int (Metrics.total_dropped m));
+        ("residual", Int (Metrics.total_residual m));
+        ("surviving", Int (Metrics.surviving_engines m));
+        ("conservation", Bool (Metrics.conservation_ok m)) ]
   in
   let thread_json x =
-    Fmt.str
-      {|{"thread": %d, "kernel": "%s", "offered": %d, "served": %d, "dropped": %d}|}
-      x.tt_thread
-      (Npra_core.Report.json_escape x.tt_name)
-      x.tt_offered x.tt_served x.tt_dropped
+    Json.Obj
+      [ ("thread", Int x.tt_thread); ("kernel", String x.tt_name);
+        ("offered", Int x.tt_offered); ("served", Int x.tt_served);
+        ("dropped", Int x.tt_dropped) ]
   in
-  Fmt.str
-    {|{"seed": %d, "engines": %d, "shards": %d, "duration": %d, "offered": %d, "served": %d, "drops": {"queue_full": %d, "shed": %d, "quarantine": %d, "flood": %d}, "residual": %d, "surviving": %d, "conservation": %b, "threads": [%s], "shards_detail": [%s]}|}
-    t.c_seed t.c_engines t.c_shards t.c_duration tt.t_offered tt.t_served
-    tt.t_drops.Metrics.queue_full tt.t_drops.Metrics.shed
-    tt.t_drops.Metrics.quarantine tt.t_drops.Metrics.flood tt.t_residual
-    (surviving_engines t) (conservation_ok t)
-    (String.concat ", " (List.map thread_json (thread_totals t)))
-    (String.concat ", " (List.map shard_json t.c_runs))
+  Json.Obj
+    [ ("seed", Int t.c_seed); ("engines", Int t.c_engines); ("shards", Int t.c_shards);
+      ("duration", Int t.c_duration); ("offered", Int tt.t_offered);
+      ("served", Int tt.t_served); ("drops", Metrics.drops_json tt.t_drops);
+      ("residual", Int tt.t_residual); ("surviving", Int (surviving_engines t));
+      ("conservation", Bool (conservation_ok t));
+      ("threads", List (List.map thread_json (thread_totals t)));
+      ("shards_detail", List (List.map shard_json t.c_runs)) ]
+
+let to_json t = Json.to_string (json t)
 
 let pp ppf t =
   let tt = totals t in

@@ -92,8 +92,11 @@ val thread_totals : t -> thread_totals list
 val served_of_thread : t -> int -> int
 (** Chip-wide served packets of thread index [i]; 0 if unseen. *)
 
+val json : t -> Npra_core.Json.t
+(** One chip-level JSON object: totals, per-thread fold and per-shard
+    detail (membership, seeds, conservation). *)
+
 val to_json : t -> string
-(** One canonical chip-level JSON object: totals, per-thread fold and
-    per-shard detail (membership, seeds, conservation). *)
+(** [json] in its canonical text. *)
 
 val pp : t Fmt.t

@@ -573,98 +573,61 @@ let portfolio_report rows =
          @ [ string_of_int r.p_probed; (if r.p_never_loses then "yes" else "NO") ])
        rows)
 
+(* The score fields shared by BENCH_portfolio.json and
+   [npra portfolio --json], so downstream tooling parses both. *)
+let score_fields (sc : Pipeline.score) =
+  [ ("unsafe", Json.Int sc.Pipeline.sc_unsafe); ("spilled", Int sc.Pipeline.sc_spills);
+    ("moves", Int sc.Pipeline.sc_moves); ("demand", Int sc.Pipeline.sc_demand);
+    ("probe", match sc.Pipeline.sc_probe with Some p -> Int p | None -> Null) ]
+
+let entrant_json (st, oc) =
+  let outcome =
+    match oc with
+    | Pipeline.Won _ -> "won"
+    | Pipeline.Lost { reason; _ } -> "lost: " ^ reason
+    | Pipeline.Failed reason -> "failed: " ^ reason
+  in
+  Json.Obj [ ("stage", String (stage_name st)); ("outcome", String outcome) ]
+
 (* The deterministic payload of BENCH_portfolio.json: same seed, same
    bytes at any job count. The harness appends the wall_clock block. *)
 let portfolio_json ~seed ~quick rows =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let scored = function
-    | None -> add "null"
-    | Some (st, sc) ->
-      add
-        {|{"stage": "%s", "unsafe": %d, "spilled": %d, "moves": %d, "demand": %d, "probe": %s}|}
-        (Report.json_escape (stage_name st))
-        sc.Pipeline.sc_unsafe sc.Pipeline.sc_spills sc.Pipeline.sc_moves
-        sc.Pipeline.sc_demand
-        (match sc.Pipeline.sc_probe with
-        | Some p -> string_of_int p
-        | None -> "null")
+    | None -> Json.Null
+    | Some (st, sc) -> Obj (("stage", String (stage_name st)) :: score_fields sc)
   in
-  add "{\n  \"benchmark\": \"portfolio\",\n  \"seed\": %d,\n  \"quick\": %b,\n  \"kernels\": [\n"
-    seed quick;
-  List.iteri
-    (fun i r ->
-      if i > 0 then add ",\n";
-      add "    {\"kernel\": \"%s\", \"chain\": " (Report.json_escape r.p_kernel);
-      scored r.p_chain;
-      add ", \"winner\": ";
-      scored r.p_winner;
-      add ", \"margin\": ";
-      (match (r.p_chain, r.p_winner) with
-      | Some (_, c), Some (_, w) ->
-        add {|{"spilled": %d, "moves": %d, "demand": %d}|}
-          (c.Pipeline.sc_spills - w.Pipeline.sc_spills)
-          (c.Pipeline.sc_moves - w.Pipeline.sc_moves)
-          (c.Pipeline.sc_demand - w.Pipeline.sc_demand)
-      | _ -> add "null");
-      add ", \"probed\": %d, \"never_loses\": %b,\n     \"entrants\": [\n"
-        r.p_probed r.p_never_loses;
-      List.iteri
-        (fun j (st, oc) ->
-          if j > 0 then add ",\n";
-          let outcome =
-            match oc with
-            | Pipeline.Won _ -> "won"
-            | Pipeline.Lost { reason; _ } -> "lost: " ^ reason
-            | Pipeline.Failed reason -> "failed: " ^ reason
-          in
-          add {|       {"stage": "%s", "outcome": "%s"}|}
-            (Report.json_escape (stage_name st))
-            (Report.json_escape outcome))
-        r.p_entrants;
-      add "\n     ]}")
-    rows;
-  add "\n  ],\n  \"never_loses_all\": %b\n}\n" (portfolio_ok rows);
-  Buffer.contents b
+  let margin = function
+    | Some (_, c), Some (_, w) ->
+      Json.Obj
+        [ ("spilled", Int (c.Pipeline.sc_spills - w.Pipeline.sc_spills));
+          ("moves", Int (c.Pipeline.sc_moves - w.Pipeline.sc_moves));
+          ("demand", Int (c.Pipeline.sc_demand - w.Pipeline.sc_demand)) ]
+    | _ -> Null
+  in
+  let row r =
+    Json.Obj
+      [ ("kernel", String r.p_kernel); ("chain", scored r.p_chain);
+        ("winner", scored r.p_winner); ("margin", margin (r.p_chain, r.p_winner));
+        ("probed", Int r.p_probed); ("never_loses", Bool r.p_never_loses);
+        ("entrants", List (List.map entrant_json r.p_entrants)) ]
+  in
+  Json.Obj
+    [ ("benchmark", String "portfolio"); ("seed", Int seed); ("quick", Bool quick);
+      ("kernels", List (List.map row rows));
+      ("never_loses_all", Bool (portfolio_ok rows)) ]
 
 (* Canonical JSON for a single portfolio race — the payload of
-   [npra portfolio --json]. Scores carry the same fields as the
-   BENCH_portfolio.json entrants, so downstream tooling parses both. *)
+   [npra portfolio --json]. *)
 let portfolio_race_json ~seed ~nreg (p : Pipeline.portfolio) =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let score (sc : Pipeline.score) =
-    add
-      {|{"unsafe": %d, "spilled": %d, "moves": %d, "demand": %d, "probe": %s}|}
-      sc.Pipeline.sc_unsafe sc.Pipeline.sc_spills sc.Pipeline.sc_moves
-      sc.Pipeline.sc_demand
-      (match sc.Pipeline.sc_probe with
-      | Some pr -> string_of_int pr
-      | None -> "null")
-  in
-  add "{\n  \"seed\": %d,\n  \"nreg\": %d,\n  \"probed\": %d,\n" seed nreg
-    p.Pipeline.probed;
-  add "  \"winner\": {\"stage\": \"%s\", \"score\": "
-    (Report.json_escape (stage_name p.Pipeline.winner.Pipeline.provenance));
-  score p.Pipeline.winner_score;
-  add ", \"moves\": %d, \"spilled_ranges\": [%s], \"verified\": %b},\n"
-    p.Pipeline.winner.Pipeline.moves
-    (String.concat ", "
-       (List.map string_of_int p.Pipeline.winner.Pipeline.spilled_ranges))
-    (p.Pipeline.winner.Pipeline.verify_errors = []);
-  add "  \"slate\": [\n";
-  List.iteri
-    (fun i (st, oc) ->
-      if i > 0 then add ",\n";
-      let outcome =
-        match oc with
-        | Pipeline.Won _ -> "won"
-        | Pipeline.Lost { reason; _ } -> "lost: " ^ reason
-        | Pipeline.Failed reason -> "failed: " ^ reason
-      in
-      add {|    {"stage": "%s", "outcome": "%s"}|}
-        (Report.json_escape (stage_name st))
-        (Report.json_escape outcome))
-    p.Pipeline.slate;
-  add "\n  ]\n}\n";
-  Buffer.contents b
+  let w = p.Pipeline.winner in
+  Json.Obj
+    [ ("seed", Int seed); ("nreg", Int nreg); ("probed", Int p.Pipeline.probed);
+      ( "winner",
+        Obj
+          [ ("stage", String (stage_name w.Pipeline.provenance));
+            ("score", Obj (score_fields p.Pipeline.winner_score));
+            ("moves", Int w.Pipeline.moves);
+            ( "spilled_ranges",
+              List (List.map (fun r -> Json.Int r) w.Pipeline.spilled_ranges) );
+            ("verified", Bool (w.Pipeline.verify_errors = [])) ] );
+      ("slate", List (List.map entrant_json p.Pipeline.slate)) ]

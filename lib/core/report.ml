@@ -42,18 +42,3 @@ let render ppf t =
   List.iter (fun row -> Fmt.pf ppf "%s@." (line row t.aligns)) t.rows
 
 let print t = render Fmt.stdout t
-
-(* A string as the body of a JSON string literal: quotes, backslashes
-   and control characters escaped. Shared by every BENCH_*.json writer,
-   so one escaping rule covers every payload. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b

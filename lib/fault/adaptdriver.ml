@@ -350,74 +350,47 @@ let pp ppf m =
     m.m_cells
 
 let run_json r =
-  Fmt.str
-    {|{"offered": %d, "served": %d, "dropped": %d, "thread_served": [%s], "critical_served": %d, "conservation": %b}|}
-    r.r_offered r.r_served r.r_dropped
-    (String.concat ", "
-       (List.map string_of_int (Array.to_list r.r_thread_served)))
-    r.r_crit_served r.r_conservation
+  Json.Obj
+    [ ("offered", Int r.r_offered); ("served", Int r.r_served);
+      ("dropped", Int r.r_dropped);
+      ( "thread_served",
+        List (Array.to_list (Array.map (fun n -> Json.Int n) r.r_thread_served)) );
+      ("critical_served", Int r.r_crit_served);
+      ("conservation", Bool r.r_conservation) ]
 
 let swap_json (s : Adapt.swap_record) =
-  Fmt.str
-    {|{"slice": %d, "cycle": %d, "critical": %d, "previous": %s, "dwell": %d, "required_dwell": %d, "provenance": "%s", "cache_hit": %b}|}
-    s.Adapt.sw_slice s.Adapt.sw_cycle s.Adapt.sw_critical
-    (match s.Adapt.sw_previous with None -> "null" | Some p -> string_of_int p)
-    s.Adapt.sw_dwell s.Adapt.sw_required_dwell
-    (Report.json_escape s.Adapt.sw_provenance)
-    s.Adapt.sw_cache_hit
-
-let trail_count kind trail =
-  List.length
-    (List.filter
-       (fun ev ->
-         match (ev, kind) with
-         | Metrics.Rebalanced _, "rebalance"
-         | Metrics.Swapped _, "swap"
-         | Metrics.Watchdog_fired _, "watchdog_fired"
-         | Metrics.Quarantined _, "quarantined" ->
-           true
-         | _ -> false)
-       trail)
+  Json.Obj
+    [ ("slice", Int s.Adapt.sw_slice); ("cycle", Int s.Adapt.sw_cycle);
+      ("critical", Int s.Adapt.sw_critical);
+      ("previous", match s.Adapt.sw_previous with None -> Null | Some p -> Int p);
+      ("dwell", Int s.Adapt.sw_dwell);
+      ("required_dwell", Int s.Adapt.sw_required_dwell);
+      ("provenance", String s.Adapt.sw_provenance);
+      ("cache_hit", Bool s.Adapt.sw_cache_hit) ]
 
 let cell_json c =
-  Fmt.str
-    {|{"scenario": "%s", "shifting": %b, "critical": [%s], "static": %s, "adaptive": %s, "rebalances": %d, "bound": %d, "alloc_failures": %d, "swaps": [%s], "trail": {"rebalance": %d, "swap": %d, "watchdog_fired": %d, "quarantined": %d}, "ok": %b}|}
-    (Report.json_escape c.c_scenario) c.c_shifting
-    (String.concat ", " (List.map string_of_int c.c_critical))
-    (run_json c.c_static) (run_json c.c_adaptive) c.c_rebalances c.c_bound
-    c.c_alloc_failures
-    (String.concat ", " (List.map swap_json c.c_swaps))
-    (trail_count "rebalance" c.c_trail)
-    (trail_count "swap" c.c_trail)
-    (trail_count "watchdog_fired" c.c_trail)
-    (trail_count "quarantined" c.c_trail)
-    c.c_ok
+  Json.Obj
+    [ ("scenario", String c.c_scenario); ("shifting", Bool c.c_shifting);
+      ("critical", List (List.map (fun t -> Json.Int t) c.c_critical));
+      ("static", run_json c.c_static); ("adaptive", run_json c.c_adaptive);
+      ("rebalances", Int c.c_rebalances); ("bound", Int c.c_bound);
+      ("alloc_failures", Int c.c_alloc_failures);
+      ("swaps", List (List.map swap_json c.c_swaps));
+      ( "trail",
+        Metrics.trail_counts_json
+          [ ("rebalance", "rebalance"); ("swap", "swap");
+            ("watchdog_fired", "watchdog"); ("quarantined", "quarantine") ]
+          c.c_trail );
+      ("ok", Bool c.c_ok) ]
 
 let to_json m =
-  let b = Buffer.create 4096 in
-  let add fmt = Fmt.kstr (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"seed\": %d,\n" m.m_seed;
-  add "  \"duration\": %d,\n" m.m_duration;
-  add "  \"engines\": %d,\n" m.m_engines;
-  add "  \"nreg\": %d,\n" m.m_nreg;
-  add "  \"window\": %d,\n" m.m_window;
-  add "  \"min_dwell\": %d,\n" m.m_min_dwell;
   let cells, ok = totals m in
-  add "  \"cells\": %d,\n" cells;
-  add "  \"cells_ok\": %d,\n" ok;
-  add "  \"all_ok\": %b,\n" (all_ok m);
-  add "  \"matrix\": [\n";
-  List.iteri
-    (fun i c ->
-      add "    %s%s\n" (cell_json c)
-        (if i < List.length m.m_cells - 1 then "," else ""))
-    m.m_cells;
-  add "  ]\n";
-  add "}";
-  Buffer.contents b
-
-let cell_to_json = cell_json
+  Json.Obj
+    [ ("seed", Int m.m_seed); ("duration", Int m.m_duration);
+      ("engines", Int m.m_engines); ("nreg", Int m.m_nreg);
+      ("window", Int m.m_window); ("min_dwell", Int m.m_min_dwell);
+      ("cells", Int cells); ("cells_ok", Int ok); ("all_ok", Bool (all_ok m));
+      ("matrix", List (List.map cell_json m.m_cells)) ]
 
 (* Full replay view of one cell: both runs side by side, every
    committed decision, and the fabric trail events the adaptive run

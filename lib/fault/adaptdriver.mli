@@ -63,8 +63,9 @@ val pp_cell : cell Fmt.t
 (** Full replay view: both runs side by side, every committed decision,
     and the adaptive run's re-balance/hot-swap trail. *)
 
-val cell_to_json : cell -> string
+val cell_json : cell -> Npra_core.Json.t
 
-val to_json : matrix -> string
-(** Canonical JSON: per-cell static/adaptive counters, the full swap
-    trail, the hysteresis bound, and [all_ok]. *)
+val to_json : matrix -> Npra_core.Json.t
+(** The BENCH_adapt.json payload, without its wall_clock member:
+    per-cell static/adaptive counters, the full swap trail, the
+    hysteresis bound, and [all_ok]. *)

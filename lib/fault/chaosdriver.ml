@@ -166,70 +166,30 @@ let pp ppf m =
     m.m_cells
 
 let cell_json m c =
-  let trail_counts =
-    List.map
-      (fun kind ->
-        ( kind,
-          List.length
-            (List.filter
-               (fun ev ->
-                 match (ev, kind) with
-                 | Metrics.Injected _, "injected"
-                 | Metrics.Fault_observed _, "fault_observed"
-                 | Metrics.Watchdog_fired _, "watchdog_fired"
-                 | Metrics.Redispatched _, "redispatched"
-                 | Metrics.Backoff _, "backoff"
-                 | Metrics.Reset _, "reset"
-                 | Metrics.Recovered _, "recovered"
-                 | Metrics.Quarantined _, "quarantined" ->
-                   true
-                 | _ -> false)
-               c.c_trail) ))
-      [
-        "injected";
-        "fault_observed";
-        "watchdog_fired";
-        "redispatched";
-        "backoff";
-        "reset";
-        "recovered";
-        "quarantined";
-      ]
-  in
-  Fmt.str
-    {|{"mix": "%s", "scenario": "%s", "offered": %d, "served": %d, "drops": {"queue_full": %d, "shed": %d, "quarantine": %d, "flood": %d}, "residual": %d, "surviving": %d, "engines": %d, "delivered": %.4f, "bound": %.4f, "conservation": %b, "trail": {%s}, "faults": [%s], "ok": %b}|}
-    (Report.json_escape c.c_mix)
-    (Report.json_escape c.c_scenario)
-    c.c_offered c.c_served
-    c.c_drops.Metrics.queue_full c.c_drops.Metrics.shed
-    c.c_drops.Metrics.quarantine c.c_drops.Metrics.flood c.c_residual
-    c.c_surviving m.m_engines c.c_delivered c.c_bound c.c_conservation
-    (String.concat ", "
-       (List.map (fun (k, n) -> Fmt.str {|"%s": %d|} k n) trail_counts))
-    (String.concat ", "
-       (List.map
-          (fun (e, msg) ->
-            Fmt.str {|{"engine": %d, "fault": "%s"}|} e (Report.json_escape msg))
-          c.c_faults))
-    c.c_ok
+  Json.Obj
+    [ ("mix", String c.c_mix); ("scenario", String c.c_scenario);
+      ("offered", Int c.c_offered); ("served", Int c.c_served);
+      ("drops", Metrics.drops_json c.c_drops); ("residual", Int c.c_residual);
+      ("surviving", Int c.c_surviving); ("engines", Int m.m_engines);
+      ("delivered", Float (4, c.c_delivered)); ("bound", Float (4, c.c_bound));
+      ("conservation", Bool c.c_conservation);
+      ( "trail",
+        Metrics.trail_counts_json
+          [ ("injected", "injected"); ("fault_observed", "fault");
+            ("watchdog_fired", "watchdog"); ("redispatched", "redispatch");
+            ("backoff", "backoff"); ("reset", "reset"); ("recovered", "recovered");
+            ("quarantined", "quarantine") ]
+          c.c_trail );
+      ( "faults",
+        List
+          (List.map
+             (fun (e, msg) -> Json.Obj [ ("engine", Int e); ("fault", String msg) ])
+             c.c_faults) );
+      ("ok", Bool c.c_ok) ]
 
 let to_json m =
-  let b = Buffer.create 4096 in
-  let add fmt = Fmt.kstr (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"seed\": %d,\n" m.m_seed;
-  add "  \"duration\": %d,\n" m.m_duration;
-  add "  \"engines\": %d,\n" m.m_engines;
   let cells, ok = totals m in
-  add "  \"cells\": %d,\n" cells;
-  add "  \"cells_ok\": %d,\n" ok;
-  add "  \"all_ok\": %b,\n" (all_ok m);
-  add "  \"matrix\": [\n";
-  List.iteri
-    (fun i c ->
-      add "    %s%s\n" (cell_json m c)
-        (if i < List.length m.m_cells - 1 then "," else ""))
-    m.m_cells;
-  add "  ]\n";
-  add "}";
-  Buffer.contents b
+  Json.Obj
+    [ ("seed", Int m.m_seed); ("duration", Int m.m_duration);
+      ("engines", Int m.m_engines); ("cells", Int cells); ("cells_ok", Int ok);
+      ("all_ok", Bool (all_ok m)); ("matrix", List (List.map (cell_json m) m.m_cells)) ]

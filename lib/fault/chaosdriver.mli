@@ -53,4 +53,5 @@ val all_ok : matrix -> bool
 val totals : matrix -> int * int  (** (cells, cells ok) *)
 
 val pp : matrix Fmt.t
-val to_json : matrix -> string
+val to_json : matrix -> Npra_core.Json.t
+(** The BENCH_chaos.json payload, without its wall_clock member. *)

@@ -197,48 +197,29 @@ let pp ppf m =
   Fmt.pf ppf "@.injected %d, detected %d, not applicable %d@." inj det na
 
 let to_json m =
-  let b = Buffer.create 4096 in
-  let add fmt = Fmt.kstr (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"benchmark\": \"faults\",\n";
-  add "  \"threads_per_system\": %d,\n" m.nthd;
-  add "  \"nreg\": %d,\n" m.nreg;
-  add "  \"kernels\": [\n";
-  List.iteri
-    (fun ki k ->
-      add "    {\"kernel\": \"%s\", \"provenance\": \"%s\",\n"
-        (Report.json_escape k.k_name)
-        (Report.json_escape (Fmt.str "%a" Pipeline.pp_stage k.provenance));
-      add "     \"clean_sentinel_silent\": %b, \"clean_cycles\": %d,\n"
-        (k.clean_fault = None) k.clean_cycles;
-      add "     \"faults\": [\n";
-      List.iteri
-        (fun ci c ->
-          (match c.status with
-          | Not_applicable reason ->
-            add
-              "       {\"fault\": \"%s\", \"applied\": false, \"reason\": \
-               \"%s\"}"
-              (Mutate.kind_name c.fault) (Report.json_escape reason)
-          | Injected i ->
-            add
-              "       {\"fault\": \"%s\", \"applied\": true, \"thread\": %d, \
-               \"static_errors\": %d, \"runtime\": \"%s\", \"detected\": %b, \
-               \"detail\": \"%s\"}"
-              (Mutate.kind_name c.fault) i.thread i.static_errors
-              (runtime_name i.runtime) i.detected (Report.json_escape i.detail));
-          if ci < List.length k.cells - 1 then add ",";
-          add "\n")
-        k.cells;
-      add "     ]}";
-      if ki < List.length m.kernels - 1 then add ",";
-      add "\n")
-    m.kernels;
-  add "  ],\n";
+  let cell_json c =
+    let fault = ("fault", Json.String (Mutate.kind_name c.fault)) in
+    match c.status with
+    | Not_applicable reason ->
+      Json.Obj [ fault; ("applied", Bool false); ("reason", String reason) ]
+    | Injected i ->
+      Json.Obj
+        [ fault; ("applied", Bool true); ("thread", Int i.thread);
+          ("static_errors", Int i.static_errors);
+          ("runtime", String (runtime_name i.runtime));
+          ("detected", Bool i.detected); ("detail", String i.detail) ]
+  in
+  let kernel_json k =
+    Json.Obj
+      [ ("kernel", String k.k_name);
+        ("provenance", String (Fmt.str "%a" Pipeline.pp_stage k.provenance));
+        ("clean_sentinel_silent", Bool (k.clean_fault = None));
+        ("clean_cycles", Int k.clean_cycles);
+        ("faults", List (List.map cell_json k.cells)) ]
+  in
   let inj, det, na = totals m in
-  add "  \"injected\": %d,\n" inj;
-  add "  \"detected\": %d,\n" det;
-  add "  \"not_applicable\": %d,\n" na;
-  add "  \"all_detected\": %b\n" (all_detected m);
-  add "}\n";
-  Buffer.contents b
+  Json.Obj
+    [ ("benchmark", String "faults"); ("threads_per_system", Int m.nthd);
+      ("nreg", Int m.nreg); ("kernels", List (List.map kernel_json m.kernels));
+      ("injected", Int inj); ("detected", Int det); ("not_applicable", Int na);
+      ("all_detected", Bool (all_detected m)) ]

@@ -64,4 +64,6 @@ val totals : matrix -> int * int * int
 (** (injected, detected, not-applicable) across the matrix. *)
 
 val pp : matrix Fmt.t
-val to_json : matrix -> string
+
+val to_json : matrix -> Npra_core.Json.t
+(** The BENCH_faults.json payload, without its wall_clock member. *)

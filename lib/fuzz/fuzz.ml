@@ -385,27 +385,16 @@ let run ?(pool = Npra_par.Pool.sequential) ?(seed = 1) ?(count = 12_000) ?nreg
 let ok s = s.crashes = 0 && s.hangs = 0
 
 let to_json s =
-  let crash ppf (lang, src, exn) =
-    Fmt.pf ppf
-      {|    {"lang": "%s", "input": "%s", "exception": "%s"}|}
-      (lang_name lang) (Report.json_escape src) (Report.json_escape exn)
+  let crash (lang, src, exn) =
+    Json.Obj
+      [ ("lang", String (lang_name lang)); ("input", String src);
+        ("exception", String exn) ]
   in
-  Fmt.str
-    "{@\n\
-    \  \"benchmark\": \"fuzz\",@\n\
-    \  \"seed\": %d,@\n\
-    \  \"inputs\": %d,@\n\
-    \  \"rejected\": %d,@\n\
-    \  \"accepted\": %d,@\n\
-    \  \"alloc_failed\": %d,@\n\
-    \  \"verify_failed\": %d,@\n\
-    \  \"budget_stopped\": %d,@\n\
-    \  \"crashes\": %d,@\n\
-    \  \"hangs\": %d,@\n\
-    \  \"slowest_input_s\": %.3f,@\n\
-    \  \"crash_reports\": [@\n%a@\n  ]@\n\
-     }@\n"
-    s.seed s.inputs s.rejected s.accepted s.alloc_failed s.verify_failed
-    s.budget_stopped s.crashes s.hangs s.slowest_s
-    Fmt.(list ~sep:(any ",@\n") crash)
-    s.crash_reports
+  Json.Obj
+    [ ("benchmark", String "fuzz"); ("seed", Int s.seed);
+      ("inputs", Int s.inputs); ("rejected", Int s.rejected);
+      ("accepted", Int s.accepted); ("alloc_failed", Int s.alloc_failed);
+      ("verify_failed", Int s.verify_failed);
+      ("budget_stopped", Int s.budget_stopped); ("crashes", Int s.crashes);
+      ("hangs", Int s.hangs); ("slowest_input_s", Float (3, s.slowest_s));
+      ("crash_reports", List (List.map crash s.crash_reports)) ]

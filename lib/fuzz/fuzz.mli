@@ -77,5 +77,5 @@ val crashers_rejected : unit -> (lang * string * string) list
 val ok : stats -> bool
 (** Zero crashes and zero hangs. *)
 
-val to_json : stats -> string
-(** The BENCH_fuzz.json payload. *)
+val to_json : stats -> Npra_core.Json.t
+(** The BENCH_fuzz.json payload, without its wall_clock member. *)

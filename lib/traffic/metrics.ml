@@ -319,85 +319,67 @@ let pp ppf r =
     Fmt.pf ppf "  recovery trail:@.";
     List.iter (fun ev -> Fmt.pf ppf "    %a@." pp_trail_event ev) trail
 
+module Json = Npra_core.Json
+
 let pctls_json = function
-  | None -> "null"
+  | None -> Json.Null
   | Some p ->
-    Fmt.str {|{"p50": %d, "p95": %d, "p99": %d, "max": %d}|} p.p50 p.p95 p.p99
-      p.pmax
+    Obj
+      [ ("p50", Int p.p50); ("p95", Int p.p95); ("p99", Int p.p99);
+        ("max", Int p.pmax) ]
 
 let drops_json d =
-  Fmt.str {|{"queue_full": %d, "shed": %d, "quarantine": %d, "flood": %d}|}
-    d.queue_full d.shed d.quarantine d.flood
+  Json.Obj
+    [ ("queue_full", Int d.queue_full); ("shed", Int d.shed);
+      ("quarantine", Int d.quarantine); ("flood", Int d.flood) ]
+
+let trail_counts_json keys trail =
+  let kind ev = let _, _, k, _ = trail_fields ev in k in
+  let count k = List.length (List.filter (fun ev -> kind ev = k) trail) in
+  Json.Obj (List.map (fun (key, k) -> (key, Json.Int (count k))) keys)
 
 let thread_summary_json s =
-  Fmt.str
-    {|{"thread": %d, "name": "%s", "offered": %d, "served": %d, "dropped": %d, "drops": %s, "max_queue": %d, "mean_wait": %.2f, "mean_service": %.2f, "latency": %s, "instructions": %d, "ipc": %.4f}|}
-    s.ts_thread
-    (Npra_core.Report.json_escape s.ts_name)
-    s.ts_offered s.ts_served s.ts_dropped
-    (drops_json s.ts_drops) s.ts_max_queue s.ts_mean_wait s.ts_mean_service
-    (pctls_json s.ts_latency)
-    s.ts_instructions s.ts_ipc
+  Json.Obj
+    [ ("thread", Int s.ts_thread); ("name", String s.ts_name);
+      ("offered", Int s.ts_offered); ("served", Int s.ts_served);
+      ("dropped", Int s.ts_dropped); ("drops", drops_json s.ts_drops);
+      ("max_queue", Int s.ts_max_queue); ("mean_wait", Float (2, s.ts_mean_wait));
+      ("mean_service", Float (2, s.ts_mean_service));
+      ("latency", pctls_json s.ts_latency);
+      ("instructions", Int s.ts_instructions); ("ipc", Float (4, s.ts_ipc)) ]
 
 let engine_json e =
   let rep = e.em_report in
-  let drops =
-    List.fold_left (fun acc t -> add_drops acc t.drops) no_drops e.em_threads
-  in
-  Fmt.str
-    {|{"engine": %d, "live": %b, "busy": %d, "switch": %d, "idle": %d, "total": %d, "utilization": %.4f, "served": %d, "dropped": %d, "residual": %d, "fault": %s}|}
-    e.em_engine e.em_live rep.Machine.busy_cycles rep.Machine.switch_cycles
-    rep.Machine.idle_cycles rep.Machine.total_cycles rep.Machine.utilization
-    (sum (fun t -> t.served) e.em_threads)
-    (drops_total drops) e.em_residual
-    (match e.em_fault with
-    | None -> "null"
-    | Some f -> Fmt.str {|"%s"|} (Npra_core.Report.json_escape (fault_message f)))
+  let drops = List.fold_left (fun acc t -> add_drops acc t.drops) no_drops e.em_threads in
+  Json.Obj
+    [ ("engine", Int e.em_engine); ("live", Bool e.em_live);
+      ("busy", Int rep.Machine.busy_cycles); ("switch", Int rep.Machine.switch_cycles);
+      ("idle", Int rep.Machine.idle_cycles); ("total", Int rep.Machine.total_cycles);
+      ("utilization", Float (4, rep.Machine.utilization));
+      ("served", Int (sum (fun t -> t.served) e.em_threads));
+      ("dropped", Int (drops_total drops)); ("residual", Int e.em_residual);
+      ("fault", match e.em_fault with None -> Null | Some f -> String (fault_message f)) ]
 
 let trail_event_json ev =
   let cycle, engine, kind, detail = trail_fields ev in
-  Fmt.str {|{"cycle": %d, "engine": %d, "event": "%s", "detail": "%s"}|} cycle
-    engine
-    (Npra_core.Report.json_escape kind)
-    (Npra_core.Report.json_escape detail)
+  Json.Obj
+    [ ("cycle", Int cycle); ("engine", Int engine); ("event", String kind);
+      ("detail", String detail) ]
 
-let to_json r =
-  let b = Buffer.create 4096 in
-  let add fmt = Fmt.kstr (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"duration\": %d,\n" r.rm_duration;
-  add "  \"seed\": %d,\n" r.rm_seed;
-  add "  \"offered\": %d,\n" (total_offered r);
-  add "  \"served\": %d,\n" (total_served r);
-  add "  \"dropped\": %d,\n" (total_dropped r);
-  add "  \"drops\": %s,\n" (drops_json (total_drops r));
-  add "  \"residual\": %d,\n" (total_residual r);
-  add "  \"flood_offered\": %d,\n" (total_flood_offered r);
-  add "  \"flood_served\": %d,\n" (total_flood_served r);
-  add "  \"delivered_fraction\": %.4f,\n" (delivered_fraction r);
-  add "  \"surviving\": %d,\n" (surviving_engines r);
-  add "  \"conservation\": %b,\n" (conservation_ok r);
-  add "  \"throughput_per_kcycle\": %.3f,\n" (throughput_per_kcycle r);
-  add "  \"threads\": [\n";
-  List.iteri
-    (fun i s ->
-      add "    %s%s\n" (thread_summary_json s)
-        (if i < List.length (thread_summaries r) - 1 then "," else ""))
-    (thread_summaries r);
-  add "  ],\n";
-  add "  \"engines\": [\n";
-  List.iteri
-    (fun i e ->
-      add "    %s%s\n" (engine_json e)
-        (if i < List.length r.rm_engines - 1 then "," else ""))
-    r.rm_engines;
-  add "  ],\n";
-  add "  \"trail\": [\n";
-  List.iteri
-    (fun i ev ->
-      add "    %s%s\n" (trail_event_json ev)
-        (if i < List.length r.rm_trail - 1 then "," else ""))
-    r.rm_trail;
-  add "  ]\n";
-  add "}";
-  Buffer.contents b
+let json r =
+  Json.Obj
+    [ ("duration", Int r.rm_duration); ("seed", Int r.rm_seed);
+      ("offered", Int (total_offered r)); ("served", Int (total_served r));
+      ("dropped", Int (total_dropped r)); ("drops", drops_json (total_drops r));
+      ("residual", Int (total_residual r));
+      ("flood_offered", Int (total_flood_offered r));
+      ("flood_served", Int (total_flood_served r));
+      ("delivered_fraction", Float (4, delivered_fraction r));
+      ("surviving", Int (surviving_engines r));
+      ("conservation", Bool (conservation_ok r));
+      ("throughput_per_kcycle", Float (3, throughput_per_kcycle r));
+      ("threads", List (List.map thread_summary_json (thread_summaries r)));
+      ("engines", List (List.map engine_json r.rm_engines));
+      ("trail", List (List.map trail_event_json r.rm_trail)) ]
+
+let to_json r = Json.to_string (json r)

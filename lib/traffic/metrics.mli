@@ -158,5 +158,16 @@ val thread_summaries : run_metrics -> thread_summary list
 val pp : run_metrics Fmt.t
 val pp_pctls : pctls option Fmt.t
 
-val to_json : run_metrics -> string
+val pctls_json : pctls option -> Npra_core.Json.t
+val drops_json : drops -> Npra_core.Json.t
+
+val trail_counts_json : (string * string) list -> trail_event list -> Npra_core.Json.t
+(** [trail_counts_json [(key, kind); ...] trail] is an object mapping
+    each key to the number of [trail] events whose
+    {!pp_trail_event} kind is [kind]. *)
+
+val json : run_metrics -> Npra_core.Json.t
 (** A complete JSON object (threads + engines + totals + trail). *)
+
+val to_json : run_metrics -> string
+(** [json] in its canonical text. *)

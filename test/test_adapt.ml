@@ -272,7 +272,7 @@ let determinism_tests =
           match
             Adaptdriver.run_scenario ~pool ~seed:42 ~quick:true "phase-shift"
           with
-          | Some c -> Adaptdriver.cell_to_json c
+          | Some c -> Npra_core.Json.to_string (Adaptdriver.cell_json c)
           | None -> Alcotest.fail "phase-shift scenario disappeared"
         in
         let j1 = cell Npra_par.Pool.sequential in

@@ -366,8 +366,9 @@ let qcheck_tests =
            String.equal j1 j4));
     test "matrix cells replay byte-identically" (fun () ->
         let run () =
-          Npra_fault.Chaosdriver.to_json
-            (Npra_fault.Chaosdriver.run ~seed:5 ~quick:true ())
+          Npra_core.Json.to_string
+            (Npra_fault.Chaosdriver.to_json
+               (Npra_fault.Chaosdriver.run ~seed:5 ~quick:true ()))
         in
         check Alcotest.string "equal" (run ()) (run ()));
     test "matrix: every scenario cell holds its bound" (fun () ->

@@ -256,7 +256,10 @@ let chain_tests =
 let determinism_tests =
   [
     test "quick chip matrix byte-identical at 1 vs 4 jobs" (fun () ->
-        let matrix pool = Driver.to_json (Driver.run ~pool ~seed:42 ~quick:true ()) in
+        let matrix pool =
+          Npra_core.Json.to_string
+            (Driver.to_json (Driver.run ~pool ~seed:42 ~quick:true ()))
+        in
         let j1 = matrix Npra_par.Pool.sequential in
         let pool4 = Npra_par.Pool.create ~jobs:4 () in
         let j4 = matrix pool4 in

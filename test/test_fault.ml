@@ -137,7 +137,7 @@ let matrix_tests =
         in
         let specs = [ Registry.find_exn "crc32" ] in
         let m = Driver.run ~specs () in
-        let js = Driver.to_json m in
+        let js = Npra_core.Json.to_string (Driver.to_json m) in
         List.iter
           (fun needle -> check Alcotest.bool needle true (contains js needle))
           [ {|"benchmark"|}; {|"kernels"|}; {|"all_detected": true|} ]);

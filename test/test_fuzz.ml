@@ -42,7 +42,7 @@ let suite =
                 (Npra_fuzz.Fuzz.outcome_name o));
         test "stats serialise to JSON" (fun () ->
             let stats = Npra_fuzz.Fuzz.run ~seed:3 ~count:60 () in
-            let json = Npra_fuzz.Fuzz.to_json stats in
+            let json = Npra_core.Json.to_string (Npra_fuzz.Fuzz.to_json stats) in
             check Alcotest.bool "mentions crashes field" true
               (let n = String.length json in
                let needle = "\"crashes\"" in

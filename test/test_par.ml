@@ -334,8 +334,9 @@ let fault_json ~jobs seed =
   let specs =
     List.map Registry.find_exn [ "crc32"; "url"; "route" ]
   in
-  Npra_fault.Driver.to_json
-    (Npra_fault.Driver.run ~pool:(Pool.create ~jobs ()) ~seed ~specs ())
+  Npra_core.Json.to_string
+    (Npra_fault.Driver.to_json
+       (Npra_fault.Driver.run ~pool:(Pool.create ~jobs ()) ~seed ~specs ()))
 
 (* Everything but the wall-clock observations must match. *)
 let normalize_fuzz (s : Npra_fuzz.Fuzz.stats) =

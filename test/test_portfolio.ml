@@ -356,8 +356,8 @@ let jobs_tests =
             ~quick:true ~seed:5 ()
         in
         check Alcotest.string "json payload"
-          (Experiments.portfolio_json ~seed:5 ~quick:true (rows 1))
-          (Experiments.portfolio_json ~seed:5 ~quick:true (rows 4)));
+          (Json.to_string (Experiments.portfolio_json ~seed:5 ~quick:true (rows 1)))
+          (Json.to_string (Experiments.portfolio_json ~seed:5 ~quick:true (rows 4))));
   ]
 
 let suite =
