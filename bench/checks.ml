@@ -74,7 +74,17 @@ let chip r =
         | "shard" ->
           let fixed = int c "fixed_critical_served"
           and balanced = int c "balanced_critical_served" in
+          (* both folds draw their arrivals from the same seeds, so the
+             allocation must not change what is offered *)
+          let offered run =
+            List.map (fun t -> int t "offered") (list c (run ^ ".threads"))
+          in
           conserved "fixed" "fixed fold" @ conserved "balanced" "balanced fold"
+          @ require
+              (offered "fixed" = offered "balanced")
+              "%s: fixed and balanced folds offered different traffic (%d vs %d \
+               packets)"
+              name (int c "fixed.offered") (int c "balanced.offered")
           @ require (balanced >= fixed)
               "%s: balanced served %d critical packets, fixed %d" name balanced fixed
         | "shard-chaos" -> conserved "run" "chaos fold"

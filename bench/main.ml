@@ -637,14 +637,15 @@ let run_portfolio (o : Cli.opts) =
 (* The seeded matrices of the fabric drivers, each run under --seed    *)
 (* (default 42), --quick and --jobs:                                    *)
 (*   chaos — kernel mixes x injected fault schedules through the        *)
-(*     dispatcher's fabric path; every cell completes, conserves        *)
+(*     dispatcher's watchdog; every cell completes, conserves           *)
 (*     packets and delivers above its degradation floor;                *)
 (*   adapt — every shifting-traffic scenario with the allocation        *)
 (*     frozen vs the Adapt control loop; adaptive serves >= static      *)
 (*     within the hysteresis bound, conserving packets;                 *)
 (*   chip — sharded dispatch over the tiered memory hierarchy plus      *)
-(*     inter-engine chains; conservation, SLOs, the offered floor and   *)
-(*     balanced >= fixed on the critical thread.                        *)
+(*     inter-engine chains; conservation, SLOs, the offered floor, the  *)
+(*     same offered traffic under both allocations and balanced >=      *)
+(*     fixed on the critical thread.                                    *)
 
 let run_matrix title run pp to_json (o : Cli.opts) =
   let seed = Option.value o.Cli.seed ~default:42 in

@@ -179,15 +179,16 @@ let mix ~seed a b =
 
 let packet_size ~seed id = 1 + (mix ~seed id 5 mod max_packet_size)
 
-let run ?(pool = Npra_par.Pool.sequential) ?machine_config ?(slice = 256)
-    ?drain_budget ~seed ~duration cf =
+(* The barrier granularity. *)
+let slice = 256
+
+let run ?(pool = Npra_par.Pool.sequential) ?machine_config ~seed ~duration cf =
   if cf.cf_stages = [] then Fmt.invalid_arg "Chain.run: no stages";
   if cf.cf_sources < 1 then Fmt.invalid_arg "Chain.run: no sources";
   let machine_config =
     Option.value machine_config
       ~default:{ Machine.default_config with max_cycles = max_int }
   in
-  let drain_budget = Option.value drain_budget ~default:(max duration 10_000) in
   let nstages = List.length cf.cf_stages in
   let stages = Array.of_list cf.cf_stages in
   (* One allocation per stage (all its engines run the same programs):
@@ -298,7 +299,7 @@ let run ?(pool = Npra_par.Pool.sequential) ?machine_config ?(slice = 256)
     go ()
   in
   let now = ref 0 in
-  let deadline = duration + drain_budget in
+  let deadline = duration + max duration 10_000 in
   let continue = ref true in
   while !continue do
     (* -- sequential barrier -- *)

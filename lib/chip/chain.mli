@@ -74,20 +74,17 @@ val conservation_ok : t -> bool
 val run :
   ?pool:Npra_par.Pool.t ->
   ?machine_config:Machine.config ->
-  ?slice:int ->
-  ?drain_budget:int ->
   seed:int ->
   duration:int ->
   config ->
   t
 (** Runs the chain for [duration] cycles of arrivals, then drains
-    in-flight packets for up to [drain_budget] (default
-    [max duration 10_000]) more; whatever remains is [ch_residual].
-    [machine_config] (typically carrying a {!Npra_sim.Memory.hierarchy})
-    applies to every stage engine; [slice] (default 256) is the barrier
-    granularity. Stage machines run on the default {!Machine.engine}
-    with the sentinel armed, so they step one instruction at a time.
-    Deterministic in every argument. *)
+    in-flight packets for up to [max duration 10_000] more; whatever
+    remains is [ch_residual]. [machine_config] (typically carrying a
+    {!Npra_sim.Memory.hierarchy}) applies to every stage engine.
+    Barriers fall every 256 cycles. Stage machines run on the default
+    {!Machine.engine} with the sentinel armed, so they step one
+    instruction at a time. Deterministic in every argument. *)
 
 val json : t -> Npra_core.Json.t
 

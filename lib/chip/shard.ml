@@ -80,12 +80,9 @@ let run ?(pool = Npra_par.Pool.sequential) ?(sentinel = `Trap) ?machine_config
                     ~threads:nthreads ~duration spec)
                 chaos_spec
             in
-            (* Fabric path only when chaos is requested; the inner pool
-               stays sequential so pool tasks never nest. *)
-            Dispatch.run ~engines:n ~sentinel ?machine_config
-              ?refresh ?chaos
-              ?watchdog:
-                (Option.map (fun _ -> Dispatch.default_watchdog) chaos)
+            (* chaos turns the dispatcher's watchdog on; the inner pool
+               stays sequential so pool tasks never nest *)
+            Dispatch.run ~engines:n ~sentinel ?machine_config ?refresh ?chaos
               ?shed ~seed:sseed ~duration ~specs ~mem_image progs
         in
         { sr_shard = s; sr_members = members.(s); sr_seed = sseed;

@@ -55,10 +55,9 @@ val run :
 (** Runs every shard. [machine_config] (typically carrying a
     {!Npra_sim.Memory.hierarchy}) and [refresh] pass straight through
     to each shard's dispatcher. [chaos_spec], when given, draws an
-    independent fault schedule per shard from the shard seed and
-    selects the fabric path with the default watchdog; otherwise the
-    legacy independent-engine path runs. An empty shard (the hash left
-    it no engines) yields empty metrics. Machines run on the default
+    independent fault schedule per shard from the shard seed, which
+    turns on the dispatcher's default watchdog. An empty shard (the
+    hash left it no engines) yields empty metrics. Machines run on the default
     {!Machine.engine}: with [sentinel] (default [`Trap]) armed they step
     one instruction at a time, with [`Off] they burst. *)
 

@@ -396,5 +396,5 @@ let to_json s =
       ("accepted", Int s.accepted); ("alloc_failed", Int s.alloc_failed);
       ("verify_failed", Int s.verify_failed);
       ("budget_stopped", Int s.budget_stopped); ("crashes", Int s.crashes);
-      ("hangs", Int s.hangs); ("slowest_input_s", Float (3, s.slowest_s));
+      ("hangs", Int s.hangs);
       ("crash_reports", List (List.map crash s.crash_reports)) ]

@@ -78,4 +78,6 @@ val ok : stats -> bool
 (** Zero crashes and zero hangs. *)
 
 val to_json : stats -> Npra_core.Json.t
-(** The BENCH_fuzz.json payload, without its wall_clock member. *)
+(** The BENCH_fuzz.json payload, without its wall_clock member. It
+    leaves out [slowest_s], a wall-clock reading, so the payload is a
+    function of the inputs alone. *)

@@ -2,10 +2,10 @@
 
     A chaos schedule is a list of engine-level fault events — crash,
     hang, register storm, offered-load flood — each pinned to a virtual
-    cycle. The dispatcher's fabric path injects every event at the
-    first slice boundary at or after its cycle, so a run under chaos is
-    a pure function of [(seed, schedule)]: byte-reproducible at any
-    worker count, on any platform. Schedules are built either
+    cycle. The dispatcher injects every event at the first slice
+    boundary at or after its cycle, so a run under chaos is a pure
+    function of [(seed, schedule)]: byte-reproducible at any worker
+    count, on any platform. Schedules are built either
     explicitly ({!of_events}) or drawn from a {!spec} by the seeded,
     integer-only generator ({!schedule}). *)
 

@@ -1,20 +1,18 @@
 (* Multi-micro-engine packet dispatcher, with a chaos-hardened fabric.
 
-   Two execution paths share all packet plumbing:
+   N {!Npra_sim.Machine} instances advance on one global clock, slice
+   by slice. Every slice boundary is a sequential barrier where faults
+   are injected, the per-engine watchdog checks progress, backed-off
+   engines are reset, shedding credits are refilled, and dead engines'
+   arrivals are re-routed; between barriers the live engines advance in
+   parallel. Barriers are sequential and engine advances touch only
+   their own engine, so a run is byte-deterministic at any worker
+   count.
 
-   - The {e legacy} path (no [chaos], no [watchdog]) runs N independent
-     {!Npra_sim.Machine} instances to completion, one pool task per
-     engine — maximum wall-clock parallelism, identical results at any
-     worker count because engines never share state.
-
-   - The {e fabric} path (any [chaos] or [watchdog] argument) runs the
-     same engines slice-synchronously: every global slice boundary is a
-     sequential barrier where faults are injected, the per-engine
-     watchdog checks progress, backed-off engines are reset, shedding
-     credits are refilled, and dead engines' arrivals are re-routed;
-     between barriers the live engines advance in parallel. Barriers
-     are sequential and engine advances touch only their own engine, so
-     the fabric too is byte-deterministic at any worker count.
+   The watchdog runs only when [chaos], [watchdog] or a [controller] is
+   passed. Without it a barrier's only work is an engine's own credit
+   refill, so one pool task carries each engine across every slice:
+   the same results, without a pool round per slice.
 
    A thread serves one packet per program run: it sits parked
    ([Machine.park_thread]) until a packet is queued, is restarted at
@@ -77,7 +75,7 @@ type engine = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Feedback-controller interface (fabric path).
+(* Feedback-controller interface.
 
    At every slice barrier the controller sees a cheap cumulative
    snapshot — counters and queue depths only, no latency lists, no
@@ -218,23 +216,9 @@ let make_engine ~seed ~sentinel ~machine_config ~mem_image ~specs ~progs
   }
 
 (* Admission: bounded queue first, then the shedding credit. A refused
-   flood packet is always accounted as [flood], whatever refused it. *)
-let admit p ~at ~flood ~shed =
-  p.offered <- p.offered + 1;
-  if flood then p.offered_flood <- p.offered_flood + 1;
-  if Queue.length p.queue >= p.spec.Workload.queue_capacity then
-    if flood then p.d_flood <- p.d_flood + 1
-    else p.d_queue_full <- p.d_queue_full + 1
-  else if shed <> None && p.credit <= 0 then
-    if flood then p.d_flood <- p.d_flood + 1 else p.d_shed <- p.d_shed + 1
-  else begin
-    Queue.add (at, flood) p.queue;
-    if shed <> None then p.credit <- p.credit - 1;
-    p.max_queue <- max p.max_queue (Queue.length p.queue)
-  end
-
-(* Same admission for a packet re-routed from a dead engine: the
-   arrival was already counted [offered] at its origin port. *)
+   flood packet is always accounted as [flood], whatever refused it. A
+   packet re-routed from a dead engine enters here directly: it was
+   already counted [offered] at its origin port. *)
 let admit_routed p ~at ~flood ~shed =
   if Queue.length p.queue >= p.spec.Workload.queue_capacity then
     if flood then p.d_flood <- p.d_flood + 1
@@ -246,6 +230,11 @@ let admit_routed p ~at ~flood ~shed =
     if shed <> None then p.credit <- p.credit - 1;
     p.max_queue <- max p.max_queue (Queue.length p.queue)
   end
+
+let admit p ~at ~flood ~shed =
+  p.offered <- p.offered + 1;
+  if flood then p.offered_flood <- p.offered_flood + 1;
+  admit_routed p ~at ~flood ~shed
 
 let flood_active p ~duration =
   p.flood_next < p.flood_until && p.flood_next < duration
@@ -347,10 +336,25 @@ let guard_faults e f =
              { message = Fmt.str "machine stuck: %a" Machine.pp_stuck s });
       e.trap_pending <- true
 
-(* Advance one engine to global cycle [upto]. *)
+let pending e =
+  Array.exists
+    (fun p -> p.serving <> None || not (Queue.is_empty p.queue))
+    e.ports
+
+(* Advance one engine to global cycle [upto]. Past [duration] it runs
+   only while it holds packets, so its clock stops at its last
+   completion. A machine steps past an arrival only while a thread
+   holds a packet (an idle one stops exactly at the horizon), so the
+   first [deliver] past [duration] offers any arrival before it that
+   the last run stepped over. *)
 let advance e ~upto ~duration ~refresh ~shed =
   guard_faults e (fun () ->
-      while e.fault = None && Machine.cycle e.machine < upto do
+      while
+        e.fault = None
+        &&
+        let now = Machine.cycle e.machine in
+        now < upto && (now < duration || pending e)
+      do
         deliver e ~duration ~shed;
         start_service e ~refresh;
         let h = horizon e ~upto ~duration in
@@ -359,10 +363,14 @@ let advance e ~upto ~duration ~refresh ~shed =
         | `Horizon | `Idle -> ()
       done)
 
-let pending e =
-  Array.exists
-    (fun p -> p.serving <> None || not (Queue.is_empty p.queue))
-    e.ports
+(* Past [duration] an idle engine's clock stops at its last completion,
+   behind the global clock. Before a barrier at [now] hands it a
+   re-routed packet, bring it up to [now], so the packet's service
+   cannot be stamped before it was routed. *)
+let catch_up e ~now =
+  guard_faults e (fun () ->
+      if Machine.cycle e.machine < now then
+        ignore (Machine.run_until e.machine ~horizon:now))
 
 let pending_count e =
   Array.fold_left
@@ -434,69 +442,10 @@ let build_metrics ~duration ~seed ~trail ~names es =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Legacy path: independent engines, one pool task each.               *)
+(* The slice loop: barriers, watchdog, quarantine and re-dispatch.     *)
 
-(* After traffic stops, accepted packets must still complete; an engine
-   that cannot drain within the budget is deadlocked — reported as a
-   structured fault carrying the per-thread machine states. *)
-let drain e ~deadline ~refresh =
-  guard_faults e (fun () ->
-      let made_progress = ref true in
-      while
-        e.fault = None && pending e
-        && Machine.cycle e.machine < deadline
-        && !made_progress
-      do
-        start_service e ~refresh;
-        match
-          Machine.run_until ~stop_on_halt:true e.machine ~horizon:deadline
-        with
-        | `Halted i -> finish_service e i
-        | `Horizon -> ()
-        | `Idle -> made_progress := false
-      done);
-  if e.fault = None && pending e then
-    e.fault <-
-      Some
-        (Metrics.Drain_deadlock
-           {
-             at = Machine.cycle e.machine;
-             deadline;
-             pending = pending_count e;
-             threads = Machine.thread_statuses e.machine;
-           })
-
-let run_legacy ~pool ~engines ~slice ~sentinel ~machine_config
-    ~refresh ~drain_budget ~shed ~seed ~duration ~specs ~mem_image ~progs =
-  (* Engines never share registers, memory or arrival streams: each one
-     is a pure function of (seed, engine index, specs, programs). The
-     global clock interleaving is therefore equivalent to running every
-     engine's slice sequence to completion independently — which is
-     exactly what each pool task does, so a multi-worker run produces
-     the same engines, in the same index order, as a sequential one. *)
-  let burst = match shed with Some s -> s.burst | None -> 0 in
-  let es =
-    Npra_par.Pool.tasks pool engines (fun index ->
-        let e =
-          make_engine ~seed ~sentinel ~machine_config ~mem_image ~specs
-            ~progs ~retries:0 ~burst index
-        in
-        let t = ref 0 in
-        while !t < duration do
-          refill_credits [| e |] shed;
-          let upto = min duration (!t + slice) in
-          advance e ~upto ~duration ~refresh ~shed;
-          t := upto
-        done;
-        drain e ~deadline:(duration + drain_budget) ~refresh;
-        e)
-  in
-  let names = List.map (fun p -> p.Prog.name) progs in
-  build_metrics ~duration ~seed ~trail:[] ~names es
-
-(* ------------------------------------------------------------------ *)
-(* Fabric path: slice-synchronous barriers, watchdog, quarantine and   *)
-(* re-dispatch.                                                        *)
+(* The global-clock interleave and the watchdog's sampling period. *)
+let slice = 1024
 
 let storm_seed ~chaos_seed ~engine ~now =
   let x = chaos_seed + (engine * 1009) + (now * 31) + 1 in
@@ -520,14 +469,32 @@ let salvage e =
     e.ports;
   List.rev !acc
 
-let run_fabric ~pool ~engines ~slice ~sentinel ~machine_config
-    ~refresh ~drain_budget ~chaos ~wd ~shed ~controller ~seed ~duration ~specs
-    ~mem_image ~progs =
+let run ?(pool = Npra_par.Pool.sequential) ?(engines = 1) ?(sentinel = `Off)
+    ?machine_config ?refresh ?drain_budget ?chaos ?watchdog ?shed ?controller
+    ~seed ~duration ~specs ~mem_image progs =
+  if engines < 1 then invalid_arg "Dispatch.run: engines must be >= 1";
+  if List.length specs <> List.length progs then
+    invalid_arg "Dispatch.run: one traffic spec per thread program";
+  if progs = [] then invalid_arg "Dispatch.run: no thread programs";
+  let machine_config =
+    match machine_config with
+    | Some c -> c
+    | None -> { Machine.default_config with Machine.max_cycles = max_int }
+  in
+  let deadline =
+    duration + Option.value drain_budget ~default:(max duration 10_000)
+  in
+  let wd =
+    match (chaos, watchdog, controller) with
+    | None, None, None -> None
+    | _ -> Some (Option.value watchdog ~default:default_watchdog)
+  in
   let burst = match shed with Some s -> s.burst | None -> 0 in
+  let retries = match wd with Some wd -> wd.retries | None -> 0 in
   let es =
-    Array.init engines
+    Npra_par.Pool.tasks pool engines
       (make_engine ~seed ~sentinel ~machine_config ~mem_image ~specs ~progs
-         ~retries:wd.retries ~burst)
+         ~retries ~burst)
   in
   (* The allocation currently deployed: re-balances replace it, and
      backoff resets build their fresh machine from it, so a recovered
@@ -564,6 +531,7 @@ let run_fabric ~pool ~engines ~slice ~sentinel ~machine_config
             incr tries;
             let tp = tgt.ports.(i) in
             if Queue.length tp.queue < tp.spec.Workload.queue_capacity then begin
+              catch_up tgt ~now;
               Queue.add (at, flood) tp.queue;
               tp.max_queue <- max tp.max_queue (Queue.length tp.queue);
               placed := true;
@@ -582,7 +550,7 @@ let run_fabric ~pool ~engines ~slice ~sentinel ~machine_config
   in
   (* An engine failed (watchdog fire or trap): bounded retry with
      slice-based backoff, then permanent quarantine. *)
-  let fail_engine e ~now ~barrier_no ~final_fault ~reason =
+  let fail_engine wd e ~now ~barrier_no ~final_fault ~reason =
     let pkts = salvage e in
     if e.retries_left > 0 then begin
       e.retries_left <- e.retries_left - 1;
@@ -665,52 +633,55 @@ let run_fabric ~pool ~engines ~slice ~sentinel ~machine_config
     in
     inject ();
     (* 2. watchdog: trap handling, then the progress check *)
-    Array.iter
-      (fun e ->
-        match e.life with
-        | Live ->
-          if e.trap_pending then begin
-            e.trap_pending <- false;
-            let what =
-              match e.fault with
-              | Some f -> Metrics.fault_message f
-              | None -> "trap"
-            in
-            emit (Metrics.Fault_observed { cycle = now; engine = e.index; what });
-            fail_engine e ~now ~barrier_no
-              ~final_fault:
-                (match e.fault with
-                | Some f -> f
-                | None -> Metrics.Engine_trap { message = "trap" })
-              ~reason:"trap retries exhausted"
-          end
-          else begin
-            let instrs = Machine.instructions_retired e.machine in
-            if e.probation && instrs > e.last_instrs then begin
-              e.probation <- false;
-              emit (Metrics.Recovered { cycle = now; engine = e.index })
-            end;
-            (* a swap-waiting engine retires nothing by design while it
-               drains to a packet boundary — not a hang *)
-            if instrs = e.last_instrs && pending e && not e.swap_wait then begin
-              e.stall_count <- e.stall_count + 1;
-              if e.stall_count >= wd.stall_slices then begin
-                let stalled_slices = e.stall_count in
-                emit
-                  (Metrics.Watchdog_fired
-                     { cycle = now; engine = e.index; stalled_slices });
-                e.stall_count <- 0;
-                fail_engine e ~now ~barrier_no
-                  ~final_fault:
-                    (Metrics.Hang_quarantined { at = now; stalled_slices })
-                  ~reason:"hang retries exhausted"
-              end
+    (match wd with
+    | None -> ()
+    | Some wd ->
+      Array.iter
+        (fun e ->
+          match e.life with
+          | Live ->
+            if e.trap_pending then begin
+              e.trap_pending <- false;
+              let what =
+                match e.fault with
+                | Some f -> Metrics.fault_message f
+                | None -> "trap"
+              in
+              emit (Metrics.Fault_observed { cycle = now; engine = e.index; what });
+              fail_engine wd e ~now ~barrier_no
+                ~final_fault:
+                  (match e.fault with
+                  | Some f -> f
+                  | None -> Metrics.Engine_trap { message = "trap" })
+                ~reason:"trap retries exhausted"
             end
-            else e.stall_count <- 0;
-            e.last_instrs <- instrs
-          end
-        | Backoff _ | Dead -> ())
-      es;
+            else begin
+              let instrs = Machine.instructions_retired e.machine in
+              if e.probation && instrs > e.last_instrs then begin
+                e.probation <- false;
+                emit (Metrics.Recovered { cycle = now; engine = e.index })
+              end;
+              (* a swap-waiting engine retires nothing by design while it
+                 drains to a packet boundary — not a hang *)
+              if instrs = e.last_instrs && pending e && not e.swap_wait then begin
+                e.stall_count <- e.stall_count + 1;
+                if e.stall_count >= wd.stall_slices then begin
+                  let stalled_slices = e.stall_count in
+                  emit
+                    (Metrics.Watchdog_fired
+                       { cycle = now; engine = e.index; stalled_slices });
+                  e.stall_count <- 0;
+                  fail_engine wd e ~now ~barrier_no
+                    ~final_fault:
+                      (Metrics.Hang_quarantined { at = now; stalled_slices })
+                    ~reason:"hang retries exhausted"
+                end
+              end
+              else e.stall_count <- 0;
+              e.last_instrs <- instrs
+            end
+          | Backoff _ | Dead -> ())
+        es);
     (* 3. backoff expiry: fresh machine, clock re-synced to the global
        now; a permanent hang re-asserts its stall so the watchdog's
        remaining retries exhaust deterministically *)
@@ -777,6 +748,7 @@ let run_fabric ~pool ~engines ~slice ~sentinel ~machine_config
                   let arr = Array.of_list survivors in
                   let tgt = arr.(!rr mod Array.length arr) in
                   incr rr;
+                  catch_up tgt ~now;
                   admit_routed tgt.ports.(i) ~at ~flood:false ~shed)
               done;
               while flood_active p ~duration && p.flood_next <= now do
@@ -854,34 +826,47 @@ let run_fabric ~pool ~engines ~slice ~sentinel ~machine_config
               | Dead -> ())
             es)
   in
-  let deadline = duration + drain_budget in
-  let t = ref 0 and barrier_no = ref 0 in
-  let anyone_pending () =
-    Array.exists (fun e -> e.life <> Dead && pending e) es
+  (* The global clock, slice by slice over the engines [es']: a
+     barrier, then every live engine advances to the next boundary.
+     Traffic stops at [duration]; the drain runs on while any engine
+     holds packets, up to [deadline]. One last barrier lets faults from
+     the final slice (a trap, a stall that just crossed the threshold)
+     reach the trail. *)
+  let drive es' ~barrier ~advance_all =
+    let t = ref 0 and barrier_no = ref 0 in
+    let busy () = Array.exists (fun e -> e.life <> Dead && pending e) es' in
+    while !t < duration || (!t < deadline && busy ()) do
+      barrier ~now:!t ~barrier_no:!barrier_no;
+      let upto = min (if !t < duration then duration else deadline) (!t + slice) in
+      advance_all ~upto;
+      t := upto;
+      incr barrier_no
+    done;
+    barrier ~now:!t ~barrier_no:!barrier_no
   in
-  let continue_ () =
-    if !t < duration then true else !t < deadline && anyone_pending ()
+  let advance_live ~upto e =
+    match e.life with
+    | Live -> advance e ~upto ~duration ~refresh ~shed
+    | Backoff _ | Dead -> ()
   in
-  while continue_ () do
-    barrier ~now:!t ~barrier_no:!barrier_no;
-    let upto = min (if !t < duration then duration else deadline) (!t + slice) in
+  (match wd with
+  | Some _ ->
+    drive es ~barrier ~advance_all:(fun ~upto ->
+        ignore (Npra_par.Pool.tasks pool engines (fun i -> advance_live ~upto es.(i))))
+  | None ->
+    (* no barrier has global work: one pool task carries each engine
+       across every slice, refilling its own credits *)
     ignore
       (Npra_par.Pool.tasks pool engines (fun i ->
-           let e = es.(i) in
-           (match e.life with
-           | Live -> advance e ~upto ~duration ~refresh ~shed
-           | Backoff _ | Dead -> ());
-           ()));
-    t := upto;
-    incr barrier_no
-  done;
-  (* Run one last barrier so faults from the final slice (a trap, a
-     stall that just crossed the threshold) reach the trail, then mark
-     anything still pending as a structured drain deadlock. *)
-  barrier ~now:!t ~barrier_no:!barrier_no;
+           let own = [| es.(i) |] in
+           drive own
+             ~barrier:(fun ~now:_ ~barrier_no:_ -> refill_credits own shed)
+             ~advance_all:(fun ~upto -> advance_live ~upto es.(i)))));
+  (* Anything still held is a structured drain deadlock — except on an
+     engine whose trap no watchdog handled: its fault stands. *)
   Array.iter
     (fun e ->
-      if e.life <> Dead && pending e then
+      if e.life <> Dead && (not e.trap_pending) && pending e then
         e.fault <-
           Some
             (Metrics.Drain_deadlock
@@ -894,29 +879,3 @@ let run_fabric ~pool ~engines ~slice ~sentinel ~machine_config
     es;
   let names = List.map (fun p -> p.Prog.name) progs in
   build_metrics ~duration ~seed ~trail:(List.rev !trail) ~names es
-
-let run ?(pool = Npra_par.Pool.sequential) ?(engines = 1) ?(slice = 1024)
-    ?(sentinel = `Off) ?machine_config ?refresh
-    ?drain_budget ?chaos ?watchdog ?shed ?controller ~seed ~duration ~specs
-    ~mem_image progs =
-  if engines < 1 then invalid_arg "Dispatch.run: engines must be >= 1";
-  if List.length specs <> List.length progs then
-    invalid_arg "Dispatch.run: one traffic spec per thread program";
-  if progs = [] then invalid_arg "Dispatch.run: no thread programs";
-  let machine_config =
-    match machine_config with
-    | Some c -> c
-    | None -> { Machine.default_config with Machine.max_cycles = max_int }
-  in
-  let drain_budget =
-    match drain_budget with Some b -> b | None -> max duration 10_000
-  in
-  match (chaos, watchdog, controller) with
-  | None, None, None ->
-    run_legacy ~pool ~engines ~slice ~sentinel ~machine_config
-      ~refresh ~drain_budget ~shed ~seed ~duration ~specs ~mem_image ~progs
-  | _ ->
-    let wd = Option.value watchdog ~default:default_watchdog in
-    run_fabric ~pool ~engines ~slice ~sentinel ~machine_config
-      ~refresh ~drain_budget ~chaos ~wd ~shed ~controller ~seed ~duration
-      ~specs ~mem_image ~progs

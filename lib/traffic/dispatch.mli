@@ -7,30 +7,27 @@
     queued, serves exactly one packet per program run, and halts back
     into the dispatcher at the completion cycle.
 
-    Without [chaos] or [watchdog] the engines are fully independent and
-    each runs to completion in one pool task (the {e legacy} path).
-    With either, the {e fabric} path takes over: engines advance
-    slice-synchronously, and every slice boundary is a sequential
-    barrier that injects scheduled faults, checks per-engine progress
-    (the watchdog), resets backed-off engines, refills shedding
-    credits, and re-routes dead engines' arrivals onto survivors. A
-    failed engine's in-flight and queued packets are re-dispatched
-    round-robin across the surviving engines; bounded retries with
-    slice-based backoff precede permanent quarantine. Either way the
-    run never aborts: it returns degraded-but-complete metrics whose
-    recovery trail records fault → watchdog → re-dispatch → survival,
-    and whose drop accounting conserves packets exactly
-    ({!Metrics.conservation_ok}).
+    Engines advance slice-synchronously on the global clock, and every
+    slice boundary is a sequential barrier that injects scheduled
+    faults, checks per-engine progress (the watchdog), resets
+    backed-off engines, refills shedding credits, and re-routes dead
+    engines' arrivals onto survivors. A failed engine's in-flight and
+    queued packets are re-dispatched round-robin across the surviving
+    engines; bounded retries with slice-based backoff precede permanent
+    quarantine. The run never aborts: it returns
+    degraded-but-complete metrics whose recovery trail records fault →
+    watchdog → re-dispatch → survival, and whose drop accounting
+    conserves packets exactly ({!Metrics.conservation_ok}).
 
-    Both paths are byte-deterministic at any [pool] worker count. *)
+    A run is byte-deterministic at any [pool] worker count. *)
 
 open Npra_ir
 open Npra_sim
 open Npra_workloads
 
-(** Per-engine progress watchdog (fabric path only). An engine that
-    retires no instruction for [stall_slices] consecutive slice
-    barriers {e while holding packets} is declared hung. Each of the
+(** Per-engine progress watchdog. An engine that retires no
+    instruction for [stall_slices] consecutive slice barriers {e while
+    holding packets} is declared hung. Each of the
     first [retries] failures salvages its packets, re-dispatches them,
     and resets the engine after a backoff of
     [backoff_slices × retry-number] slices; the next failure after the
@@ -47,7 +44,7 @@ val default_watchdog : watchdog
     queue collapse. Re-dispatched packets bypass credits. *)
 type shed = { quantum : int; burst : int }
 
-(** {1 Feedback controller (fabric path)}
+(** {1 Feedback controller}
 
     A controller closes the loop from traffic metrics back into the
     allocator: at every slice barrier it receives a cheap cumulative
@@ -97,7 +94,6 @@ type controller = observation -> decision option
 val run :
   ?pool:Npra_par.Pool.t ->
   ?engines:int ->
-  ?slice:int ->
   ?sentinel:Machine.sentinel_mode ->
   ?machine_config:Machine.config ->
   ?refresh:(engine:int -> thread:int -> seq:int -> (int * int) list) ->
@@ -122,11 +118,21 @@ val run :
     thread states — never an abort.
 
     [chaos] injects the schedule's faults at slice boundaries;
-    [watchdog] (default {!default_watchdog} whenever the fabric path
-    runs) governs hang detection and retry; [shed] enables the
+    [watchdog] governs hang detection and retry; [shed] enables the
     admission credit; [controller] closes the adaptive re-allocation
-    loop. Passing any of [chaos]/[watchdog]/[controller] selects the
-    fabric path; otherwise the legacy independent-engine path runs.
+    loop. Passing any of [chaos]/[watchdog]/[controller] turns the
+    watchdog on ({!default_watchdog} unless given). Without it a trap
+    leaves the engine's fault and packets standing, and each engine
+    crosses every slice in one pool task, since no barrier has global
+    work; with it the engines meet at every barrier. Cadence never
+    changes a fault-free run: its metrics are the same either way.
+
+    Past [duration] an engine advances only while it holds packets, so
+    its clock stops at its last completion; a barrier that re-routes a
+    packet onto such an engine first brings its clock up to the
+    barrier's cycle, so no service starts before its re-route. An
+    arrival before [duration] that an engine's last run stepped over is
+    still offered once its clock passes [duration].
 
     Every machine runs on the default [`Soa] {!Machine.engine}: it
     bursts when [sentinel] is [`Off] and steps one instruction at a time
@@ -135,9 +141,9 @@ val run :
     [refresh], when given, is called at each service start and returns
     [(address, value)] words poked into the engine's memory — the
     per-packet input payload; it must be a pure function of its
-    arguments for runs to be reproducible. [slice] (default 1024) is
-    the granularity of the global-clock interleave and, on the fabric
-    path, the watchdog's sampling period.
+    arguments for runs to be reproducible. Slices are 1024 cycles: the
+    granularity of the global-clock interleave and the watchdog's
+    sampling period.
 
     The default machine config lifts [max_cycles] to [max_int]: the
     horizon is the budget. Results are a pure function of every

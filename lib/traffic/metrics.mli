@@ -106,7 +106,7 @@ type run_metrics = {
   rm_duration : int;
   rm_seed : int;
   rm_engines : engine_metrics list;
-  rm_trail : trail_event list;  (** empty outside the fabric path *)
+  rm_trail : trail_event list;  (** empty when the watchdog is off *)
 }
 
 val total_offered : run_metrics -> int

@@ -222,6 +222,60 @@ let trail_tests =
             (String.length msg >= 8 && String.sub msg 0 8 = "watchdog")
         | other -> Alcotest.failf "expected 1 fault, got %d" (List.length other));
         check Alcotest.int "one survivor" 1 (Metrics.surviving_engines m));
+    test "a packet re-routed after duration is served after its re-route"
+      (fun () ->
+        (* engine 0 hangs and fills its queues; engine 1 drains and goes
+           idle, so its clock stops at its last completion. The crash,
+           sixteen 1024-cycle slices past [duration], re-routes engine
+           0's packets onto that lagging engine. *)
+        let progs, mem_image = Lazy.force light in
+        let duration = 20_000 in
+        let crash_at = duration + (16 * 1024) in
+        let m =
+          Dispatch.run ~engines:2 ~sentinel:`Trap
+            ~chaos:
+              (Chaos.of_events
+                 [
+                   Chaos.Hang { engine = 0; at = 5_000; stall = Chaos.Permanent };
+                   Chaos.Crash { engine = 0; at = crash_at };
+                 ])
+            ~watchdog:{ Dispatch.stall_slices = 50; retries = 0; backoff_slices = 1 }
+            ~drain_budget:40_000 ~seed:11 ~duration
+            ~specs:(uniform_specs ~period:2_500 (List.length progs))
+            ~mem_image progs
+        in
+        conservation m;
+        check Alcotest.int "nothing left behind" 0 (Metrics.total_residual m);
+        let at, moved =
+          match
+            List.filter_map
+              (function
+                | Metrics.Redispatched { cycle; packets; _ } -> Some (cycle, packets)
+                | _ -> None)
+              m.Metrics.rm_trail
+          with
+          | [ r ] -> r
+          | rs -> Alcotest.failf "expected one re-dispatch, got %d" (List.length rs)
+        in
+        check Alcotest.int "re-routed at the crash" crash_at at;
+        Alcotest.(check bool) "packets re-routed" true (moved > 0);
+        let e1 = List.nth m.Metrics.rm_engines 1 in
+        (* the survivor cannot finish a re-routed packet before [at] *)
+        Alcotest.(check bool)
+          (Fmt.str "survivor's clock %d passes the re-route"
+             e1.Metrics.em_report.Machine.total_cycles)
+          true
+          (e1.Metrics.em_report.Machine.total_cycles > at);
+        (* each re-routed packet arrived before [duration] and cannot
+           start before [at], so its latency exceeds [at - duration] *)
+        let late =
+          List.concat_map (fun t -> t.Metrics.latencies) e1.Metrics.em_threads
+          |> List.filter (fun l -> l > at - duration)
+        in
+        Alcotest.(check bool)
+          (Fmt.str "%d re-routed packets, %d late latencies" moved (List.length late))
+          true
+          (List.length late >= moved));
     test "transient hang: stall clears itself, nobody is quarantined"
       (fun () ->
         let m =

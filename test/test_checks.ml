@@ -69,8 +69,8 @@ let flips =
      "99 re-balances exceed the hysteresis bound");
     ("BENCH_adapt.json", Checks.adapt, "all_ok", Bool false,
      "all_ok is false");
-    (* chip: cell ok, fold conservation, balanced >= fixed, chain SLO and
-       queue bound, all_ok *)
+    (* chip: cell ok, fold conservation, equal offered traffic,
+       balanced >= fixed, chain SLO and queue bound, all_ok *)
     ("BENCH_chip.json", Checks.chip, "cells.0.ok", Bool false,
      "shard: cell not ok");
     ("BENCH_chip.json", Checks.chip,
@@ -78,6 +78,9 @@ let flips =
     ("BENCH_chip.json", Checks.chip,
      "cells.0.balanced.conservation", Bool false,
      "balanced fold lost packets");
+    ("BENCH_chip.json", Checks.chip,
+     "cells.0.fixed.threads.2.offered", Int 0,
+     "shard: fixed and balanced folds offered different traffic");
     ("BENCH_chip.json", Checks.chip,
      "cells.0.balanced_critical_served", Int 6000,
      "balanced served 6000 critical packets, fixed 6689");

@@ -208,9 +208,43 @@ let prop_random_corruption =
              else true
            end))
 
+(* Without a watchdog nothing handles a trap: the engine keeps its
+   trap fault and the packets it held, instead of being reported as a
+   drain deadlock once traffic stops. *)
+let dispatch_trap_tests =
+  [
+    test "an unwatched dispatcher trap keeps its fault and packets" (fun () ->
+        let open Npra_traffic in
+        let _, inj, mem_image = inject_exn "crc32" Mutate.Shift_block in
+        let specs =
+          List.init nthd (fun _ ->
+              {
+                Workload.arrival = Workload.Uniform { period = 400 };
+                queue_capacity = 4;
+                per_packet_iters = 1;
+              })
+        in
+        let m =
+          Dispatch.run ~sentinel:`Trap ~seed:3 ~duration:20_000 ~specs ~mem_image
+            inj.Mutate.programs
+        in
+        match m.Metrics.rm_engines with
+        | [ e ] ->
+          (match e.Metrics.em_fault with
+          | Some (Metrics.Engine_trap _) -> ()
+          | f ->
+            Alcotest.failf "expected a trap fault, got %s"
+              (match f with Some f -> Metrics.fault_message f | None -> "none"));
+          check Alcotest.bool "not live" false e.Metrics.em_live;
+          check Alcotest.bool "holds packets" true (e.Metrics.em_residual > 0);
+          check Alcotest.bool "conservation" true (Metrics.conservation_ok m)
+        | es -> Alcotest.failf "expected one engine, got %d" (List.length es));
+  ]
+
 let suite =
   [
     ("fault.mutators", mutator_tests);
+    ("fault.dispatch", dispatch_trap_tests);
     ("fault.honesty", honesty_tests);
     ("fault.matrix", matrix_tests);
     ("fault.random", [ prop_random_corruption ]);

@@ -51,5 +51,12 @@ let suite =
                  i + m <= n && (String.sub json i m = needle || go (i + 1))
                in
                go 0));
+        test "the JSON payload does not depend on the slowest input's time"
+          (fun () ->
+            let stats = Npra_fuzz.Fuzz.run ~seed:3 ~count:60 () in
+            let json s = Npra_core.Json.to_string (Npra_fuzz.Fuzz.to_json s) in
+            check Alcotest.string "slowest_s 0 vs 9.5"
+              (json { stats with Npra_fuzz.Fuzz.slowest_s = 0. })
+              (json { stats with Npra_fuzz.Fuzz.slowest_s = 9.5 }));
       ] );
   ]

@@ -280,6 +280,92 @@ let dispatch_tests =
         | other ->
           Alcotest.failf "expected one deadlock fault, got %d"
             (List.length other));
+    test "per-port offered traffic does not depend on the allocation"
+      (fun () ->
+        (* dense arrivals put one within a few cycles of [duration],
+           where an engine's last run can step over it *)
+        let ids = [ "md5"; "crc32"; "url"; "route" ] in
+        let ws =
+          List.mapi
+            (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i ~iters:1)
+            ids
+        in
+        let progs = List.map (fun w -> w.Workload.prog) ws in
+        let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
+        let spill_bases = List.map Workload.spill_base ws in
+        let base, bal = Pipeline.contenders ~nreg:128 ~spill_bases progs in
+        let bal =
+          match bal with
+          | Ok b -> b.Pipeline.programs
+          | Error _ -> Alcotest.fail "no balanced allocation"
+        in
+        let offered progs ~seed ~duration =
+          let m =
+            Dispatch.run ~engines:2 ~seed ~duration
+              ~specs:(uniform_specs ~capacity:2 ~period:7 4)
+              ~mem_image progs
+          in
+          List.map
+            (fun e -> List.map (fun t -> t.Metrics.offered) e.Metrics.em_threads)
+            m.Metrics.rm_engines
+        in
+        List.iter
+          (fun seed ->
+            List.iter
+              (fun duration ->
+                check
+                  Alcotest.(list (list int))
+                  (Fmt.str "seed %d, duration %d" seed duration)
+                  (offered base.Pipeline.base_programs ~seed ~duration)
+                  (offered bal ~seed ~duration))
+              [ 2_000; 2_003; 2_011; 2_029 ])
+          [ 1; 42 ]);
+    test "barrier cadence cannot change a fault-free run" (fun () ->
+        let progs, mem_image = system [ "crc32"; "frag"; "url" ] in
+        let refresh ~engine ~thread ~seq =
+          [ (thread * 1024, (engine + (thread * 5) + seq) land 0xFFFF) ]
+        in
+        let specs =
+          [
+            {
+              Workload.arrival = Workload.Poisson { mean_period = 400 };
+              queue_capacity = 4;
+              per_packet_iters = 2;
+            };
+            {
+              Workload.arrival =
+                Workload.Bursty { on_cycles = 900; off_cycles = 600; period = 150 };
+              queue_capacity = 3;
+              per_packet_iters = 2;
+            };
+            {
+              Workload.arrival = Workload.Uniform { period = 350 };
+              queue_capacity = 2;
+              per_packet_iters = 2;
+            };
+          ]
+        in
+        let json ?watchdog ~jobs seed =
+          Metrics.to_json
+            (Dispatch.run
+               ~pool:(Npra_par.Pool.create ~jobs ())
+               ~engines:3 ~sentinel:`Trap ~refresh ?watchdog ~seed
+               ~duration:6_000 ~specs ~mem_image progs)
+        in
+        List.iter
+          (fun seed ->
+            let strided = json ~jobs:1 seed in
+            List.iter
+              (fun jobs ->
+                check Alcotest.string
+                  (Fmt.str "seed %d, jobs %d, strided" seed jobs)
+                  strided (json ~jobs seed);
+                check Alcotest.string
+                  (Fmt.str "seed %d, jobs %d, per-slice barriers" seed jobs)
+                  strided
+                  (json ~watchdog:Dispatch.default_watchdog ~jobs seed))
+              [ 1; 2 ])
+          [ 3; 17 ]);
     test "percentiles: nearest rank on a known sample" (fun () ->
         match Metrics.percentiles (List.init 100 (fun i -> 100 - i)) with
         | None -> Alcotest.fail "expected percentiles"
