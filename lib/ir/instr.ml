@@ -120,31 +120,39 @@ let branch_target = function
 
 let is_branch i = Option.is_some (branch_target i)
 
+(* Shared [Reg (P k)] operands, over the same range as {!Reg.phys}. *)
+let phys_operands = Array.init 256 (fun k -> Reg (Reg.phys k))
+
+let reg_operand r =
+  match r with
+  | Reg.P k when k >= 0 && k < Array.length phys_operands -> phys_operands.(k)
+  | Reg.P _ | Reg.V _ -> Reg r
+
 let map_regs f instr =
   match instr with
   | Alu { op; dst; src1; src2 } ->
-    let src2 = match src2 with Reg r -> Reg (f r) | Imm _ as o -> o in
+    let src2 = match src2 with Reg r -> reg_operand (f r) | Imm _ as o -> o in
     Alu { op; dst = f dst; src1 = f src1; src2 }
   | Mov { dst; src } -> Mov { dst = f dst; src = f src }
   | Movi { dst; imm } -> Movi { dst = f dst; imm }
   | Load { dst; addr; off } -> Load { dst = f dst; addr = f addr; off }
   | Store { src; addr; off } -> Store { src = f src; addr = f addr; off }
   | Brc { cond; src1; src2; target } ->
-    let src2 = match src2 with Reg r -> Reg (f r) | Imm _ as o -> o in
+    let src2 = match src2 with Reg r -> reg_operand (f r) | Imm _ as o -> o in
     Brc { cond; src1 = f src1; src2; target }
   | Br _ | Ctx_switch | Nop | Halt -> instr
 
 let map_regs2 ~def ~use instr =
   match instr with
   | Alu { op; dst; src1; src2 } ->
-    let src2 = match src2 with Reg r -> Reg (use r) | Imm _ as o -> o in
+    let src2 = match src2 with Reg r -> reg_operand (use r) | Imm _ as o -> o in
     Alu { op; dst = def dst; src1 = use src1; src2 }
   | Mov { dst; src } -> Mov { dst = def dst; src = use src }
   | Movi { dst; imm } -> Movi { dst = def dst; imm }
   | Load { dst; addr; off } -> Load { dst = def dst; addr = use addr; off }
   | Store { src; addr; off } -> Store { src = use src; addr = use addr; off }
   | Brc { cond; src1; src2; target } ->
-    let src2 = match src2 with Reg r -> Reg (use r) | Imm _ as o -> o in
+    let src2 = match src2 with Reg r -> reg_operand (use r) | Imm _ as o -> o in
     Brc { cond; src1 = use src1; src2; target }
   | Br _ | Ctx_switch | Nop | Halt -> instr
 

@@ -61,8 +61,13 @@ val falls_through : t -> bool
 val branch_target : t -> label option
 val is_branch : t -> bool
 
+val reg_operand : Reg.t -> operand
+(** [Reg r]. For a physical register in {!Reg.phys}'s shared range it is
+    the same block on every call. *)
+
 val map_regs : (Reg.t -> Reg.t) -> t -> t
-(** Applies a substitution to every register operand. *)
+(** Applies a substitution to every register operand. A [Reg] source
+    operand that comes out physical is built with {!reg_operand}. *)
 
 val map_regs2 : def:(Reg.t -> Reg.t) -> use:(Reg.t -> Reg.t) -> t -> t
 (** Like {!map_regs} with separate substitutions for defined and used

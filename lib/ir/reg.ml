@@ -16,6 +16,15 @@ let compare (a : t) (b : t) =
 
 let equal a b = compare a b = 0
 
+(* Registers are immutable, so one block per physical index serves every
+   program: allocation output then points at these instead of holding a
+   fresh [P k] block per occurrence. Indices past the table (the
+   assembler accepts up to 4095) get a fresh block. *)
+let phys_table = Array.init 256 (fun k -> P k)
+
+let phys k =
+  if k >= 0 && k < Array.length phys_table then phys_table.(k) else P k
+
 let hash = Hashtbl.hash
 
 let is_virtual = function V _ -> true | P _ -> false

@@ -99,7 +99,7 @@ let weighted_partition ~nreg ~weights =
 let reg_of_color t ~thread color =
   let pr = t.private_size.(thread) in
   if color < 1 then invalid_arg "reg_of_color: colour < 1"
-  else if color <= pr then Reg.P (t.private_base.(thread) + color - 1)
+  else if color <= pr then Reg.phys (t.private_base.(thread) + color - 1)
   else begin
     let s = color - pr in
     if s > t.sgr then
@@ -107,7 +107,7 @@ let reg_of_color t ~thread color =
         (Overflow
            (Fmt.str "thread %d colour %d exceeds PR=%d + SGR=%d" thread color
               pr t.sgr));
-    Reg.P (t.shared_base + s - 1)
+    Reg.phys (t.shared_base + s - 1)
   end
 
 let private_range t ~thread =

@@ -49,68 +49,104 @@ let init_thread prog =
     sr = bounds.Estimate.max_r - bounds.Estimate.max_pr;
   }
 
+(* The Figure-8 step evaluations of one thread record, each filled on
+   first use. A step's result depends only on the record's context and
+   (PR, R), and a commit replaces just the committed slots with new
+   records, so a slot whose record is still the same (physically) keeps
+   its evaluations from earlier greedy steps. *)
+type steps = {
+  th : thread_alloc;
+  cost : int Lazy.t;
+  pr_step : Intra.reduction option Lazy.t;
+  demote_step : Intra.reduction option Lazy.t;
+  sr_step : Intra.reduction option Lazy.t;
+}
+
+let steps_of th =
+  let ctx = th.ctx and pr = th.pr and r = r_of th in
+  {
+    th;
+    cost = lazy (cost_of th);
+    pr_step = lazy (Intra.reduce_pr ctx ~pr ~r);
+    demote_step = lazy (Intra.demote_pr ctx ~pr ~r);
+    sr_step = lazy (Intra.reduce_sr ctx ~pr ~r);
+  }
+
+(* Brings the memo of one [reduce_loop] call (one slot per thread) up to
+   date: a slot whose record a commit replaced starts afresh. *)
+let refresh memo threads =
+  Array.iteri
+    (fun i th -> if memo.(i).th != th then memo.(i) <- steps_of th)
+    threads
+
 (* A candidate single-step reduction: the updated thread records and the
    total move-cost increase, scaled by the owning thread's weight so a
    critical thread's reductions look expensive and the greedy loop
    shifts moves onto its co-residents. Weight 1 everywhere reproduces
    the paper's unweighted Figure-8 behaviour exactly. *)
-type candidate = { delta : int; apply : thread_alloc array }
+type candidate = { delta : int; updates : (int * thread_alloc) list }
 
-let pr_candidate ~w threads i =
+let apply threads c =
+  let threads = Array.copy threads in
+  List.iter (fun (i, th) -> threads.(i) <- th) c.updates;
+  threads
+
+let step_delta ~w memo i (red : Intra.reduction) =
+  w i * (red.Intra.cost - Lazy.force memo.(i).cost)
+
+let pr_candidate ~w memo threads i =
   let th = threads.(i) in
   if th.pr - 1 < th.bounds.Estimate.min_pr || r_of th - 1 < th.bounds.Estimate.min_r
   then None
   else
-    match Intra.reduce_pr th.ctx ~pr:th.pr ~r:(r_of th) with
+    match Lazy.force memo.(i).pr_step with
     | None -> None
     | Some red ->
       let th' = { th with ctx = red.Intra.ctx; pr = th.pr - 1 } in
-      let apply = Array.copy threads in
-      apply.(i) <- th';
-      Some { delta = w i * (red.Intra.cost - cost_of th); apply }
+      Some { delta = step_delta ~w memo i red; updates = [ (i, th') ] }
 
-let demote_candidate ~w threads i =
+let demote_candidate ~w memo threads i =
   (* Weak PR-step: only profitable when this thread's SR is below the
      pooled maximum, so growing it by one does not grow SGR. *)
   let th = threads.(i) in
   let max_sr = Array.fold_left (fun acc t -> max acc t.sr) 0 threads in
   if th.sr >= max_sr || th.pr - 1 < th.bounds.Estimate.min_pr then None
   else
-    match Intra.demote_pr th.ctx ~pr:th.pr ~r:(r_of th) with
+    match Lazy.force memo.(i).demote_step with
     | None -> None
     | Some red ->
       let th' = { th with ctx = red.Intra.ctx; pr = th.pr - 1; sr = th.sr + 1 } in
-      let apply = Array.copy threads in
-      apply.(i) <- th';
-      Some { delta = w i * (red.Intra.cost - cost_of th); apply }
+      Some { delta = step_delta ~w memo i red; updates = [ (i, th') ] }
 
-let sr_candidate ~w threads =
+let sr_candidate ~w memo threads =
   let max_sr = Array.fold_left (fun acc t -> max acc t.sr) 0 threads in
   if max_sr = 0 then None
   else begin
-    let apply = Array.copy threads in
     let delta = ref 0 in
+    let updates = ref [] in
     let ok = ref true in
     Array.iteri
       (fun j th ->
         if !ok && th.sr = max_sr then begin
           if r_of th - 1 < th.bounds.Estimate.min_r then ok := false
           else
-            match Intra.reduce_sr th.ctx ~pr:th.pr ~r:(r_of th) with
+            match Lazy.force memo.(j).sr_step with
             | None -> ok := false
             | Some red ->
-              delta := !delta + (w j * (red.Intra.cost - cost_of th));
-              apply.(j) <- { th with ctx = red.Intra.ctx; sr = th.sr - 1 }
+              delta := !delta + step_delta ~w memo j red;
+              let th' = { th with ctx = red.Intra.ctx; sr = th.sr - 1 } in
+              updates := (j, th') :: !updates
         end)
       threads;
-    if !ok then Some { delta = !delta; apply } else None
+    if !ok then Some { delta = !delta; updates = !updates } else None
   end
 
-let candidates ~w threads =
+let candidates ~w memo threads =
+  refresh memo threads;
   let n = Array.length threads in
-  let prs = List.init n (fun i -> pr_candidate ~w threads i) in
-  let demotes = List.init n (fun i -> demote_candidate ~w threads i) in
-  List.filter_map Fun.id ((sr_candidate ~w threads :: prs) @ demotes)
+  let prs = List.init n (fun i -> pr_candidate ~w memo threads i) in
+  let demotes = List.init n (fun i -> demote_candidate ~w memo threads i) in
+  List.filter_map Fun.id ((sr_candidate ~w memo threads :: prs) @ demotes)
 
 let pick_min = function
   | [] -> None
@@ -119,24 +155,29 @@ let pick_min = function
 
 (* Stop conditions: [`Fit nreg] stops once the pooled demand fits;
    [`Zero_cost] keeps reducing while some reduction is free (used for the
-   paper's Figure 14 experiment). *)
-let rec reduce_loop ~w threads stop =
-  match stop with
-  | `Fit nreg when demand threads <= nreg -> Ok threads
-  | `Fit nreg -> (
-    match pick_min (candidates ~w threads) with
-    | Some c -> reduce_loop ~w c.apply (`Fit nreg)
-    | None ->
-      Error
-        (`Infeasible
-          (Fmt.str
-             "register demand %d exceeds %d and no thread can be reduced \
-              further"
-             (demand threads) nreg)))
-  | `Zero_cost -> (
-    match pick_min (candidates ~w threads) with
-    | Some c when c.delta <= 0 -> reduce_loop ~w c.apply `Zero_cost
-    | Some _ | None -> Ok threads)
+   paper's Figure 14 experiment). The memo lives only inside this call,
+   so no two domains ever share it. *)
+let reduce_loop ~w threads stop =
+  let memo = Array.map steps_of threads in
+  let rec go threads =
+    match stop with
+    | `Fit nreg when demand threads <= nreg -> Ok threads
+    | `Fit nreg -> (
+      match pick_min (candidates ~w memo threads) with
+      | Some c -> go (apply threads c)
+      | None ->
+        Error
+          (`Infeasible
+            (Fmt.str
+               "register demand %d exceeds %d and no thread can be reduced \
+                further"
+               (demand threads) nreg)))
+    | `Zero_cost -> (
+      match pick_min (candidates ~w memo threads) with
+      | Some c when c.delta <= 0 -> go (apply threads c)
+      | Some _ | None -> Ok threads)
+  in
+  go threads
 
 let finish threads nreg =
   let sgr = Array.fold_left (fun acc t -> max acc t.sr) 0 threads in

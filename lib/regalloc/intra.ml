@@ -313,24 +313,22 @@ let try_colors ?scope ctx colors ~pr ~r =
   in
   go None colors
 
-let best reductions = reductions
-
 let private_colors pr = List.init pr (fun i -> i + 1)
 let shared_colors pr r = List.init (max 0 (r - pr)) (fun i -> pr + 1 + i)
 
 let reduce_pr ctx ~pr ~r =
   (* Strong PR-step: (PR-1, SR, R-1). *)
   if pr - 1 < min_pr ctx || r - 1 < min_r ctx then None
-  else best (try_colors ctx (private_colors pr) ~pr ~r)
+  else try_colors ctx (private_colors pr) ~pr ~r
 
 let demote_pr ctx ~pr ~r =
   (* Weak PR-step: (PR-1, SR+1, R) — a private colour becomes shared. *)
   if pr - 1 < min_pr ctx then None
-  else best (try_colors ~scope:`Boundary ctx (private_colors pr) ~pr ~r)
+  else try_colors ~scope:`Boundary ctx (private_colors pr) ~pr ~r
 
 let reduce_sr ctx ~pr ~r =
   if r - 1 < min_r ctx || r <= pr then None
-  else best (try_colors ctx (shared_colors pr r) ~pr ~r)
+  else try_colors ctx (shared_colors pr r) ~pr ~r
 
 let reduce_to ctx ~pr ~r ~target_pr ~target_sr =
   (* Drives the context to exactly (target_pr, target_sr), choosing the

@@ -27,10 +27,10 @@ let sequentialize_copy pairs =
   let emit_mov acc (d, s) = Instr.Mov { dst = d; src = s } :: acc in
   let emit_swap acc (a, b) =
     (* a', b' = b, a *)
-    Instr.Alu { op = Instr.Xor; dst = a; src1 = a; src2 = Instr.Reg b }
-    :: Instr.Alu { op = Instr.Xor; dst = b; src1 = b; src2 = Instr.Reg a }
-    :: Instr.Alu { op = Instr.Xor; dst = a; src1 = a; src2 = Instr.Reg b }
-    :: acc
+    let xor dst src =
+      Instr.Alu { op = Instr.Xor; dst; src1 = dst; src2 = Instr.reg_operand src }
+    in
+    xor a b :: xor b a :: xor a b :: acc
   in
   let rec go acc pairs =
     match pairs with

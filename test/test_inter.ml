@@ -155,9 +155,157 @@ let chaitin_tests =
           r.Chaitin.coloring);
   ]
 
+(* The Figure-8 loop as the paper states it: every greedy step
+   re-evaluates every legal single-step reduction of every thread through
+   [Intra], with no memo. Same candidate order (the SR step, then each
+   thread's strong PR step, then each thread's demotion) and the same
+   strict-minimum pick as [Inter], so the two must agree exactly. *)
+let reference_loop ?(weights = []) stop progs =
+  let threads = Array.of_list (List.map Inter.init_thread progs) in
+  let n = Array.length threads in
+  let w i = match List.nth_opt weights i with Some v -> max 0 v | None -> 1 in
+  let r_of t = t.Inter.pr + t.Inter.sr in
+  let max_sr ts = Array.fold_left (fun a t -> max a t.Inter.sr) 0 ts in
+  let min_pr t = t.Inter.bounds.Estimate.min_pr in
+  let min_r t = t.Inter.bounds.Estimate.min_r in
+  let commit ts updates =
+    let ts = Array.copy ts in
+    List.iter (fun (i, t) -> ts.(i) <- t) updates;
+    ts
+  in
+  let delta i t (red : Intra.reduction) = w i * (red.Intra.cost - Inter.cost_of t) in
+  let candidates ts =
+    let top = max_sr ts in
+    let sr_step =
+      if top = 0 then None
+      else
+        Array.to_list ts
+        |> List.mapi (fun i t -> (i, t))
+        |> List.filter (fun (_, t) -> t.Inter.sr = top)
+        |> List.fold_left
+             (fun acc (i, t) ->
+               match acc with
+               | None -> None
+               | Some (d, ups) -> (
+                 if r_of t - 1 < min_r t then None
+                 else
+                   match Intra.reduce_sr t.Inter.ctx ~pr:t.Inter.pr ~r:(r_of t) with
+                   | None -> None
+                   | Some red ->
+                     Some
+                       ( d + delta i t red,
+                         (i, { t with Inter.ctx = red.Intra.ctx; sr = t.Inter.sr - 1 }) :: ups )))
+             (Some (0, []))
+    in
+    let pr_step i =
+      let t = ts.(i) in
+      if t.Inter.pr - 1 < min_pr t || r_of t - 1 < min_r t then None
+      else
+        Intra.reduce_pr t.Inter.ctx ~pr:t.Inter.pr ~r:(r_of t)
+        |> Option.map (fun red ->
+               (delta i t red, [ (i, { t with Inter.ctx = red.Intra.ctx; pr = t.Inter.pr - 1 }) ]))
+    in
+    let demote_step i =
+      let t = ts.(i) in
+      if t.Inter.sr >= top || t.Inter.pr - 1 < min_pr t then None
+      else
+        Intra.demote_pr t.Inter.ctx ~pr:t.Inter.pr ~r:(r_of t)
+        |> Option.map (fun red ->
+               ( delta i t red,
+                 [ (i, { t with Inter.ctx = red.Intra.ctx; pr = t.Inter.pr - 1; sr = t.Inter.sr + 1 }) ] ))
+    in
+    List.filter_map Fun.id
+      ((sr_step :: List.init n pr_step) @ List.init n demote_step)
+  in
+  let pick = function
+    | [] -> None
+    | c :: cs -> Some (List.fold_left (fun b c -> if fst c < fst b then c else b) c cs)
+  in
+  let rec go ts =
+    match stop with
+    | `Fit nreg when Inter.demand ts <= nreg -> Some ts
+    | `Fit _ -> ( match pick (candidates ts) with Some (_, ups) -> go (commit ts ups) | None -> None)
+    | `Zero_cost -> (
+      match pick (candidates ts) with
+      | Some (d, ups) when d <= 0 -> go (commit ts ups)
+      | Some _ | None -> Some ts)
+  in
+  go threads
+
+(* Each thread's (PR, SR, moves) and its rewritten program, printed. *)
+let render ~nreg threads =
+  let threads = Array.to_list threads in
+  let sgr = List.fold_left (fun a t -> max a t.Inter.sr) 0 threads in
+  let layout = Assign.layout ~nreg ~prs:(List.map (fun t -> t.Inter.pr) threads) ~sgr in
+  List.mapi
+    (fun i t ->
+      Fmt.str "PR=%d SR=%d moves=%d@.%s" t.Inter.pr t.Inter.sr (Inter.cost_of t)
+        (Npra_asm.Printer.to_string
+           (Rewrite.apply t.Inter.ctx ~reg_of_color:(Assign.reg_of_color layout ~thread:i))))
+    threads
+
+(* Seeded drr + fir2dim + two small kernels, in a seeded thread order:
+   the kernels with the most room between their bounds, so the greedy
+   loop commits several steps of every kind. *)
+let squeeze_mix seed =
+  let open Npra_workloads in
+  let small = [| "frag"; "crc32"; "url"; "route"; "l2l3fwd_rx"; "l2l3fwd_tx" |] in
+  let pick = Npra_core.Rng.permutation ~seed (Array.length small) in
+  let ids = [| "drr"; "fir2dim"; small.(pick.(0)); small.(pick.(1)) |] in
+  let order = Npra_core.Rng.permutation ~seed:(seed + 1000) 4 in
+  let ids = List.init 4 (fun k -> ids.(order.(k))) in
+  ( String.concat "+" ids,
+    List.mapi
+      (fun slot id -> web (Registry.instantiate (Registry.find_exn id) ~slot ~iters:8).Workload.prog)
+      ids )
+
+let memo_tests =
+  let start progs = Inter.demand (Array.of_list (List.map Inter.init_thread progs)) in
+  let agree ~name ~nreg ours reference =
+    match ours, reference with
+    | Ok t, Some ts ->
+      check Alcotest.(list string) (name ^ ": allocation") (render ~nreg ts)
+        (render ~nreg t.Inter.threads)
+    | Error _, None -> ()
+    | Ok _, None -> Alcotest.failf "%s: Inter allocated, the reference did not" name
+    | Error _, Some _ -> Alcotest.failf "%s: the reference allocated, Inter did not" name
+  in
+  List.concat_map
+    (fun seed ->
+      let name, progs = squeeze_mix seed in
+      let fit below weights () =
+        let nreg = start progs - below in
+        let label = Fmt.str "%s at %d (weights %a)" name nreg Fmt.(Dump.list int) weights in
+        agree ~name:label ~nreg
+          (Inter.allocate ~weights ~nreg progs)
+          (reference_loop ~weights (`Fit nreg) progs)
+      in
+      (* drr takes the moves once the squeeze goes past the free steps;
+         weighting it up (and the small kernels down to free) moves
+         them elsewhere on seed 1 *)
+      let weights =
+        List.map
+          (fun id -> if id = "drr" then 9 else if id = "fir2dim" then 1 else 0)
+          (String.split_on_char '+' name)
+      in
+      [
+        test (Fmt.str "seed %d: 1 and 2 under demand, memo = reference" seed) (fun () ->
+            fit 1 [] ();
+            fit 2 [] ());
+        test (Fmt.str "seed %d: weighted, memo = reference" seed) (fun () ->
+            fit 2 weights ();
+            fit 5 weights ());
+        test (Fmt.str "seed %d: tighten_zero_cost, memo = reference" seed) (fun () ->
+            agree ~name:(name ^ " zero-cost") ~nreg:128
+              (Inter.tighten_zero_cost ~nreg:128 progs)
+              (reference_loop `Zero_cost progs));
+      ])
+    [ 1; 2 ]
+
 let suite =
   [
     ("regalloc.inter", inter_tests);
+    ("regalloc.inter.memo", memo_tests);
     ("regalloc.sra", sra_tests);
     ("regalloc.chaitin", chaitin_tests);
   ]

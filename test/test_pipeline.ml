@@ -226,9 +226,107 @@ let experiment_tests =
           rows);
   ]
 
+(* Registry mixes with the register file each is allocated into:
+   [`Full] is the 128-register file, [`Under d] is [d] under the mix's
+   starting demand (the greedy balancer commits steps; past the bound
+   the Chaitin floor serves). *)
+let pinned_mixes =
+  [
+    ([ "md5"; "wraps_tx"; "crc32"; "url" ], `Full);
+    ([ "md5"; "md5"; "fir2dim"; "fir2dim" ], `Full);
+    ([ "l2l3fwd_rx"; "l2l3fwd_tx"; "md5"; "md5" ], `Full);
+    ([ "wraps_rx"; "wraps_tx"; "fir2dim"; "frag" ], `Full);
+    ([ "wraps_rx"; "wraps_rx"; "wraps_rx"; "wraps_rx" ], `Full);
+    ([ "drr"; "fir2dim"; "frag"; "url" ], `Under 1);
+    ([ "fir2dim"; "crc32"; "drr"; "route" ], `Under 2);
+    ([ "l2l3fwd_tx"; "drr"; "url"; "fir2dim" ], `Under 5);
+    ([ "md5"; "drr"; "url"; "route" ], `Under 1);
+    ([ "frag"; "crc32"; "url"; "route" ], `Under 1);
+    ([ "url"; "route"; "l2l3fwd_rx"; "crc32" ], `Under 1);
+    ([ "crc32"; "l2l3fwd_tx"; "frag"; "l2l3fwd_rx" ], `Under 1);
+  ]
+
+let pinned_allocation (ids, target) =
+  let progs = List.map (fun w -> w.Workload.prog) (mix ids) in
+  let nreg =
+    match target with
+    | `Full -> 128
+    | `Under d ->
+      let threads =
+        Array.of_list
+          (List.map (fun p -> Npra_regalloc.Inter.init_thread (Npra_cfg.Webs.rename p)) progs)
+      in
+      min 128 (Npra_regalloc.Inter.demand threads) - d
+  in
+  (nreg, Pipeline.balanced_exn ~nreg progs)
+
+(* Per-mix MD5 of the provenance and the printed programs
+   [Pipeline.balanced] returns, taken before the balancer's step memo and
+   the shared physical registers went in: both must leave every
+   allocation byte-identical. *)
+let pinned_digests =
+  [
+    "md5+wraps_tx+crc32+url@128 balanced bddcc01c6eecc64ef21657d138c1b16c";
+    "md5+md5+fir2dim+fir2dim@128 balanced b74bb101ea358b24d67921695fb9d281";
+    "l2l3fwd_rx+l2l3fwd_tx+md5+md5@128 balanced aa85824548fbfb144e093404d515314c";
+    "wraps_rx+wraps_tx+fir2dim+frag@128 balanced 7d6c2857d223ad56edc9d3d01b496877";
+    "wraps_rx+wraps_rx+wraps_rx+wraps_rx@128 fixed-partition chaitin \
+     087d18743ba2cc676f3e5b30de5d0c08";
+    "drr+fir2dim+frag+url@58 balanced 12349b242f04397b6cb229fbeb9449a3";
+    "fir2dim+crc32+drr+route@54 balanced cd3cf0a9220dbfb7c625fa7f1ebb0d13";
+    "l2l3fwd_tx+drr+url+fir2dim@56 balanced 99335575c2c245d2ca780f6b1b0d1362";
+    "md5+drr+url+route@76 balanced 9e1f2d68bbbe5e66de49ec74f8847c10";
+    "frag+crc32+url+route@25 fixed-partition chaitin 9d085948d2ca5095644e288de756937b";
+    "url+route+l2l3fwd_rx+crc32@30 fixed-partition chaitin 128d3454d43b9e927a6f3c4187879a26";
+    "crc32+l2l3fwd_tx+frag+l2l3fwd_rx@33 balanced 38f36597403261e0dd1ac04129681006";
+  ]
+
+let pin_tests =
+  [
+    test "twelve registry mixes allocate byte-identically to the pinned digests" (fun () ->
+        let digest (ids, target) =
+          let nreg, bal = pinned_allocation (ids, target) in
+          Fmt.str "%s@%d %a %s" (String.concat "+" ids) nreg Pipeline.pp_stage
+            bal.Pipeline.provenance
+            (Digest.to_hex
+               (Digest.string (Npra_asm.Printer.to_string_many bal.Pipeline.programs)))
+        in
+        check Alcotest.(list string) "digests" pinned_digests
+          (List.map digest pinned_mixes));
+    test "allocation output shares one block per physical register" (fun () ->
+        let open Npra_ir in
+        check Alcotest.bool "Reg.phys k == Reg.phys k" true
+          (List.for_all (fun k -> Reg.phys k == Reg.phys k) [ 0; 1; 64; 127; 255 ]);
+        check Alcotest.bool "past the table, still P k" true
+          (Reg.equal (Reg.phys 4095) (Reg.P 4095));
+        let shared what ok = if not ok then Alcotest.failf "unshared %s" what in
+        List.iter
+          (fun m ->
+            let _, bal = pinned_allocation m in
+            List.iter
+              (fun p ->
+                Array.iter
+                  (fun ins ->
+                    List.iter
+                      (fun r ->
+                        match r with
+                        | Reg.P k -> shared (Reg.to_string r) (r == Reg.phys k)
+                        | Reg.V _ -> Alcotest.failf "virtual %a left" Reg.pp r)
+                      (Instr.defs ins @ Instr.uses ins);
+                    match ins with
+                    | Instr.Alu { src2 = Instr.Reg r as o; _ }
+                    | Instr.Brc { src2 = Instr.Reg r as o; _ } ->
+                      shared (Instr.to_string ins) (o == Instr.reg_operand r)
+                    | _ -> ())
+                  p.Prog.code)
+              bal.Pipeline.programs)
+          pinned_mixes);
+  ]
+
 let suite =
   [
     ("pipeline.balanced", balanced_tests);
+    ("pipeline.pinned", pin_tests);
     ("pipeline.baseline", baseline_tests);
     ("pipeline.degradation", degradation_tests);
     ("pipeline.experiments", experiment_tests);
