@@ -48,6 +48,21 @@ let lookup id =
 let instantiate_all ?iters ids =
   List.mapi (fun i id -> Registry.instantiate ?iters (lookup id) ~slot:i) ids
 
+(* Instantiates each kernel at its default traffic model's per-packet
+   iteration count, paired with that model. Exits 2 on a kernel with no
+   traffic model. *)
+let instantiate_with_traffic ids =
+  List.mapi
+    (fun i id ->
+      let spec = lookup id in
+      match Registry.default_traffic id with
+      | Some t ->
+        (Registry.instantiate spec ~slot:i ~iters:t.Workload.per_packet_iters, t)
+      | None ->
+        Fmt.epr "kernel %S has no default traffic model@." id;
+        exit 2)
+    ids
+
 (* ---- list ---- *)
 
 let list_cmd =
@@ -240,20 +255,7 @@ let simulate_cmd =
 let throughput_cmd =
   let run nreg engines duration seed jobs use_baseline json ids =
     let pool = Npra_par.Pool.create ~jobs () in
-    let ws =
-      List.mapi
-        (fun i id ->
-          let spec = lookup id in
-          match Registry.default_traffic id with
-          | Some t ->
-            ( Registry.instantiate spec ~slot:i
-                ~iters:t.Workload.per_packet_iters,
-              t )
-          | None ->
-            Fmt.epr "kernel %S has no default traffic model@." id;
-            exit 2)
-        ids
-    in
+    let ws = instantiate_with_traffic ids in
     let progs = List.map (fun (w, _) -> w.Workload.prog) ws in
     let specs = List.map snd ws in
     let mem_image = List.concat_map (fun (w, _) -> w.Workload.mem_image) ws in
@@ -347,20 +349,7 @@ let chaos_cmd =
   let run nreg engines duration seed jobs crashes hangs transient_hangs storms
       floods shed json ids =
     let pool = Npra_par.Pool.create ~jobs () in
-    let ws =
-      List.mapi
-        (fun i id ->
-          let spec = lookup id in
-          match Registry.default_traffic id with
-          | Some t ->
-            ( Registry.instantiate spec ~slot:i
-                ~iters:t.Workload.per_packet_iters,
-              t )
-          | None ->
-            Fmt.epr "kernel %S has no default traffic model@." id;
-            exit 2)
-        ids
-    in
+    let ws = instantiate_with_traffic ids in
     let progs = List.map (fun (w, _) -> w.Workload.prog) ws in
     let specs = List.map snd ws in
     let mem_image = List.concat_map (fun (w, _) -> w.Workload.mem_image) ws in

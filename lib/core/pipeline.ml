@@ -10,7 +10,9 @@
    per-thread Chaitin colouring into a fixed partition — and records
    which stage served the allocation plus a diagnostic trail of every
    stage it had to reject, so experiments and the CLI can report
-   provenance instead of crashing.
+   provenance instead of crashing. The chain's stages are the
+   portfolio slate's own ({!run_balanced}, {!run_entrant}), tried in
+   order instead of raced.
 
    [baseline] is the conventional system the paper compares against:
    per-thread Chaitin colouring into a fixed [Nreg/Nthd] partition with
@@ -26,8 +28,9 @@ open Npra_sim
 
 (* [Balanced], [Balanced_relaxed] and [Chaitin_fallback] are the three
    stages of the sequential fallback chain. The remaining constructors
-   are portfolio entrants ({!portfolio}): the same contenders raced in
-   parallel instead of tried pessimistically one after another. *)
+   are further portfolio entrants ({!portfolio}), which races the chain's
+   stages and these in parallel instead of trying them one after
+   another. *)
 type stage =
   | Balanced
   | Balanced_relaxed
@@ -120,8 +123,8 @@ let default_move_budget progs =
 (* Materialise a completed inter-thread allocation: pack the layout,
    rewrite every thread to physical registers, verify from scratch.
    @raise Rewrite.Incomplete_coloring or Assign.Overflow when an
-   allocator invariant broke — callers degrade or reject the entrant. *)
-let finish_inter ~nreg ~provenance ~trail inter =
+   allocator invariant broke — {!guarded} turns those into a reason. *)
+let finish_inter ~nreg ~provenance inter =
   let prs =
     Array.to_list inter.Inter.threads |> List.map (fun t -> t.Inter.pr)
   in
@@ -142,102 +145,185 @@ let finish_inter ~nreg ~provenance ~trail inter =
     moves = Inter.total_moves inter;
     spilled_ranges = List.map (fun _ -> 0) programs;
     verify_errors = Verify.check_system layout programs;
-    trail;
+    trail = [];
   }
 
-(* The fixed-partition Chaitin floor as a complete [balanced] result
-   (provenance [stage], normally [Chaitin_fallback]). Programs must be
-   in web form. *)
-let chaitin_floor ?(weights = []) ~nreg ~spill_bases ~stage ~trail progs =
-  match chaitin_partition ~weights ~nreg ~spill_bases progs with
-  | layout, results, programs ->
-    Ok
-      {
-        provenance = stage;
-        inter = None;
-        chaitin = Some results;
-        layout;
-        programs;
-        moves = 0;
-        spilled_ranges =
-          List.map (fun r -> Reg.Set.cardinal r.Chaitin.spilled) results;
-        verify_errors = Verify.check_system layout programs;
-        trail;
-      }
-  | exception Chaitin.Did_not_converge { k; iterations; pending; _ } ->
-    Error
-      (trail
-      @ [
-          Rejected
-            {
-              stage;
-              reason =
-                Fmt.str
-                  "spill loop did not converge after %d iterations (k=%d, %d \
-                   registers still uncolourable)"
-                  iterations k
-                  (Reg.Set.cardinal pending);
-            };
-        ])
-  | exception Assign.Overflow msg ->
-    Error (trail @ [ Rejected { stage; reason = msg } ])
+(* Runs one stage's allocation, turning a broken allocator invariant
+   into a rejection reason: every stage is total. *)
+let guarded run =
+  try run () with
+  | Rewrite.Incomplete_coloring { reg; gap = Some g } ->
+    Error (Fmt.str "%a has no segment at gap %d" Reg.pp reg g)
+  | Rewrite.Incomplete_coloring { reg; gap = None } ->
+    Error (Fmt.str "%a has no colour" Reg.pp reg)
+  | Assign.Overflow msg -> Error msg
+  | Intra.Infeasible -> Error "intra-thread reduction infeasible"
 
+let rejected stage = function
+  | Ok b -> Ok b
+  | Error reason -> Error [ Rejected { stage; reason } ]
+
+(* The balancer stages — [Balanced] at the default [budget],
+   [Balanced_budget b], and [Balanced_relaxed] with no budget — differ
+   only in the move count they accept a Figure-8 result under. So they
+   share one [Inter.allocate] and one materialisation, and each
+   requested stage, in order, gets that result or a rejection. A failed
+   run rejects every stage with the same reason. Programs must be in
+   web form. *)
+let run_balanced ?(weights = []) ~nreg ~budget ~wprogs stages =
+  let limit = function
+    | Balanced -> Some budget
+    | Balanced_budget b -> Some b
+    | Balanced_relaxed -> None
+    | stage ->
+      Fmt.invalid_arg "Pipeline.run_balanced: %a is not a balancer stage"
+        pp_stage stage
+  in
+  let limits = List.map limit stages in
+  let run =
+    guarded (fun () ->
+        match Inter.allocate ~weights ~nreg wprogs with
+        | Error (`Infeasible msg) -> Error msg
+        | Ok inter -> Ok (finish_inter ~nreg ~provenance:Balanced inter))
+  in
+  List.map2
+    (fun stage limit ->
+      ( stage,
+        rejected stage
+          (Result.bind run (fun b ->
+               match limit with
+               | Some l when b.moves > l ->
+                 Error (Fmt.str "%d moves exceed the budget of %d" b.moves l)
+               | _ -> Ok { b with provenance = stage })) ))
+    stages limits
+
+(* Runs one slate stage on web-renamed programs; the balancer stages go
+   through {!run_balanced}. [weights] reach the chain's stages (the
+   balancer and the Chaitin split) only. Total: allocator
+   infeasibilities and materialisation failures come back as [Error]
+   trails naming the stage, never exceptions. *)
+let run_entrant ?(weights = []) ~nreg ~budget ~spill_bases ~wprogs stage =
+  let finish inter = Ok (finish_inter ~nreg ~provenance:stage inter) in
+  let solo run = rejected stage (guarded run) in
+  match stage with
+  | Balanced | Balanced_relaxed | Balanced_budget _ ->
+    List.assoc stage (run_balanced ~weights ~nreg ~budget ~wprogs [ stage ])
+  | Balanced_zero_cost ->
+    solo (fun () ->
+        match Inter.tighten_zero_cost ~nreg wprogs with
+        | Error (`Infeasible msg) -> Error msg
+        | Ok inter ->
+          let d = Inter.demand inter.Inter.threads in
+          if d > nreg then
+            Error
+              (Fmt.str "zero-cost tightening stops at demand %d > %d registers"
+                 d nreg)
+          else finish inter)
+  | Balanced_shuffled s ->
+    solo (fun () ->
+        let arr = Array.of_list wprogs in
+        let n = Array.length arr in
+        let perm = Rng.permutation ~seed:s n in
+        match Inter.allocate ~nreg (List.init n (fun j -> arr.(perm.(j)))) with
+        | Error (`Infeasible msg) -> Error msg
+        | Ok inter ->
+          (* The balancer saw the threads in permuted order; put its
+             per-thread results back in caller order before assignment. *)
+          let unperm = Array.make n inter.Inter.threads.(0) in
+          Array.iteri (fun j th -> unperm.(perm.(j)) <- th) inter.Inter.threads;
+          finish { inter with Inter.threads = unperm })
+  | Sra_exhaustive ->
+    solo (fun () ->
+        let ths = List.map Inter.init_thread wprogs in
+        let b0 = (List.hd ths).Inter.bounds in
+        if not (List.for_all (fun t -> t.Inter.bounds = b0) ths) then
+          Error "mix is not symmetric: thread register-demand bounds differ"
+        else
+          match Sra.allocate ~nreg ~nthd:(List.length ths) (List.hd wprogs) with
+          | Error (`Infeasible msg) -> Error msg
+          | Ok sra ->
+            let target_pr = sra.Sra.pr and target_sr = sra.Sra.sr in
+            (* Drive every thread to the symmetric point the sweep chose;
+               threads share bounds but not necessarily programs. *)
+            let reduce t =
+              let { Estimate.max_pr; max_r; _ } = t.Inter.bounds in
+              if target_pr = max_pr && target_sr = max_r - max_pr then
+                Some
+                  { Intra.ctx = t.Inter.ctx;
+                    cost = Context.move_count t.Inter.ctx }
+              else
+                Intra.reduce_to t.Inter.ctx ~pr:max_pr ~r:max_r ~target_pr
+                  ~target_sr
+            in
+            let rec drive acc = function
+              | [] -> Ok (Array.of_list (List.rev acc))
+              | t :: rest -> (
+                match reduce t with
+                | Some red ->
+                  drive
+                    ({ t with Inter.ctx = red.Intra.ctx;
+                              pr = target_pr;
+                              sr = target_sr }
+                    :: acc)
+                    rest
+                | None -> Error t.Inter.name)
+            in
+            (match drive [] ths with
+            | Error name ->
+              Error
+                (Fmt.str
+                   "thread %s cannot reach the symmetric point (PR=%d, SR=%d)"
+                   name target_pr target_sr)
+            | Ok threads -> finish { Inter.threads; nreg; sgr = target_sr }))
+  | Chaitin_fallback ->
+    solo (fun () ->
+        match chaitin_partition ~weights ~nreg ~spill_bases wprogs with
+        | layout, results, programs ->
+          Ok
+            {
+              provenance = stage;
+              inter = None;
+              chaitin = Some results;
+              layout;
+              programs;
+              moves = 0;
+              spilled_ranges =
+                List.map (fun r -> Reg.Set.cardinal r.Chaitin.spilled) results;
+              verify_errors = Verify.check_system layout programs;
+              trail = [];
+            }
+        | exception Chaitin.Did_not_converge { k; iterations; pending; _ } ->
+          Error
+            (Fmt.str
+               "spill loop did not converge after %d iterations (k=%d, %d \
+                registers still uncolourable)"
+               iterations k
+               (Reg.Set.cardinal pending)))
+
+(* The fallback chain: the balancer stages in order, sharing one
+   Figure-8 run, then the Chaitin floor. The first stage that serves
+   wins, and its trail is every rejection before it. *)
 let balanced_uncached ?(nreg = 128) ?(weights = []) ?move_budget ?spill_bases
     progs =
-  let progs = List.map Webs.rename progs in
+  let wprogs = List.map Webs.rename progs in
   let budget =
-    match move_budget with Some b -> b | None -> default_move_budget progs
+    Option.value move_budget ~default:(default_move_budget wprogs)
   in
-  let finish ~provenance ~inter ~trail = finish_inter ~nreg ~provenance ~trail inter in
-  let fallback trail =
-    let spill_bases =
-      match spill_bases with
-      | Some bs -> bs
-      | None -> default_spill_bases progs
-    in
-    chaitin_floor ~weights ~nreg ~spill_bases ~stage:Chaitin_fallback ~trail
-      progs
+  let spill_bases =
+    Option.value spill_bases ~default:(default_spill_bases wprogs)
   in
-  match Inter.allocate ~weights ~nreg progs with
-  | Ok inter -> (
-    let moves = Inter.total_moves inter in
-    let provenance, trail =
-      if moves <= budget then (Balanced, [])
-      else
-        ( Balanced_relaxed,
-          [
-            Rejected
-              {
-                stage = Balanced;
-                reason = Fmt.str "%d moves exceed the budget of %d" moves budget;
-              };
-          ] )
-    in
-    match finish ~provenance ~inter ~trail with
-    | b -> Ok b
-    | exception Rewrite.Incomplete_coloring { reg; gap } ->
-      (* An allocator invariant broke during materialisation; both
-         balanced stages share the rewrite, so degrade to Chaitin. *)
-      let reason =
-        match gap with
-        | Some g -> Fmt.str "%a has no segment at gap %d" Reg.pp reg g
-        | None -> Fmt.str "%a has no colour" Reg.pp reg
-      in
-      fallback
-        [
-          Rejected { stage = Balanced; reason };
-          Rejected { stage = Balanced_relaxed; reason };
-        ])
-  | Error (`Infeasible msg) ->
-    fallback
-      [
-        Rejected { stage = Balanced; reason = msg };
-        Rejected
-          {
-            stage = Balanced_relaxed;
-            reason = "infeasible regardless of move budget: " ^ msg;
-          };
-      ]
+  let rec serve trail = function
+    | (_, Ok b) :: _ -> Ok { b with trail }
+    | (_, Error rejects) :: rest -> serve (trail @ rejects) rest
+    | [] -> (
+      match
+        run_entrant ~weights ~nreg ~budget ~spill_bases ~wprogs Chaitin_fallback
+      with
+      | Ok b -> Ok { b with trail }
+      | Error rejects -> Error (trail @ rejects))
+  in
+  serve []
+    (run_balanced ~weights ~nreg ~budget ~wprogs [ Balanced; Balanced_relaxed ])
 
 (* ------------------------------------------------------------------ *)
 (* Content-addressed allocation cache.
@@ -279,11 +365,11 @@ let cache_clear () =
       cache_misses := 0)
 
 (* [tag] distinguishes the computation that produced the value: the
-   chain caches untagged; every portfolio entrant caches under its own
-   strategy tag. Without the tag, a portfolio entrant could hit a value
-   computed by a different strategy on the same programs and its
-   {!Cache_hit} note would then carry that other strategy's provenance
-   — the slate default — instead of the entrant's own. *)
+   chain caches under ["chain"]; every portfolio entrant caches under
+   its stage's {!pp_stage} text. Without the tag, a portfolio entrant
+   could hit a value computed by a different stage on the same programs
+   and its {!Cache_hit} note would then carry that other stage's
+   provenance — the slate default — instead of the entrant's own. *)
 let cache_key ?(tag = "chain") ?(weights = []) ~nreg ~move_budget ~spill_bases
     progs =
   let buf = Buffer.create 1024 in
@@ -368,10 +454,11 @@ let balanced_exn ?nreg ?weights ?move_budget ?spill_bases progs =
         traffic spec within a fixed horizon, higher wins);
      3. remaining ties go to the earlier slate position.
 
-   The slate always contains the exact strategies of the fallback chain
-   (balanced at the default move budget, balanced-relaxed, Chaitin), so
-   the winner can never score worse than whatever the chain would have
-   served — the never-loses property the test suite and CI enforce.
+   The slate always contains the exact stages of the fallback chain
+   (balanced at the default move budget, balanced-relaxed, Chaitin),
+   run by the same code, so the winner can never score worse than
+   whatever the chain would have served — the never-loses property the
+   test suite and CI enforce.
    Every pool result is task-indexed and every entrant is deterministic,
    so the portfolio result is byte-identical at any job count. *)
 
@@ -414,14 +501,6 @@ let pp_score ppf s =
   match s.sc_probe with
   | Some p -> Fmt.pf ppf " probe=%d" p
   | None -> ()
-
-(* The pure form of the repo-wide xorshift (see {!Rng}), re-exported
-   because the portfolio's seed arithmetic and tests call it by this
-   name. *)
-let xorshift = Rng.step
-
-(* Seeded Fisher–Yates permutation of [0..n-1]. *)
-let permutation = Rng.permutation
 
 (* ------------------------------------------------------------------ *)
 (* Bounded throughput probe.
@@ -508,129 +587,6 @@ let probe_served probe programs =
   | exception Machine.Stuck _ -> None
   | exception Machine.Corruption _ -> None
 
-(* ------------------------------------------------------------------ *)
-(* The slate and its entrants. *)
-
-(* The cache tag distinguishing each strategy (see {!cache_key}). *)
-let strategy_tag = function
-  | Balanced -> "balanced"
-  | Balanced_relaxed -> "relaxed"
-  | Chaitin_fallback -> "chaitin"
-  | Balanced_budget b -> Fmt.str "budget:%d" b
-  | Balanced_zero_cost -> "zero-cost"
-  | Balanced_shuffled s -> Fmt.str "shuffled:%d" s
-  | Sra_exhaustive -> "sra"
-
-(* Runs one slate entrant on web-renamed programs. Total: allocator
-   infeasibilities and materialisation failures come back as [Error]
-   trails naming the entrant, never exceptions. *)
-let run_entrant ?(weights = []) ~nreg ~spill_bases ~wprogs stage =
-  let reject reason = Error [ Rejected { stage; reason } ] in
-  let finish inter = Ok (finish_inter ~nreg ~provenance:stage ~trail:[] inter) in
-  let from_inter = function
-    | Error (`Infeasible msg) -> reject msg
-    | Ok inter -> finish inter
-  in
-  match
-    match stage with
-    | Balanced | Balanced_relaxed ->
-      from_inter (Inter.allocate ~weights ~nreg wprogs)
-    | Balanced_budget b -> (
-      match Inter.allocate ~weights ~nreg wprogs with
-      | Error (`Infeasible msg) -> reject msg
-      | Ok inter ->
-        let moves = Inter.total_moves inter in
-        if moves > b then
-          reject (Fmt.str "%d moves exceed the budget of %d" moves b)
-        else finish inter)
-    | Balanced_zero_cost -> (
-      match Inter.tighten_zero_cost ~nreg wprogs with
-      | Error (`Infeasible msg) -> reject msg
-      | Ok inter ->
-        let d = Inter.demand inter.Inter.threads in
-        if d > nreg then
-          reject
-            (Fmt.str "zero-cost tightening stops at demand %d > %d registers"
-               d nreg)
-        else finish inter)
-    | Balanced_shuffled s -> (
-      let arr = Array.of_list wprogs in
-      let n = Array.length arr in
-      let perm = permutation ~seed:s n in
-      let permuted = List.init n (fun j -> arr.(perm.(j))) in
-      (* weights travel with their threads through the shuffle *)
-      let weights =
-        if weights = [] then []
-        else
-          let wa = Array.make n 1 in
-          List.iteri (fun i v -> if i < n then wa.(i) <- v) weights;
-          List.init n (fun j -> wa.(perm.(j)))
-      in
-      match Inter.allocate ~weights ~nreg permuted with
-      | Error (`Infeasible msg) -> reject msg
-      | Ok inter ->
-        (* The balancer saw the threads in permuted order; put its
-           per-thread results back in caller order before assignment. *)
-        let unperm = Array.make n inter.Inter.threads.(0) in
-        Array.iteri (fun j th -> unperm.(perm.(j)) <- th) inter.Inter.threads;
-        finish { inter with Inter.threads = unperm })
-    | Sra_exhaustive -> (
-      let ths = List.map Inter.init_thread wprogs in
-      let nthd = List.length ths in
-      let b0 = (List.hd ths).Inter.bounds in
-      if not (List.for_all (fun t -> t.Inter.bounds = b0) ths) then
-        reject "mix is not symmetric: thread register-demand bounds differ"
-      else
-        match Sra.allocate ~nreg ~nthd (List.hd wprogs) with
-        | Error (`Infeasible msg) -> reject msg
-        | Ok sra ->
-          let target_pr = sra.Sra.pr and target_sr = sra.Sra.sr in
-          (* Drive every thread to the symmetric point the sweep chose;
-             threads share bounds but not necessarily programs. *)
-          let reduce t =
-            let { Estimate.max_pr; max_r; _ } = t.Inter.bounds in
-            if target_pr = max_pr && target_sr = max_r - max_pr then
-              Some
-                { Intra.ctx = t.Inter.ctx;
-                  cost = Context.move_count t.Inter.ctx }
-            else
-              Intra.reduce_to t.Inter.ctx ~pr:max_pr ~r:max_r ~target_pr
-                ~target_sr
-          in
-          let rec drive acc = function
-            | [] -> Ok (Array.of_list (List.rev acc))
-            | t :: rest -> (
-              match reduce t with
-              | Some red ->
-                drive
-                  ({ t with Inter.ctx = red.Intra.ctx;
-                            pr = target_pr;
-                            sr = target_sr }
-                  :: acc)
-                  rest
-              | None -> Error t.Inter.name)
-          in
-          (match drive [] ths with
-          | Error name ->
-            reject
-              (Fmt.str "thread %s cannot reach the symmetric point (PR=%d, SR=%d)"
-                 name target_pr target_sr)
-          | Ok threads ->
-            finish { Inter.threads; nreg; sgr = target_sr }))
-    | Chaitin_fallback ->
-      chaitin_floor ~weights ~nreg ~spill_bases ~stage ~trail:[] wprogs
-  with
-  | result -> result
-  | exception Rewrite.Incomplete_coloring { reg; gap } ->
-    let reason =
-      match gap with
-      | Some g -> Fmt.str "%a has no segment at gap %d" Reg.pp reg g
-      | None -> Fmt.str "%a has no colour" Reg.pp reg
-    in
-    reject reason
-  | exception Assign.Overflow msg -> reject msg
-  | exception Intra.Infeasible -> reject "intra-thread reduction infeasible"
-
 (* What happened to each slate entrant, in slate order. *)
 type outcome =
   | Won of score
@@ -669,50 +625,69 @@ let lose_reason ~winner wsc lsc =
   in
   Fmt.str "lost to %a: %s" pp_stage winner why
 
-let portfolio ?(pool = Npra_par.Pool.sequential) ?(nreg = 128) ?(weights = [])
-    ?move_budget ?spill_bases ?(seed = 1) ?probe progs =
+let portfolio ?(pool = Npra_par.Pool.sequential) ?(nreg = 128) ?move_budget
+    ?spill_bases ?(seed = 1) ?probe progs =
   let wprogs = List.map Webs.rename progs in
-  let spill_bases_v =
-    match spill_bases with Some bs -> bs | None -> default_spill_bases progs
+  let spill_bases =
+    Option.value spill_bases ~default:(default_spill_bases progs)
   in
   let budget =
-    match move_budget with Some b -> b | None -> default_move_budget wprogs
+    Option.value move_budget ~default:(default_move_budget wprogs)
   in
   let nthd = List.length progs in
-  let s1 = xorshift (seed + 1) in
+  let s1 = Rng.step (seed + 1) in
   let s2 =
-    let s = xorshift s1 in
-    if s = s1 then xorshift (s1 + 1) else s
+    let s = Rng.step s1 in
+    if s = s1 then Rng.step (s1 + 1) else s
   in
   (* Deterministic slate, most-constrained first; [sort_uniq] collapses
      coinciding budgets so every stage (hence every cache key) is
      distinct — two entrants racing the same key at different job
-     counts would otherwise make the trail depend on scheduling. *)
-  let budgets =
-    List.sort_uniq
-      (fun a b -> compare b a)
-      [ budget; max 1 (budget / 2); max 1 (budget / 4) ]
+     counts would otherwise make the trail depend on scheduling. The
+     budgeted entrants lead the slate and form one pool task. *)
+  let budgeted =
+    List.map
+      (fun b -> Balanced_budget b)
+      (List.sort_uniq
+         (fun a b -> compare b a)
+         [ budget; max 1 (budget / 2); max 1 (budget / 4) ])
+    @ [ Balanced_relaxed ]
   in
-  let slate_stages =
-    List.map (fun b -> Balanced_budget b) budgets
-    @ [ Balanced_relaxed; Balanced_zero_cost ]
-    @ (if nthd >= 2 then
-         [ Balanced_shuffled s1; Balanced_shuffled s2; Sra_exhaustive ]
-       else [])
+  let others =
+    (Balanced_zero_cost
+    :: (if nthd >= 2 then
+          [ Balanced_shuffled s1; Balanced_shuffled s2; Sra_exhaustive ]
+        else []))
     @ [ Chaitin_fallback ]
+  in
+  (* Every entrant keeps its own cache entry, so hit counts and
+     [Cache_hit] notes are per entrant even where the work is shared. *)
+  let entrant stage compute =
+    let key =
+      cache_key ~tag:(Fmt.str "%a" pp_stage stage) ~nreg ~move_budget
+        ~spill_bases:(Some spill_bases) progs
+    in
+    (stage, cached ~key compute)
   in
   let results =
     Npra_par.Pool.map_list pool
-      (fun stage ->
-        let key =
-          cache_key ~tag:(strategy_tag stage) ~weights ~nreg ~move_budget
-            ~spill_bases:(Some spill_bases_v) progs
-        in
-        ( stage,
-          cached ~key (fun () ->
-              run_entrant ~weights ~nreg ~spill_bases:spill_bases_v ~wprogs
-                stage) ))
-      slate_stages
+      (function
+        | `Shared stages ->
+          (* one balancer run for every budgeted entrant, forced only
+             inside this task: OCaml 5 raises if two domains force the
+             same lazy value *)
+          let run = lazy (run_balanced ~nreg ~budget ~wprogs stages) in
+          List.map
+            (fun stage ->
+              entrant stage (fun () -> List.assoc stage (Lazy.force run)))
+            stages
+        | `Solo stage ->
+          [
+            entrant stage (fun () ->
+                run_entrant ~nreg ~budget ~spill_bases ~wprogs stage);
+          ])
+      (`Shared budgeted :: List.map (fun s -> `Solo s) others)
+    |> List.concat
   in
   let classified =
     List.map
@@ -824,11 +799,8 @@ let portfolio ?(pool = Npra_par.Pool.sequential) ?(nreg = 128) ?(weights = [])
     let winner = { win_b with trail = losing_notes @ win_b.trail } in
     Ok { winner; winner_score = win_sc; slate; probed }
 
-let portfolio_exn ?pool ?nreg ?weights ?move_budget ?spill_bases ?seed ?probe
-    progs =
-  match
-    portfolio ?pool ?nreg ?weights ?move_budget ?spill_bases ?seed ?probe progs
-  with
+let portfolio_exn ?pool ?nreg ?move_budget ?spill_bases ?seed ?probe progs =
+  match portfolio ?pool ?nreg ?move_budget ?spill_bases ?seed ?probe progs with
   | Ok p -> p
   | Error trail ->
     Fmt.failwith "Pipeline.portfolio: every entrant failed:@ %a"
@@ -937,29 +909,13 @@ let simulate ?config ~mem_image progs = Machine.run ?config ~mem_image progs
    built from the same programs and the same spill areas, so a traffic
    run compares allocation policy and nothing else. The two runs are
    independent, so a multi-worker [pool] computes them concurrently;
-   results are task-indexed, so the pair is the same at any job count.
-   [strategy] picks how the balanced contender is produced: the
-   sequential fallback chain (default), or the portfolio race with the
-   given seed — the winner's [balanced] record drops in unchanged. *)
-let contenders ?(pool = Npra_par.Pool.sequential) ?(nreg = 128) ?weights
-    ?move_budget ?(strategy = `Chain) ~spill_bases progs =
-  let balanced_contender () =
-    match strategy with
-    | `Chain -> balanced ~nreg ?weights ?move_budget ~spill_bases progs
-    | `Portfolio seed -> (
-      (* the pool's two slots are already taken by base/bal; run the
-         inner slate sequentially rather than oversubscribe *)
-      match
-        portfolio ~pool:Npra_par.Pool.sequential ~nreg ?weights ?move_budget
-          ~spill_bases ~seed progs
-      with
-      | Ok p -> Ok p.winner
-      | Error trail -> Error trail)
-  in
+   results are task-indexed, so the pair is the same at any job count. *)
+let contenders ?(pool = Npra_par.Pool.sequential) ?(nreg = 128) ~spill_bases
+    progs =
   let results =
     Npra_par.Pool.tasks pool 2 (fun i ->
         if i = 0 then `Base (baseline ~nreg ~spill_bases progs)
-        else `Bal (balanced_contender ()))
+        else `Bal (balanced ~nreg ~spill_bases progs))
   in
   match (results.(0), results.(1)) with
   | `Base base, `Bal bal -> (base, bal)

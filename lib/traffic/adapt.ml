@@ -27,12 +27,7 @@ open Npra_ir
 
 type config = {
   nreg : int;  (* register file the allocations must fit *)
-  move_budget : int option;
   spill_bases : int list option;  (* per-thread spill areas, slot order *)
-  strategy : [ `Chain | `Portfolio of int ];
-      (* how re-allocations are produced: the fallback chain or the
-         portfolio race (seeded); both go through the pipeline cache *)
-  weight : int;  (* move-cost weight given to the critical thread *)
   window : int;  (* slices per scoring window *)
   min_dwell : int;  (* slices before the first swap; doubles per swap *)
   margin_pct : int;  (* challenger must beat incumbent by this % *)
@@ -45,10 +40,7 @@ type config = {
 let default_config =
   {
     nreg = 128;
-    move_budget = None;
     spill_bases = None;
-    strategy = `Chain;
-    weight = 8;
     window = 4;
     min_dwell = 8;
     margin_pct = 25;
@@ -156,28 +148,20 @@ let queues_of (o : Dispatch.observation) nthd =
 let score ~d_dropped ~d_served ~d_wait ~queue =
   (100_000 * d_dropped) + (1_000 * queue) + (d_wait / max 1 d_served)
 
+(* Move-cost weight given to the critical thread; the others get 1. *)
+let critical_weight = 8
+
 let weights_for t critical =
-  List.init t.nthd (fun i -> if i = critical then t.cfg.weight else 1)
+  List.init t.nthd (fun i -> if i = critical then critical_weight else 1)
 
 (* Ask the pipeline for an allocation biased toward [critical].
    Returns the programs plus provenance info for the trail. *)
 let request_allocation t critical =
   let weights = weights_for t critical in
-  let result =
-    match t.cfg.strategy with
-    | `Chain ->
-      Npra_core.Pipeline.balanced ~nreg:t.cfg.nreg ~weights
-        ?move_budget:t.cfg.move_budget ?spill_bases:t.cfg.spill_bases t.source
-    | `Portfolio seed -> (
-      match
-        Npra_core.Pipeline.portfolio ~nreg:t.cfg.nreg ~weights
-          ?move_budget:t.cfg.move_budget ?spill_bases:t.cfg.spill_bases ~seed
-          t.source
-      with
-      | Ok p -> Ok p.Npra_core.Pipeline.winner
-      | Error tr -> Error tr)
-  in
-  match result with
+  match
+    Npra_core.Pipeline.balanced ~nreg:t.cfg.nreg ~weights
+      ?spill_bases:t.cfg.spill_bases t.source
+  with
   | Error _ -> None
   | Ok b ->
     let cache_hit =

@@ -2,8 +2,9 @@
     per-thread traffic metrics at slice barriers, decides which thread
     is critical over a sliding window, and re-balances registers toward
     it by requesting a freshly weighted allocation from
-    {!Npra_core.Pipeline} (served through the content-addressed cache
-    on repeated regimes). Hot-swaps happen only at packet boundaries —
+    {!Npra_core.Pipeline.balanced} (the critical thread's move cost
+    weighted 8, every other thread's 1; served through the
+    content-addressed cache on repeated regimes). Hot-swaps happen only at packet boundaries —
     the dispatcher drains in-flight packets and {!Npra_sim.Machine}
     proves every register dead across the swap before it commits.
 
@@ -14,15 +15,9 @@
 
 type config = {
   nreg : int;  (** register file size passed to the pipeline *)
-  move_budget : int option;
   spill_bases : int list option;
       (** per-thread spill areas (slot order); [None] uses the
           pipeline's slot-derived defaults *)
-  strategy : [ `Chain | `Portfolio of int ];
-      (** [`Chain] uses {!Npra_core.Pipeline.balanced};
-          [`Portfolio seed] races the whole strategy slate *)
-  weight : int;
-      (** move-cost weight for the critical thread (others get 1) *)
   window : int;  (** slices per scoring window *)
   min_dwell : int;
       (** slices that must pass before the first swap; the requirement

@@ -159,7 +159,6 @@ let churn_run seed =
   let bal = Pipeline.balanced_exn ~nreg:24 ~spill_bases progs in
   let config =
     {
-      Adapt.default_config with
       Adapt.nreg = 24;
       spill_bases = Some spill_bases;
       (* the most trigger-happy controller we allow: every slice is a

@@ -72,6 +72,12 @@ let baseline_tests =
       ])
     mixes
 
+(* The chain's trail as the CLI prints it, one diagnostic a line. The
+   tests that pin it start from a cold cache, so no [Cache_hit] note
+   joins the trail. *)
+let render_trail bal =
+  Fmt.str "%a" Fmt.(list ~sep:(any "\n") Pipeline.pp_diagnostic) bal.Pipeline.trail
+
 let degradation_tests =
   [
     test "infeasible mix falls back to fixed-partition chaitin" (fun () ->
@@ -80,6 +86,7 @@ let degradation_tests =
         let ws = mix [ "wraps_rx"; "wraps_rx"; "wraps_rx"; "wraps_rx" ] in
         let progs = List.map (fun w -> w.Workload.prog) ws in
         let spill_bases = List.map Workload.spill_base ws in
+        Pipeline.cache_clear ();
         match Pipeline.balanced ~nreg:128 ~spill_bases progs with
         | Error trail ->
           Alcotest.failf "no fallback served the mix: %a"
@@ -93,6 +100,12 @@ let degradation_tests =
                  | Pipeline.Rejected { stage; _ } -> stage = Pipeline.Balanced
                  | Pipeline.Cache_hit _ -> false)
                bal.Pipeline.trail);
+          check Alcotest.string "the full trail"
+            "balanced rejected: register demand 132 exceeds 128 and no \
+             thread can be reduced further\n\
+             balanced (relaxed move budget) rejected: register demand 132 \
+             exceeds 128 and no thread can be reduced further"
+            (render_trail bal);
           check Alcotest.bool "no inter result on the fallback path" true
             (bal.Pipeline.inter = None);
           check Alcotest.int "fallback still verifies" 0
@@ -115,6 +128,7 @@ let degradation_tests =
            kept but flagged as over budget *)
         let ws = mix [ "drr" ] in
         let progs = List.map (fun w -> w.Workload.prog) ws in
+        Pipeline.cache_clear ();
         match Pipeline.balanced ~nreg:24 ~move_budget:0 progs with
         | Error trail ->
           Alcotest.failf "unexpected error: %a"
@@ -125,6 +139,9 @@ let degradation_tests =
             (bal.Pipeline.provenance = Pipeline.Balanced_relaxed);
           check Alcotest.int "one rejection in the trail" 1
             (List.length (Pipeline.rejections bal.Pipeline.trail));
+          check Alcotest.string "the full trail"
+            "balanced rejected: 3 moves exceed the budget of 0"
+            (render_trail bal);
           check Alcotest.int "still verifies" 0
             (List.length bal.Pipeline.verify_errors);
           (* the same system under the default budget is plain Balanced *)

@@ -60,12 +60,12 @@ let test_chaos_schedule () =
     ]
     got
 
-(* -- pure form: Pipeline.xorshift / permutation -------------------- *)
+(* -- pure form: Rng.step / permutation ----------------------------- *)
 
 let test_pure_step () =
   List.iter
     (fun (s, want) ->
-      Alcotest.(check int) (Fmt.str "xorshift %d" s) want (Pipeline.xorshift s))
+      Alcotest.(check int) (Fmt.str "xorshift %d" s) want (Rng.step s))
     [
       (0, 747046425); (1, 270369); (42, 11355432); (123456789, 790011721);
       (0x3FFFFFFF, 1006632991); (max_int, 1006632991);
@@ -73,10 +73,10 @@ let test_pure_step () =
 
 let test_permutation () =
   Alcotest.check il "perm seed 1 n 8"
-    (Array.to_list (Pipeline.permutation ~seed:1 8))
+    (Array.to_list (Rng.permutation ~seed:1 8))
     [ 5; 7; 2; 6; 0; 3; 4; 1 ];
   Alcotest.check il "perm seed 2 n 5"
-    (Array.to_list (Pipeline.permutation ~seed:2 5))
+    (Array.to_list (Rng.permutation ~seed:2 5))
     [ 0; 1; 4; 2; 3 ]
 
 (* -- the workload copy stays byte-compatible too ------------------- *)
