@@ -463,6 +463,7 @@ let create ?(config = default_config) ?(engine = `Soa) ?(mem_image = [])
   t
 
 let memory t = t.mem
+let bursts t = t.soa <> None
 
 let record t thread event =
   if t.record_timeline then

@@ -125,6 +125,13 @@ val create :
 
 val memory : t -> Memory.t
 
+val bursts : t -> bool
+(** Whether the machine runs each dispatched thread in a batched burst
+    (see {!engine}): [`Soa], sentinel and timeline off, and every thread
+    register-clean. Such a machine cannot trap, so a {!run_until} ends
+    only at its horizon or at a halt. Decided at {!create} and again at
+    every {!swap_programs}. *)
+
 type timeline_event =
   | Dispatched
   | Blocked_on_memory

@@ -35,12 +35,14 @@ type t = {
 let fresh_page () =
   { values = Array.make page_words 0; present = Bytes.make (page_words / 8) '\000' }
 
-(* [max_int] can never be a real page id: ids are [addr asr page_bits],
-   whose range tops out well below [max_int]. *)
+(* The empty cache's shared page, never accessed: [max_int] can never
+   be a real page id (ids are [addr asr page_bits]). *)
+let no_page = { values = [||]; present = Bytes.empty }
+
 let create () =
   {
     last_id = max_int;
-    last = fresh_page ();
+    last = no_page;
     pages = Hashtbl.create 16;
     reads = 0;
     writes = 0;

@@ -239,10 +239,12 @@ let admit p ~at ~flood ~shed =
 let flood_active p ~duration =
   p.flood_next < p.flood_until && p.flood_next < duration
 
-(* Arrivals up to the engine's current cycle (traffic stops at
-   [duration]), stream and chaos-flood interleaved in time order. *)
-let deliver e ~duration ~shed =
+(* Arrivals up to the engine's current cycle and before [before]
+   (traffic stops at [duration]), stream and chaos-flood interleaved in
+   time order. *)
+let deliver ?(before = max_int) e ~duration ~shed =
   let now = Machine.cycle e.machine in
+  let due a = a <= now && a < before in
   Array.iter
     (fun p ->
       let continue_ = ref true in
@@ -252,11 +254,11 @@ let deliver e ~duration ~shed =
           if a < duration then a else max_int
         in
         let fa = if flood_active p ~duration then p.flood_next else max_int in
-        if sa <= fa && sa <= now then begin
+        if sa <= fa && due sa then begin
           let at = Arrival.advance p.stream in
           admit p ~at ~flood:false ~shed
         end
-        else if fa < sa && fa <= now then begin
+        else if fa < sa && due fa then begin
           p.flood_next <- p.flood_next + p.flood_period;
           admit p ~at:fa ~flood:true ~shed
         end
@@ -306,18 +308,22 @@ let finish_service e i =
     p.sum_service <- p.sum_service + (now - start);
     p.latencies_rev <- (now - at) :: p.latencies_rev
 
-(* The engine must pause at the next arrival of any of its ports so the
-   packet is enqueued (and a parked thread restarted) at its true
-   arrival cycle, not at the end of the slice. [deliver] has already
+(* The engine pauses at each idle port's next arrival, so a parked
+   thread restarts at the packet's true arrival cycle. Admission depends
+   only on the port's queue length and shedding credit, which change
+   only at admissions, at service starts on idle ports and at barriers,
+   so a busy port's arrival before [late] waits, decided exactly as on
+   time, for the next pause ([late] at the latest). [deliver] has
    consumed arrivals <= cycle, so every peek here is strictly ahead. *)
-let horizon e ~upto ~duration =
+let horizon e ~upto ~duration ~late =
   Array.fold_left
     (fun h p ->
-      let h =
-        let a = Arrival.peek p.stream in
-        if a < duration then min h a else h
+      let a =
+        let s = Arrival.peek p.stream in
+        let s = if s < duration then s else max_int in
+        if flood_active p ~duration then min s p.flood_next else s
       in
-      if flood_active p ~duration then min h p.flood_next else h)
+      min h (if p.serving <> None && a < late then late else a))
     upto e.ports
 
 let guard_faults e f =
@@ -346,18 +352,31 @@ let pending e =
    completion. A machine steps past an arrival only while a thread
    holds a packet (an idle one stops exactly at the horizon), so the
    first [deliver] past [duration] offers any arrival before it that
-   the last run stepped over. *)
-let advance e ~upto ~duration ~refresh ~shed =
+   the last run stepped over.
+
+   A pause lands at most [ctx_switch_cost] past its horizon, so pausing
+   at every arrival admits each one before [late] within the slice (a
+   slice never straddles [duration]). A bursting machine skips busy
+   ports' arrivals before [late]; the loop condition admits them first,
+   so [pending] and the slice exit see the same queues. A stepping
+   machine pauses at every arrival ([late = min_int]): a trap can end
+   its run at any cycle, and the salvaged queues must hold exactly what
+   arrived by then. *)
+let advance e ~upto ~duration ~refresh ~shed ~ctx_switch_cost =
   guard_faults e (fun () ->
+      let late =
+        if Machine.bursts e.machine then upto - ctx_switch_cost else min_int
+      in
       while
         e.fault = None
         &&
-        let now = Machine.cycle e.machine in
-        now < upto && (now < duration || pending e)
+        (deliver e ~before:late ~duration ~shed;
+         let now = Machine.cycle e.machine in
+         now < upto && (now < duration || pending e))
       do
         deliver e ~duration ~shed;
         start_service e ~refresh;
-        let h = horizon e ~upto ~duration in
+        let h = horizon e ~upto ~duration ~late in
         match Machine.run_until ~stop_on_halt:true e.machine ~horizon:h with
         | `Halted i -> finish_service e i
         | `Horizon | `Idle -> ()
@@ -846,7 +865,9 @@ let run ?(pool = Npra_par.Pool.sequential) ?(engines = 1) ?(sentinel = `Off)
   in
   let advance_live ~upto e =
     match e.life with
-    | Live -> advance e ~upto ~duration ~refresh ~shed
+    | Live ->
+      advance e ~upto ~duration ~refresh ~shed
+        ~ctx_switch_cost:machine_config.Machine.ctx_switch_cost
     | Backoff _ | Dead -> ()
   in
   (match wd with

@@ -136,7 +136,11 @@ val run :
 
     Every machine runs on the default [`Soa] {!Machine.engine}: it
     bursts when [sentinel] is [`Off] and steps one instruction at a time
-    otherwise — the sentinel, not the engine, decides the speed.
+    otherwise — the sentinel, not the engine, decides the speed. A
+    bursting engine ({!Machine.bursts}) pauses for a busy port's arrival
+    only near a slice end and admits the packet, in time order, at its
+    next pause: admission is decided exactly as on time, so on a safe
+    allocation [`Off] and [`Trap] runs produce the same metrics.
 
     [refresh], when given, is called at each service start and returns
     [(address, value)] words poked into the engine's memory — the
