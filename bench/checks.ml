@@ -164,14 +164,16 @@ let throughput_gates r =
 let throughput = with_ok throughput_gates
 
 (* The simspeed floors. soa must match legacy on every kernel and the
-   pool makespan ratio must hold in every mode; the sweep-wide ratio
-   floor drops to a sanity bound in quick mode, whose quotas are too
-   short to defend the full-mode ratio, and the absolute rate floor
-   applies to full runs only. *)
+   shard matrix must be byte-identical at jobs 1 and jobs 2 in every
+   mode; the sweep-wide ratio floor drops to a sanity bound in quick
+   mode, whose quotas are too short to defend the full-mode ratio. The
+   absolute rate floor applies to full runs only, and so does the
+   jobs-2 speedup floor, on hosts with at least two domains: a quick
+   run times a single pair. *)
 let floor_soa_over_legacy = 6.3
 let floor_soa_over_legacy_quick = 1.0
 let floor_soa_cps = 2_000_000.
-let floor_pool_ratio_jobs4 = 1.2
+let floor_speedup_jobs2 = 1.0
 
 let simspeed_ratio_floor ~quick =
   if quick then floor_soa_over_legacy_quick else floor_soa_over_legacy
@@ -181,7 +183,8 @@ let simspeed_floors r =
   let ratio_floor = simspeed_ratio_floor ~quick in
   let sweep = num r "engines.sweep.soa_over_legacy"
   and soa = num r "engines.sweep.soa_cps"
-  and pool = num r "pool.makespan.jobs4.ratio" in
+  and domains = int r "pool.domains"
+  and speedup = num r "pool.speedup_jobs2" in
   each r "engines.kernels" (fun k ->
       require (num k "soa_cps" >= num k "legacy_cps")
         "%s: soa %.0f c/s below legacy %.0f c/s" (str k "name") (num k "soa_cps")
@@ -190,10 +193,11 @@ let simspeed_floors r =
       ratio_floor
   @ require (quick || soa >= floor_soa_cps) "soa sweep rate %.0f c/s below floor %.0f" soa
       floor_soa_cps
-  @ require (pool >= floor_pool_ratio_jobs4)
-      "fixed/steal makespan ratio %.2f at jobs 4 below floor %.2f" pool
-      floor_pool_ratio_jobs4
-  @ require (bool r "pool.identical_at_fixed_and_steal")
-      "shard matrix differs between fixed and stealing pools"
+  @ require
+      (quick || domains < 2 || speedup >= floor_speedup_jobs2)
+      "jobs-2 shard matrix speedup %.2fx on %d domains below floor %.2fx" speedup
+      domains floor_speedup_jobs2
+  @ require (bool r "pool.identical_at_jobs1_and_jobs2")
+      "shard matrix differs between jobs 1 and jobs 2"
 
 let simspeed = with_ok simspeed_floors

@@ -11,13 +11,10 @@
    machine model, not to repetitions.
 
    Pool matrix — a matrix of chip cells at different scales run through
-   {!Npra_chip.Shard} under both pool strategies (asserting the
-   byte-identical contract as it goes), then the per-shard busy-cycle
-   costs replayed through {!Npra_par.Pool.plan} at jobs 1/2/4. On the
-   single-core CI hosts this repo actually runs on, wall clock cannot
-   show a scheduling win, so the guarded figure is the virtual-time
-   makespan ratio (fixed over steal) — deterministic on any host — and
-   the wall clocks are reported as observations only.
+   {!Npra_chip.Shard} on a one-worker and a two-worker pool, in
+   alternating order over several pairs. Every run must match the
+   first byte for byte, and the guarded figure is the real speedup of
+   jobs 2 over jobs 1 (the ratio of the median wall clocks).
 
    The floors the report is held to (exit 1 below any) live in
    {!Checks.simspeed}. *)
@@ -28,7 +25,6 @@ open Npra_bench
 module Machine = Npra_sim.Machine
 module Pool = Npra_par.Pool
 module Shard = Npra_chip.Shard
-module Metrics = Npra_traffic.Metrics
 
 (* ------------------------------------------------------------------ *)
 (* Engine sweep.                                                       *)
@@ -112,8 +108,8 @@ type cell = { cl_engines : int; cl_shards : int; cl_duration : int }
 
 (* Cells at deliberately different scales: the spread hash deals each
    cell's engines unevenly across its shards, and mixing small and
-   large cells gives the task vector the cost spread that makes a
-   static block deal pay for its worst block. *)
+   large cells gives the task vector a cost spread that idle workers
+   even out by stealing. *)
 let cells ~quick =
   if quick then
     [
@@ -148,44 +144,18 @@ let shard_system () =
   in
   (bal.Pipeline.programs, mem_image, specs)
 
-let run_matrix ~pool ~seed ~cells =
-  let progs, mem_image, specs = shard_system () in
+let run_matrix ~pool ~seed ~cells (progs, mem_image, specs) =
   List.map
     (fun c ->
       Shard.run ~pool ~seed ~engines:c.cl_engines ~shards:c.cl_shards
         ~duration:c.cl_duration ~specs ~mem_image progs)
     cells
 
-(* The virtual cost of one shard task: the busy cycles its engines
-   executed — deterministic, and proportional to the work the pool
-   worker that claims the shard actually does. *)
-let shard_cost r =
-  List.fold_left
-    (fun a e -> a + e.Metrics.em_report.Machine.busy_cycles)
-    0 r.Shard.sr_metrics.Metrics.rm_engines
-
-let matrix_costs runs =
-  Array.of_list
-    (List.concat_map (fun chip -> List.map shard_cost chip.Shard.c_runs) runs)
-
-type makespans = {
-  mk_jobs : int;
-  mk_fixed : int;
-  mk_steal : int;
-  mk_steals : int;  (* steals the replay performed *)
-}
-
-let makespans ~costs jobs =
-  let fixed = Pool.plan ~strategy:`Fixed ~jobs ~costs in
-  let steal = Pool.plan ~strategy:`Steal ~jobs ~costs in
-  {
-    mk_jobs = jobs;
-    mk_fixed = fixed.Pool.p_makespan;
-    mk_steal = steal.Pool.p_makespan;
-    mk_steals = steal.Pool.p_steals;
-  }
-
-let ratio m = float_of_int m.mk_fixed /. float_of_int (max 1 m.mk_steal)
+(* the run takes an odd number of pairs, so this is the middle one *)
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
 
 (* ------------------------------------------------------------------ *)
 
@@ -198,8 +168,7 @@ let run (o : Cli.opts) =
   let quick = o.Cli.quick and jobs = o.Cli.jobs in
   let seed = Option.value o.Cli.seed ~default:42 in
   Fmt.pr
-    "@.== Simspeed: engines + work-stealing pool model (seed %d, %d \
-     jobs%s) ==@."
+    "@.== Simspeed: engines + pool at jobs 1 vs 2 (seed %d, %d jobs%s) ==@."
     seed jobs
     (if quick then ", quick" else "");
   (* engine sweep *)
@@ -219,36 +188,40 @@ let run (o : Cli.opts) =
   let soa_over_legacy = s_soa /. s_legacy in
   Fmt.pr "%-12s %10s %14.0f %14.0f %7.2fx@." "sweep" "-" s_legacy s_soa
     soa_over_legacy;
-  (* pool matrix: both strategies must agree byte for byte *)
+  (* pool matrix: jobs 1 and jobs 2 alternate which runs first, and
+     every run must equal the first byte for byte *)
   let cells = cells ~quick in
-  let fixed_runs, wall_fixed =
-    timed (fun () ->
-        run_matrix ~pool:(Pool.create ~jobs ~strategy:`Fixed ()) ~seed ~cells)
+  let system = shard_system () in
+  let domains = Domain.recommended_domain_count () in
+  let pairs = if quick then 1 else 5 in
+  let timed_matrix jobs =
+    let runs, s =
+      timed (fun () -> run_matrix ~pool:(Pool.create ~jobs ()) ~seed ~cells system)
+    in
+    (List.map Shard.to_json runs, s)
   in
-  let steal_runs, wall_steal =
-    timed (fun () ->
-        run_matrix ~pool:(Pool.create ~jobs ~strategy:`Steal ()) ~seed ~cells)
+  let runs =
+    List.init pairs (fun p ->
+        if p mod 2 = 0 then
+          let one = timed_matrix 1 in
+          (one, timed_matrix 2)
+        else
+          let two = timed_matrix 2 in
+          (timed_matrix 1, two))
   in
+  let reference = fst (fst (List.hd runs)) in
   let identical =
-    List.for_all2
-      (fun a b -> String.equal (Shard.to_json a) (Shard.to_json b))
-      fixed_runs steal_runs
+    List.for_all (fun ((a, _), (b, _)) -> a = reference && b = reference) runs
   in
-  let costs = matrix_costs steal_runs in
-  let plans = List.map (makespans ~costs) [ 1; 2; 4 ] in
-  Fmt.pr "@.pool model over %d shard tasks (costs %d..%d busy-cycles):@."
-    (Array.length costs)
-    (Array.fold_left min max_int costs)
-    (Array.fold_left max 0 costs);
-  List.iter
-    (fun m ->
-      Fmt.pr
-        "  jobs %d: fixed makespan %9d, steal makespan %9d  (%.2fx, %d \
-         steals)@."
-        m.mk_jobs m.mk_fixed m.mk_steal (ratio m) m.mk_steals)
-    plans;
-  Fmt.pr "  matrix wall clock at %d jobs: fixed %.3fs, steal %.3fs@." jobs
-    wall_fixed wall_steal;
+  let wall1 = median (List.map (fun ((_, s), _) -> s) runs) in
+  let wall2 = median (List.map (fun (_, (_, s)) -> s) runs) in
+  let speedup = wall1 /. wall2 in
+  Fmt.pr
+    "@.pool: shard matrix (%d chips) at jobs 1 vs 2, median of %d pairs on %d \
+     domains:@."
+    (List.length cells) pairs domains;
+  Fmt.pr "  jobs 1 %.3fs, jobs 2 %.3fs  (%.2fx), identical: %b@." wall1 wall2
+    speedup identical;
   let rate x = Json.Float (0, x) in
   let kernel k =
     Json.Obj
@@ -261,12 +234,6 @@ let run (o : Cli.opts) =
       [ ("engines", Int c.cl_engines); ("shards", Int c.cl_shards);
         ("duration", Int c.cl_duration) ]
   in
-  let plan m =
-    ( Fmt.str "jobs%d" m.mk_jobs,
-      Json.Obj
-        [ ("fixed", Int m.mk_fixed); ("steal", Int m.mk_steal);
-          ("ratio", Float (3, ratio m)); ("steals", Int m.mk_steals) ] )
-  in
   let members =
     [ ("benchmark", Json.String "simspeed"); ("quick", Bool quick); ("seed", Int seed);
       ( "engines",
@@ -278,17 +245,16 @@ let run (o : Cli.opts) =
                   ("soa_over_legacy", Float (3, soa_over_legacy)) ] ) ] );
       ( "pool",
         Obj
-          [ ("cells", List (List.map cell cells));
-            ("costs", List (Array.to_list (Array.map (fun c -> Json.Int c) costs)));
-            ("makespan", Obj (List.map plan plans));
-            ("identical_at_fixed_and_steal", Bool identical);
-            ("wall_clock_fixed_s", Float (3, wall_fixed));
-            ("wall_clock_steal_s", Float (3, wall_steal)) ] );
+          [ ("cells", List (List.map cell cells)); ("domains", Int domains);
+            ("identical_at_jobs1_and_jobs2", Bool identical);
+            ("wall_clock_jobs1_s", Float (3, wall1));
+            ("wall_clock_jobs2_s", Float (3, wall2));
+            ("speedup_jobs2", Float (3, speedup)) ] );
       ( "floors",
         Obj
           [ ("soa_over_legacy_min", Float (2, Checks.simspeed_ratio_floor ~quick));
             ("soa_cps_min", rate Checks.floor_soa_cps);
-            ("pool_ratio_jobs4_min", Float (2, Checks.floor_pool_ratio_jobs4));
+            ("speedup_jobs2_min", Float (2, Checks.floor_speedup_jobs2));
             ("enforced_engine_floors", Bool (not quick)) ] ) ]
   in
   let ok = Checks.apply Checks.simspeed_floors (Obj members) = [] in

@@ -32,7 +32,14 @@ let outcome_name = function
 (* ------------------------------------------------------------------ *)
 (* One input through the whole pipeline.                               *)
 
-let run_input ?(nreg = 64) ?(max_cycles = 30_000) lang src =
+(* The register file every input is allocated for, the simulator's
+   cycle budget per input, and the wall clock past which an input
+   counts as a hang. *)
+let nreg = 64
+let max_cycles = 30_000
+let hang_budget_s = 10.
+
+let run_input lang src =
   let front =
     match lang with
     | Asm -> Pipeline.run_asm ~nreg ~optimize:true src
@@ -58,8 +65,8 @@ let run_input ?(nreg = 64) ?(max_cycles = 30_000) lang src =
         Crashed (Fmt.str "sentinel trapped on a verified allocation: %a"
                    Machine.pp_corruption c)))
 
-let run_input ?nreg ?max_cycles lang src =
-  match run_input ?nreg ?max_cycles lang src with
+let run_input lang src =
+  match run_input lang src with
   | outcome -> outcome
   | exception e -> Crashed (Printexc.to_string e)
 
@@ -300,8 +307,7 @@ let excerpt s =
   let s = if String.length s > 120 then String.sub s 0 120 ^ "..." else s in
   String.map (fun c -> if Char.code c < 0x20 && c <> '\n' then '?' else c) s
 
-let run ?(pool = Npra_par.Pool.sequential) ?(seed = 1) ?(count = 12_000) ?nreg
-    ?max_cycles ?(hang_budget_s = 10.) () =
+let run ?(pool = Npra_par.Pool.sequential) ?(seed = 1) ?(count = 12_000) () =
   let rand = make_rand seed in
   let asm_seeds = Array.of_list (asm_corpus ()) in
   let npc_seeds = Array.of_list npc_corpus in
@@ -345,7 +351,7 @@ let run ?(pool = Npra_par.Pool.sequential) ?(seed = 1) ?(count = 12_000) ?nreg
     Npra_par.Pool.tasks pool (Array.length inputs) (fun i ->
         let lang, src = inputs.(i) in
         let t0 = Unix.gettimeofday () in
-        let outcome = run_input ?nreg ?max_cycles lang src in
+        let outcome = run_input lang src in
         let dt = Unix.gettimeofday () -. t0 in
         (outcome, dt))
   in

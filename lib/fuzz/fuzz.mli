@@ -25,8 +25,9 @@ type outcome =
 
 val outcome_name : outcome -> string
 
-val run_input : ?nreg:int -> ?max_cycles:int -> lang -> string -> outcome
-(** Drive one input through the full pipeline. Catches {e nothing}
+val run_input : lang -> string -> outcome
+(** Drive one input through the full pipeline at 64 registers, with a
+    simulator budget of 30 000 cycles. Catches {e nothing}
     structured and {e everything} unstructured: [Crashed] is returned
     only for exceptions that escape the totality contract. *)
 
@@ -49,16 +50,13 @@ val run :
   ?pool:Npra_par.Pool.t ->
   ?seed:int ->
   ?count:int ->
-  ?nreg:int ->
-  ?max_cycles:int ->
-  ?hang_budget_s:float ->
   unit ->
   stats
 (** [count] generated/mutated inputs (default 12_000), deterministic in
     [seed]. The seeded crasher corpus and the pristine kernel corpus
     are always prepended, so regressions are caught even at tiny
-    counts. An input is a hang if it takes longer than [hang_budget_s]
-    (default 10s) of wall clock.
+    counts. An input is a hang if it takes longer than 10 s of wall
+    clock.
 
     [pool] fans input evaluation out over its workers. Inputs are
     generated before evaluation begins and the stats are folded in

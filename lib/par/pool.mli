@@ -1,4 +1,4 @@
-(** A small fixed-size worker pool over OCaml 5 domains.
+(** A small fixed-size work-stealing pool over OCaml 5 domains.
 
     The pool exists to parallelise the repo's embarrassingly parallel
     hot loops — micro-engines under traffic, chip shards, fuzz inputs,
@@ -8,27 +8,24 @@
     so result [i] is always the value of task [i] no matter which worker
     ran it or in which order tasks finished. Any pure task function
     therefore yields byte-identical results at [jobs = 1] and
-    [jobs = N], under either scheduling strategy.
+    [jobs = N].
 
     Work distribution starts from a contiguous block deal (worker [k]
-    of [w] owns tasks [k*n/w, (k+1)*n/w)). Under [`Fixed] each worker
-    runs exactly its block — the static partition whose makespan is its
-    slowest block. Under [`Steal] (the default) each block is a
+    of [w] owns tasks [k*n/w, (k+1)*n/w)), and each block is a
     per-worker deque: the owner pops from the bottom, an idle worker
     steals the victim's {e top} task, so irregular task durations (whole
-    chips vary wildly per shard) no longer serialize on the unluckiest
-    fixed assignment. Stealing decides only {e who} runs a task — the
-    task index still owns its result slot — which is why the
-    byte-identical contract survives. *)
-
-type strategy = [ `Fixed | `Steal ]
+    chips vary wildly per shard) do not serialize on the unluckiest
+    block. Stealing decides only {e who} runs a task — the task index
+    still owns its result slot — which is why the byte-identical
+    contract survives. [bench simspeed] times a shard matrix at jobs 1
+    and jobs 2 and, on a host with two or more cores, requires the
+    second to be no slower. *)
 
 type t
 
-val create : ?jobs:int -> ?strategy:strategy -> unit -> t
-(** A pool of [jobs] workers (default 1) under [strategy] (default
-    [`Steal]). [jobs = 1] never spawns a domain: tasks run in the
-    calling domain, in index order.
+val create : ?jobs:int -> unit -> t
+(** A pool of [jobs] workers (default 1). [jobs = 1] never spawns a
+    domain: tasks run in the calling domain, in index order.
     @raise Invalid_argument if [jobs < 1]. *)
 
 val sequential : t
@@ -37,13 +34,12 @@ val sequential : t
     sequential behaviour. *)
 
 val jobs : t -> int
-val strategy : t -> strategy
 
 val steal_count : t -> int
 (** Cumulative number of stolen task executions across every {!tasks}
     call on this pool — an observability counter, not part of any
     result contract (it genuinely varies with OS scheduling). Always 0
-    for a [`Fixed] pool. *)
+    for a single-worker pool. *)
 
 val tasks : t -> int -> (int -> 'a) -> 'a array
 (** [tasks pool n f] evaluates [f 0 .. f (n-1)] on the pool's workers
@@ -56,25 +52,3 @@ val tasks : t -> int -> (int -> 'a) -> 'a array
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list pool f xs] is [List.map f xs] with the applications run
     as pool tasks; element order is preserved. *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** {2 Virtual-time scheduling model}
-
-    A deterministic replay of either strategy's policy over a vector of
-    task costs: all workers run at unit speed and the earliest-free
-    worker (ties to the lowest index) takes the next task exactly as
-    the real scheduler would — own bottom first, then a victim scan
-    from the right-hand neighbour stealing the top. Because it is a
-    pure function of [(strategy, jobs, costs)], benchmarks and tests
-    can assert scheduling properties (makespans, the steal-never-loses
-    bound) that wall clock on a single-core host cannot show. *)
-
-type plan = {
-  p_makespan : int;  (** virtual completion time of the last task *)
-  p_steals : int;  (** steals the policy performed in the replay *)
-  p_worker_busy : int array;  (** per-worker sum of executed costs *)
-}
-
-val plan : strategy:strategy -> jobs:int -> costs:int array -> plan
-(** @raise Invalid_argument if [jobs < 1] or any cost is negative. *)

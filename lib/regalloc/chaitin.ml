@@ -215,7 +215,10 @@ exception
     pending : Reg.Set.t;
   }
 
-let allocate ?(max_iterations = 32) ~k ~spill_base prog =
+(* Spill rounds before [allocate] gives up with [Did_not_converge]. *)
+let max_iterations = 32
+
+let allocate ~k ~spill_base prog =
   let slots = Hashtbl.create 8 in
   let next_slot = ref 0 in
   let slot_of r =

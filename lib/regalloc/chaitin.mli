@@ -30,13 +30,12 @@ exception
     its own tail forever. Carries the last colouring attempt so callers
     can report how close the allocator got. *)
 
-val allocate :
-  ?max_iterations:int -> k:int -> spill_base:int -> Prog.t -> result
+val allocate : k:int -> spill_base:int -> Prog.t -> result
 (** Classic simplify / optimistic-push / select loop, inserting spill
     code and retrying until colourable with [k] colours. [spill_base] is
     the first memory word of this thread's spill area.
-    @raise Did_not_converge after [max_iterations] (default 32) spill
-    rounds that still leave uncolourable registers. *)
+    @raise Did_not_converge after 32 spill rounds that still leave
+    uncolourable registers. *)
 
 val color_count : Prog.t -> int
 (** Colours the program with an unbounded palette (no spilling) and

@@ -105,8 +105,8 @@ let flips =
     ("BENCH_dataflow.json", Checks.dataflow,
      "speedup_dense_over_reference.md5", Float (2, 0.9),
      "dense dataflow is 0.90x on md5");
-    (* simspeed: per-kernel soa >= legacy, sweep, rate and makespan
-       floors, fixed/steal identity, ok *)
+    (* simspeed: per-kernel soa >= legacy, sweep and rate floors, ok;
+       the pool gates are tested below *)
     ("BENCH_simspeed.json", Checks.simspeed,
      "engines.kernels.0.soa_cps", Float (0, 1000.),
      "md5: soa 1000 c/s below legacy");
@@ -116,12 +116,6 @@ let flips =
     ("BENCH_simspeed.json", Checks.simspeed,
      "engines.sweep.soa_cps", Float (0, 1000.),
      "soa sweep rate 1000 c/s below floor");
-    ("BENCH_simspeed.json", Checks.simspeed,
-     "pool.makespan.jobs4.ratio", Float (3, 1.1),
-     "makespan ratio 1.10 at jobs 4 below floor 1.20");
-    ("BENCH_simspeed.json", Checks.simspeed,
-     "pool.identical_at_fixed_and_steal", Bool false,
-     "differs between fixed and stealing pools");
     ("BENCH_simspeed.json", Checks.simspeed, "ok", Bool false,
      "ok is false");
     (* the reports whose gates lived only in the binaries *)
@@ -147,14 +141,17 @@ let flips =
      "malformed report: matrix: not an array");
   ]
 
+let fails_naming check expect r =
+  let failures = Checks.apply check r in
+  if not (List.exists (fun m -> contains m expect) failures) then
+    Alcotest.failf "expected a failure naming %S, got [%s]" expect
+      (String.concat "; " failures)
+
 let flip_tests =
   List.map
     (fun (file, check, path, v, expect) ->
       test (Fmt.str "%s: %s" file expect) (fun () ->
-          let failures = Checks.apply check (set path v (committed file)) in
-          if not (List.exists (fun m -> contains m expect) failures) then
-            Alcotest.failf "expected a failure naming %S, got [%s]" expect
-              (String.concat "; " failures)))
+          fails_naming check expect (set path v (committed file))))
     flips
 
 let dataflow_quick_is_exempt =
@@ -169,5 +166,43 @@ let dataflow_quick_is_exempt =
       in
       Alcotest.(check (list string)) "no failures" [] (Checks.apply Checks.dataflow r))
 
+(* The simspeed pool gates: jobs-1/jobs-2 identity in every mode, the
+   jobs-2 speedup floor in full reports from hosts with two or more
+   domains only. *)
+let simspeed_pool_gates =
+  let payload ~quick ~domains ~speedup ~identical =
+    committed "BENCH_simspeed.json"
+    |> set "quick" (Json.Bool quick)
+    |> set "pool.domains" (Json.Int domains)
+    |> set "pool.speedup_jobs2" (Json.Float (3, speedup))
+    |> set "pool.identical_at_jobs1_and_jobs2" (Json.Bool identical)
+  in
+  [
+    test "simspeed: a jobs-1/jobs-2 mismatch fails in every mode" (fun () ->
+        List.iter
+          (fun quick ->
+            fails_naming Checks.simspeed
+              "shard matrix differs between jobs 1 and jobs 2"
+              (payload ~quick ~domains:2 ~speedup:1.5 ~identical:false))
+          [ false; true ]);
+    test "simspeed: a 0.9x jobs-2 speedup fails a full report on 2 domains"
+      (fun () ->
+        fails_naming Checks.simspeed "speedup 0.90x on 2 domains below floor 1.00x"
+          (payload ~quick:false ~domains:2 ~speedup:0.9 ~identical:true));
+    test "simspeed: a 0.9x speedup passes a quick report or a 1-domain host"
+      (fun () ->
+        List.iter
+          (fun (quick, domains) ->
+            Alcotest.(check (list string))
+              (Fmt.str "quick %b, %d domains" quick domains)
+              []
+              (Checks.apply Checks.simspeed
+                 (payload ~quick ~domains ~speedup:0.9 ~identical:true)))
+          [ (true, 2); (false, 1) ]);
+  ]
+
 let suite =
-  [ ("bench.checks", committed_pass @ flip_tests @ [ dataflow_quick_is_exempt ]) ]
+  [
+    ( "bench.checks",
+      committed_pass @ flip_tests @ [ dataflow_quick_is_exempt ] @ simspeed_pool_gates );
+  ]

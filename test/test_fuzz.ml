@@ -32,10 +32,7 @@ let suite =
                 (Npra_fuzz.Fuzz.outcome_name o));
         test "run_input converts infinite loops into budget stops" (fun () ->
             let src = "spin:\n  br spin\n  halt\n" in
-            match
-              Npra_fuzz.Fuzz.run_input ~max_cycles:2_000 Npra_fuzz.Fuzz.Asm
-                src
-            with
+            match Npra_fuzz.Fuzz.run_input Npra_fuzz.Fuzz.Asm src with
             | Npra_fuzz.Fuzz.Budget_stopped _ -> ()
             | o ->
               Alcotest.failf "expected Budget_stopped, got %s"
