@@ -15,7 +15,7 @@ open Npra_core
 type opts = {
   quick : bool;  (* tiny quotas and short runs, for CI *)
   seed : int option;  (* replayable seed for the randomised harnesses *)
-  jobs : int;  (* worker domains for the pooled harnesses *)
+  jobs : int;  (* worker domains for faults, fuzz, throughput, portfolio, chip *)
   json_override : string option;  (* --json PATH *)
   check : string option;  (* --check FILE *)
 }
@@ -43,7 +43,9 @@ let usage ppf specs =
     specs;
   Fmt.pf ppf
     "flags: [--quick] [--seed N] [--jobs N] [--json PATH | --check FILE \
-     (single report subcommand only)]@."
+     (single report subcommand only)]@.\
+     --jobs N runs faults, fuzz, throughput, portfolio and chip's shards on \
+     N domains; the other subcommands ignore it@."
 
 let die specs fmt =
   Fmt.kstr

@@ -15,9 +15,11 @@
      --quick       tiny Bechamel quota and short traffic runs, for CI
      --seed N      replayable seed for the randomised harnesses; each
                    keeps its historical default when absent
-     --jobs N      worker domains for the pooled harnesses (default 1).
-                   Results are deterministic: only the wall_clock block
-                   of the JSON reports depends on N
+     --jobs N      worker domains (default 1) for faults, fuzz,
+                   throughput, portfolio and chip's shards; the other
+                   subcommands run in one domain. Results are
+                   deterministic: only the wall_clock block of the JSON
+                   reports depends on N
 
    Absolute cycle numbers come from our machine model, not the IXP1200
    Developer Workbench, so EXPERIMENTS.md compares shapes and ratios
@@ -269,8 +271,9 @@ let run_timing () =
 
 (* The shared flags arrive pre-parsed in a {!Cli.opts}: --quick, --seed
    (each randomised harness keeps its historical default when absent)
-   and --jobs (the pool contract keeps every report identical at any job
-   count; only the wall_clock member changes). *)
+   and --jobs (each pool task is one whole run, and the pool contract
+   keeps every report identical at any job count; only the wall_clock
+   member changes). *)
 let pool (o : Cli.opts) = Npra_par.Pool.create ~jobs:o.Cli.jobs ()
 
 type df_case = { df_name : string; median_ns : float; samples : int }
@@ -522,9 +525,9 @@ let run_throughput_mix ~pool ~quick ~seed ~engines mix =
          ~seed:(seed + (engine * 65537) + (thread * 257) + (seq * 13) + 1)
          8)
   in
-  let run progs specs =
-    Dispatch.run ~pool ~engines ~sentinel:`Trap ~refresh ~seed ~duration
-      ~specs ~mem_image progs
+  let run (progs, specs) =
+    Dispatch.run ~engines ~sentinel:`Trap ~refresh ~seed ~duration ~specs
+      ~mem_image progs
   in
   (* Saturation: uniform arrivals at twice each thread's solo service
      rate, so queues never run dry and served packets measure service
@@ -537,14 +540,23 @@ let run_throughput_mix ~pool ~quick ~seed ~engines mix =
       solo ws
   in
   let offered_specs = List.map snd ws in
+  (* the four runs are independent whole runs: one pool task each *)
+  let runs =
+    Array.of_list
+      (Npra_par.Pool.map_list pool run
+         [ (base.Pipeline.base_programs, pressure_specs);
+           (bal.Pipeline.programs, pressure_specs);
+           (base.Pipeline.base_programs, offered_specs);
+           (bal.Pipeline.programs, offered_specs) ])
+  in
   {
     r_mix = mix;
     r_provenance = bal.Pipeline.provenance;
     r_duration = duration;
-    r_pressure_fixed = run base.Pipeline.base_programs pressure_specs;
-    r_pressure_bal = run bal.Pipeline.programs pressure_specs;
-    r_offered_fixed = run base.Pipeline.base_programs offered_specs;
-    r_offered_bal = run bal.Pipeline.programs offered_specs;
+    r_pressure_fixed = runs.(0);
+    r_pressure_bal = runs.(1);
+    r_offered_fixed = runs.(2);
+    r_offered_bal = runs.(3);
   }
 
 let throughput_mix_json r =
@@ -635,7 +647,7 @@ let run_portfolio (o : Cli.opts) =
 
 (* ------------------------------------------------------------------ *)
 (* The seeded matrices of the fabric drivers, each run under --seed    *)
-(* (default 42), --quick and --jobs:                                    *)
+(* (default 42) and --quick; only chip's shards take --jobs:           *)
 (*   chaos — kernel mixes x injected fault schedules through the        *)
 (*     dispatcher's watchdog; every cell completes, conserves           *)
 (*     packets and delivers above its degradation floor;                *)
@@ -649,26 +661,26 @@ let run_portfolio (o : Cli.opts) =
 
 let run_matrix title run pp to_json (o : Cli.opts) =
   let seed = Option.value o.Cli.seed ~default:42 in
-  Fmt.pr "@.== %s (seed %d, %d jobs%s) ==@." title seed o.Cli.jobs
+  Fmt.pr "@.== %s (seed %d%s) ==@." title seed
     (if o.Cli.quick then ", quick" else "");
-  let m = run ~pool:(pool o) ~seed ~quick:o.Cli.quick () in
+  let m = run o ~seed ~quick:o.Cli.quick in
   Fmt.pr "%a" pp m;
   to_json m
 
 let run_chaos =
   Npra_fault.Chaosdriver.(
     run_matrix "Chaos: engine failure injection, watchdog quarantine, re-dispatch"
-      (fun ~pool ~seed ~quick () -> run ~pool ~seed ~quick ()) pp to_json)
+      (fun _ ~seed ~quick -> run ~seed ~quick ()) pp to_json)
 
 let run_adapt =
   Npra_fault.Adaptdriver.(
     run_matrix "Adapt: metrics-driven re-balancing vs a frozen allocation"
-      (fun ~pool ~seed ~quick () -> run ~pool ~seed ~quick ()) pp to_json)
+      (fun _ ~seed ~quick -> run ~seed ~quick ()) pp to_json)
 
 let run_chip =
   Npra_chip.Driver.(
     run_matrix "Chip: sharded dispatch, tiered memory, inter-engine chains"
-      (fun ~pool ~seed ~quick () -> run ~pool ~seed ~quick ()) pp to_json)
+      (fun o ~seed ~quick -> run ~pool:(pool o) ~seed ~quick ()) pp to_json)
 
 (* ------------------------------------------------------------------ *)
 

@@ -37,6 +37,17 @@ let nreg_arg =
     value & opt int 128
     & info [ "nreg" ] ~docv:"N" ~doc:"Registers in the shared file.")
 
+(* A count option that must be at least 1. A smaller value is a usage
+   error: cmdliner prints the message and the usage line, and the
+   command exits 2. *)
+let positive_opt name ~default ~doc =
+  let check n =
+    if n >= 1 then `Ok n
+    else `Error (true, Fmt.str "--%s must be at least 1, got %d" name n)
+  in
+  let arg = Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc) in
+  Term.(ret (const check $ arg))
+
 let lookup id =
   match Registry.find id with
   | Some s -> s
@@ -253,8 +264,7 @@ let simulate_cmd =
 (* ---- throughput ---- *)
 
 let throughput_cmd =
-  let run nreg engines duration seed jobs use_baseline json ids =
-    let pool = Npra_par.Pool.create ~jobs () in
+  let run nreg engines duration seed use_baseline json ids =
     let ws = instantiate_with_traffic ids in
     let progs = List.map (fun (w, _) -> w.Workload.prog) ws in
     let specs = List.map snd ws in
@@ -284,7 +294,7 @@ let throughput_cmd =
           Fmt.pr "  %-12s %a@." w.Workload.name Workload.pp_traffic_spec s)
         ws specs;
     let m =
-      Npra_traffic.Dispatch.run ~pool ~engines ~sentinel:`Trap ~seed
+      Npra_traffic.Dispatch.run ~engines ~sentinel:`Trap ~seed
         ~duration ~specs ~mem_image progs
     in
     if json then print_string (Npra_traffic.Metrics.to_json m)
@@ -296,9 +306,7 @@ let throughput_cmd =
       exit 1
   in
   let engines_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "engines" ] ~docv:"N" ~doc:"Micro-engines running the mix.")
+    positive_opt "engines" ~default:2 ~doc:"Micro-engines running the mix."
   in
   let duration_arg =
     Arg.(
@@ -311,14 +319,6 @@ let throughput_cmd =
       value & opt int 1
       & info [ "seed" ] ~docv:"N"
           ~doc:"Seed for the arrival streams and packet payloads.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains running the engines in parallel. The metrics \
-             are identical at any job count; only wall clock changes.")
   in
   let baseline_flag =
     Arg.(
@@ -340,15 +340,14 @@ let throughput_cmd =
          "Allocate kernels (up to 4) and measure packet throughput under \
           their default traffic models")
     Term.(
-      const run $ nreg_arg $ engines_arg $ duration_arg $ seed_arg $ jobs_arg
+      const run $ nreg_arg $ engines_arg $ duration_arg $ seed_arg
       $ baseline_flag $ json_flag $ kernels_arg)
 
 (* ---- chaos ---- *)
 
 let chaos_cmd =
-  let run nreg engines duration seed jobs crashes hangs transient_hangs storms
-      floods shed json ids =
-    let pool = Npra_par.Pool.create ~jobs () in
+  let run nreg engines duration seed crashes hangs transient_hangs storms floods
+      shed json ids =
     let ws = instantiate_with_traffic ids in
     let progs = List.map (fun (w, _) -> w.Workload.prog) ws in
     let specs = List.map snd ws in
@@ -373,7 +372,7 @@ let chaos_cmd =
         Fmt.(list ~sep:comma Chaos.pp_event)
         chaos.Chaos.events;
     let m =
-      Dispatch.run ~pool ~engines ~sentinel:`Trap ~chaos
+      Dispatch.run ~engines ~sentinel:`Trap ~chaos
         ~watchdog:Dispatch.default_watchdog
         ?shed:(if shed then Some { Dispatch.quantum = 4; burst = 12 } else None)
         ~seed ~duration ~specs ~mem_image progs
@@ -396,9 +395,7 @@ let chaos_cmd =
     end
   in
   let engines_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "engines" ] ~docv:"N" ~doc:"Micro-engines running the mix.")
+    positive_opt "engines" ~default:3 ~doc:"Micro-engines running the mix."
   in
   let duration_arg =
     Arg.(
@@ -411,14 +408,6 @@ let chaos_cmd =
       value & opt int 1
       & info [ "seed" ] ~docv:"N"
           ~doc:"Seed for arrival streams and the fault schedule.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains advancing engines within each slice. The metrics \
-             are identical at any job count; only wall clock changes.")
   in
   let count name doc = Arg.(value & opt int 0 & info [ name ] ~docv:"N" ~doc) in
   let crashes_arg = count "crashes" "Permanent engine crashes to inject." in
@@ -447,7 +436,7 @@ let chaos_cmd =
           watchdog quarantine, re-dispatch and overload shedding, with a \
           printed recovery trail")
     Term.(
-      const run $ nreg_arg $ engines_arg $ duration_arg $ seed_arg $ jobs_arg
+      const run $ nreg_arg $ engines_arg $ duration_arg $ seed_arg
       $ crashes_arg $ hangs_arg $ transient_arg $ storms_arg $ floods_arg
       $ shed_flag $ json_flag $ kernels_arg)
 
@@ -458,15 +447,14 @@ let scenarios_json names =
     (Json.Obj [ ("scenarios", List (List.map (fun n -> Json.String n) names)) ])
 
 let adapt_cmd =
-  let run scenario seed jobs quick json list_scenarios =
+  let run scenario seed quick json list_scenarios =
     let names = Npra_fault.Adaptdriver.scenario_names in
     if list_scenarios then
       if json then
         print_string (scenarios_json names)
       else List.iter (fun n -> Fmt.pr "%s@." n) names
     else begin
-      let pool = Npra_par.Pool.create ~jobs () in
-      match Npra_fault.Adaptdriver.run_scenario ~pool ~seed ~quick scenario with
+      match Npra_fault.Adaptdriver.run_scenario ~seed ~quick scenario with
       | None ->
         Fmt.epr "unknown scenario %S; available: %s@." scenario
           (String.concat ", " names);
@@ -490,14 +478,6 @@ let adapt_cmd =
       value & opt int 42
       & info [ "seed" ] ~docv:"N"
           ~doc:"Seed for arrival streams and any fault schedule.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains advancing engines within each slice. The replay \
-             is byte-identical at any job count.")
   in
   let quick_flag =
     Arg.(
@@ -525,7 +505,7 @@ let adapt_cmd =
           the adaptive re-balancing control loop — and print the full \
           re-balance trail")
     Term.(
-      const run $ scenario_arg $ seed_arg $ jobs_arg $ quick_flag $ json_flag
+      const run $ scenario_arg $ seed_arg $ quick_flag $ json_flag
       $ list_flag)
 
 (* ---- chip ---- *)
@@ -568,12 +548,11 @@ let chip_cmd =
              schedule.")
   in
   let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains running shards (or chain engines) in parallel. \
-             The replay is byte-identical at any job count.")
+    positive_opt "jobs" ~default:1
+      ~doc:
+        "Worker domains running the shards of a shard scenario in \
+         parallel; a chain scenario runs in one domain. The replay is \
+         byte-identical at any job count."
   in
   let quick_flag =
     Arg.(
@@ -674,12 +653,10 @@ let portfolio_cmd =
           ~doc:"Seed for the randomised split-order entrants.")
   in
   let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains racing the slate. The result is identical at \
-             any job count; only wall clock changes.")
+    positive_opt "jobs" ~default:1
+      ~doc:
+        "Worker domains racing the slate. The result is identical at any \
+         job count; only wall clock changes."
   in
   let horizon_arg =
     Arg.(
@@ -855,8 +832,9 @@ let table3_cmd =
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
+  (* every usage error, cmdliner's own parse errors included, exits 2 *)
   exit
-    (Cmd.eval
+    (Cmd.eval ~term_err:2
        (Cmd.group ~default
           (Cmd.info "npra" ~version:"1.0.0"
              ~doc:

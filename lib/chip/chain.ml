@@ -20,13 +20,13 @@
    (counted as queue-full). Conservation is therefore exact:
    offered = served + dropped + residual.
 
-   Determinism: all hand-off happens at sequential slice barriers;
-   between barriers each engine advances independently (one pool task
-   each, touching only its own machine and slots), so runs are
-   byte-identical at any worker count. Admission and hand-off are
-   barrier-granular; end-to-end latency is still exact per packet
-   (tx completion cycle minus true arrival cycle), while per-stage
-   samples run from queue entry to stage completion. *)
+   Determinism: all hand-off happens at slice barriers; between
+   barriers the engines advance one after another in stage order, each
+   touching only its own machine and slots, so a run is a pure function
+   of its arguments. Admission and hand-off are barrier-granular;
+   end-to-end latency is still exact per packet (tx completion cycle
+   minus true arrival cycle), while per-stage samples run from queue
+   entry to stage completion. *)
 
 open Npra_sim
 open Npra_workloads
@@ -59,8 +59,8 @@ type packet = {
 }
 
 (* One engine of one stage: the machine plus per-thread service and
-   hand-off slots. Everything here is touched only by this engine's
-   pool task between barriers. *)
+   hand-off slots. Between barriers only this engine's own advance
+   touches it. *)
 type engine = {
   e_machine : Machine.t;
   e_ws : Workload.t array;  (* per-thread kernel instance (memory map) *)
@@ -182,7 +182,7 @@ let packet_size ~seed id = 1 + (mix ~seed id 5 mod max_packet_size)
 (* The barrier granularity. *)
 let slice = 256
 
-let run ?(pool = Npra_par.Pool.sequential) ?machine_config ~seed ~duration cf =
+let run ?machine_config ~seed ~duration cf =
   if cf.cf_stages = [] then Fmt.invalid_arg "Chain.run: no stages";
   if cf.cf_sources < 1 then Fmt.invalid_arg "Chain.run: no sources";
   let machine_config =
@@ -387,14 +387,9 @@ let run ?(pool = Npra_par.Pool.sequential) ?machine_config ~seed ~duration cf =
       in
       assign ()
     done;
-    (* 4. advance every engine one slice, in parallel *)
+    (* 4. advance every engine one slice *)
     let horizon = !now + slice in
-    ignore
-      (Npra_par.Pool.tasks pool
-         (Array.length all_engines)
-         (fun i ->
-           advance_engine all_engines.(i) ~horizon;
-           ()));
+    Array.iter (advance_engine ~horizon) all_engines;
     now := horizon;
     if !now >= duration then begin
       let pending = in_flight () in

@@ -14,8 +14,10 @@
     a thread with a pending out-slot takes no new work, so congestion
     propagates back to the ingress queues — the chain's only drop
     point. Conservation is exact: offered = served + dropped +
-    residual. All hand-off happens at sequential slice barriers, so
-    runs are byte-identical at any pool worker count.
+    residual. All hand-off happens at slice barriers, and between them
+    the stage engines advance one after another in the calling domain,
+    so a run is a pure function of its arguments; to run several
+    chains at once, hand whole runs to a {!Npra_par.Pool}.
 
     Latency accounting: end-to-end samples are exact per served packet
     (tx completion cycle − true arrival cycle); per-stage samples run
@@ -72,7 +74,6 @@ val conservation_ok : t -> bool
 (** offered = served + dropped + residual, exactly. *)
 
 val run :
-  ?pool:Npra_par.Pool.t ->
   ?machine_config:Machine.config ->
   seed:int ->
   duration:int ->

@@ -17,9 +17,9 @@
      (classify kernels drawn round-robin from the Classify role), with
      a p99 end-to-end SLO and the bounded-queue invariant checked.
 
-   Everything is a pure function of (seed, quick): cells run
-   sequentially and parallelism lives inside each cell, keeping pool
-   tasks un-nested. *)
+   Everything is a pure function of (seed, quick): cells run one after
+   another, and the pool runs the shards of the two shard cells; the
+   chain cells run in the calling domain. *)
 
 open Npra_sim
 open Npra_workloads
@@ -280,10 +280,10 @@ let chain_configs ~quick =
    the scenario's period is set for ~80% of the measured capacity. The
    probe is a pure function of the seed, so the calibrated scenario
    still replays exactly. *)
-let calibrate_period ~pool ~seed cfc =
+let calibrate_period ~seed cfc =
   let cal_dur = 20_000 in
   let probe =
-    Chain.run ~pool ~machine_config:chip_machine_config ~seed:(seed + 7919)
+    Chain.run ~machine_config:chip_machine_config ~seed:(seed + 7919)
       ~duration:cal_dur cfc
   in
   (* served over duration + full drain budget: a conservative (low)
@@ -295,12 +295,12 @@ let calibrate_period ~pool ~seed cfc =
       (int_of_float
          (Float.ceil (float_of_int cfc.Chain.cf_sources /. (0.8 *. rate))))
 
-let run_chain_cell ~pool ~seed ~quick (name, cfc) =
+let run_chain_cell ~seed ~quick (name, cfc) =
   let duration = if quick then 40_000 else 150_000 in
-  let period = calibrate_period ~pool ~seed cfc in
+  let period = calibrate_period ~seed cfc in
   let cfc = { cfc with Chain.cf_arrival = Workload.Uniform { period } } in
   let chain =
-    Chain.run ~pool ~machine_config:chip_machine_config ~seed ~duration cfc
+    Chain.run ~machine_config:chip_machine_config ~seed ~duration cfc
   in
   let ok =
     Chain.conservation_ok chain
@@ -322,7 +322,7 @@ let run_scenario ?(pool = Npra_par.Pool.sequential) ?(seed = 42)
   else if name = "shard-chaos" then Some (run_chaos_cell ~pool ~seed ~quick)
   else
     List.find_opt (fun (n, _) -> n = name) (chain_configs ~quick)
-    |> Option.map (run_chain_cell ~pool ~seed ~quick)
+    |> Option.map (run_chain_cell ~seed ~quick)
 
 let run ?(pool = Npra_par.Pool.sequential) ?(seed = 42) ?(quick = false) () =
   let cells =

@@ -55,7 +55,9 @@ val scenario_names : quick:bool -> string list
 
 val run_scenario :
   ?pool:Npra_par.Pool.t -> ?seed:int -> ?quick:bool -> string -> cell option
-(** One cell by name; [None] for an unknown name. *)
+(** One cell by name; [None] for an unknown name. [pool] runs the
+    shards of the shard cells; a chain cell runs in the calling
+    domain. *)
 
 val run : ?pool:Npra_par.Pool.t -> ?seed:int -> ?quick:bool -> unit -> matrix
 (** The whole matrix (seed defaults to 42). *)

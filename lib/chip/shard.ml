@@ -7,9 +7,7 @@
    (seed, engines, shards) — re-running the same chip replays the same
    shard membership on any platform. Each shard then runs the existing
    dispatcher over its own engines with a shard-mixed seed: shards
-   share no mutable state, so they are pool tasks (the dispatcher
-   inside each runs sequentially, keeping pool tasks un-nested), and
-   the fold of per-shard metrics into chip totals is exact — packet
+   share no mutable state, so each is one pool task, and the fold of per-shard metrics into chip totals is exact — packet
    conservation holds shard by shard and across the sum. *)
 
 open Npra_traffic
@@ -80,8 +78,6 @@ let run ?(pool = Npra_par.Pool.sequential) ?(sentinel = `Trap) ?machine_config
                     ~threads:nthreads ~duration spec)
                 chaos_spec
             in
-            (* chaos turns the dispatcher's watchdog on; the inner pool
-               stays sequential so pool tasks never nest *)
             Dispatch.run ~engines:n ~sentinel ?machine_config ?refresh ?chaos
               ?shed ~seed:sseed ~duration ~specs ~mem_image progs
         in

@@ -5,8 +5,7 @@
     membership is {!spread}, a pure hash of (seed, engine index) — and
     runs the existing {!Npra_traffic.Dispatch} fabric once per shard
     with a shard-mixed seed. Shards share no mutable state, so each
-    shard is one pool task (its own dispatcher runs sequentially,
-    keeping pool tasks un-nested) and the whole chip run is
+    shard is one pool task and the whole chip run is
     byte-deterministic at any worker count. Per-shard metrics fold into
     chip totals with {e exact} packet conservation: offered = served +
     dropped + residual holds inside every shard and across the sum

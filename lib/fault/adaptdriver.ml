@@ -258,13 +258,13 @@ let adapt_config ~quick ~spill_bases =
     min_dwell = (if quick then 3 else 6);
   }
 
-let run_cell ~pool ~seed ~duration ~quick sc =
+let run_cell ~seed ~duration ~quick sc =
   let progs, mem_image, spill_bases = build_system sc.sc_ids in
   let bal = Pipeline.balanced_exn ~nreg ~spill_bases progs in
   let specs = sc.sc_specs ~duration in
   let chaos = sc.sc_chaos ~duration ~seed:(seed + 17) in
   let run ?controller () =
-    Dispatch.run ~pool ~engines ~sentinel:`Trap ?chaos
+    Dispatch.run ~engines ~sentinel:`Trap ?chaos
       ~watchdog:Dispatch.default_watchdog ?controller ~seed ~duration ~specs
       ~mem_image bal.Pipeline.programs
   in
@@ -294,10 +294,10 @@ let run_cell ~pool ~seed ~duration ~quick sc =
       && ad.r_crit_served >= st.r_crit_served;
   }
 
-let run ?(pool = Npra_par.Pool.sequential) ?(seed = 42) ?(quick = false) () =
+let run ?(seed = 42) ?(quick = false) () =
   let duration = if quick then 20_000 else 40_000 in
   let cells =
-    List.map (run_cell ~pool ~seed ~duration ~quick) scenarios
+    List.map (run_cell ~seed ~duration ~quick) scenarios
   in
   {
     m_seed = seed;
@@ -311,13 +311,12 @@ let run ?(pool = Npra_par.Pool.sequential) ?(seed = 42) ?(quick = false) () =
 
 let scenario_names = List.map (fun sc -> sc.sc_name) scenarios
 
-let run_scenario ?(pool = Npra_par.Pool.sequential) ?(seed = 42)
-    ?(quick = false) name =
+let run_scenario ?(seed = 42) ?(quick = false) name =
   match List.find_opt (fun sc -> sc.sc_name = name) scenarios with
   | None -> None
   | Some sc ->
     let duration = if quick then 20_000 else 40_000 in
-    Some (run_cell ~pool ~seed ~duration ~quick sc)
+    Some (run_cell ~seed ~duration ~quick sc)
 
 let all_ok m = List.for_all (fun c -> c.c_ok) m.m_cells
 

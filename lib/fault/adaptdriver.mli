@@ -39,19 +39,15 @@ type matrix = {
   m_cells : cell list;
 }
 
-val run :
-  ?pool:Npra_par.Pool.t -> ?seed:int -> ?quick:bool -> unit -> matrix
-(** Runs every scenario twice (static, adaptive). [quick] halves the
-    duration and the controller's window/dwell so the shortened run
-    still crosses every traffic regime. Cells are sequential; [pool]
-    parallelises the engine advance inside each run, which never
-    changes any byte of the result. *)
+val run : ?seed:int -> ?quick:bool -> unit -> matrix
+(** Runs every scenario twice (static, adaptive) in the calling domain.
+    [quick] halves the duration and the controller's window/dwell so
+    the shortened run still crosses every traffic regime. *)
 
 val scenario_names : string list
 (** The scenarios in matrix order. *)
 
-val run_scenario :
-  ?pool:Npra_par.Pool.t -> ?seed:int -> ?quick:bool -> string -> cell option
+val run_scenario : ?seed:int -> ?quick:bool -> string -> cell option
 (** Replay a single named scenario (static + adaptive); [None] when the
     name is not in {!scenario_names}. *)
 

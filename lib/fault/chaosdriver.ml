@@ -89,7 +89,7 @@ let build_system ids =
   let bal = Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
   (bal.Pipeline.programs, mem_image)
 
-let run_cell ~pool ~seed ~duration ~mix_index (mix_name, ids) sc =
+let run_cell ~seed ~duration ~mix_index (mix_name, ids) sc =
   let progs, mem_image = build_system ids in
   let nthreads = List.length progs in
   let cell_seed = seed + (mix_index * 7919) in
@@ -101,7 +101,7 @@ let run_cell ~pool ~seed ~duration ~mix_index (mix_name, ids) sc =
     if sc.sc_shed then Some { Dispatch.quantum = 4; burst = 12 } else None
   in
   let m =
-    Dispatch.run ~pool ~engines ~sentinel:`Trap ~chaos
+    Dispatch.run ~engines ~sentinel:`Trap ~chaos
       ~watchdog:Dispatch.default_watchdog ?shed ~seed:cell_seed ~duration
       ~specs:(cell_specs nthreads) ~mem_image progs
   in
@@ -125,15 +125,13 @@ let run_cell ~pool ~seed ~duration ~mix_index (mix_name, ids) sc =
     c_ok = conservation && delivered >= bound;
   }
 
-let run ?(pool = Npra_par.Pool.sequential) ?(seed = 42) ?(quick = false) () =
+let run ?(seed = 42) ?(quick = false) () =
   let duration = if quick then 20_000 else 40_000 in
-  (* Cells run sequentially; the pool parallelises inside each cell's
-     slice advance, which keeps pool tasks un-nested. *)
   let cells =
     List.concat
       (List.mapi
          (fun mix_index mix ->
-           List.map (run_cell ~pool ~seed ~duration ~mix_index mix) scenarios)
+           List.map (run_cell ~seed ~duration ~mix_index mix) scenarios)
          mixes)
   in
   { m_seed = seed; m_duration = duration; m_engines = engines; m_cells = cells }

@@ -43,11 +43,10 @@ type matrix = {
   m_cells : cell list;
 }
 
-val run :
-  ?pool:Npra_par.Pool.t -> ?seed:int -> ?quick:bool -> unit -> matrix
-(** Runs every (mix × scenario) cell sequentially, each cell a
-    three-engine fabric simulation ([pool] parallelises {e within} a
-    cell's slices). [quick] halves the traffic duration. *)
+val run : ?seed:int -> ?quick:bool -> unit -> matrix
+(** Runs every (mix × scenario) cell in the calling domain, each cell a
+    three-engine fabric simulation. [quick] halves the traffic
+    duration. *)
 
 val all_ok : matrix -> bool
 val totals : matrix -> int * int  (** (cells, cells ok) *)

@@ -22,8 +22,9 @@
    array at any [jobs] count; a failing run fails identically too.
 
    Domains are spawned per {!tasks} call rather than parked between
-   calls: the tasks this repo fans out (traffic engines, allocations,
-   fuzz inputs batched by the caller) cost milliseconds to minutes, so
+   calls: the tasks this repo fans out (whole traffic runs and shards,
+   allocations, fuzz inputs batched by the caller) cost milliseconds to
+   minutes, so
    a few hundred microseconds of spawn cost disappears, and there is no
    pool lifecycle to leak or deadlock. *)
 

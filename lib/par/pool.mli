@@ -1,9 +1,16 @@
 (** A small fixed-size work-stealing pool over OCaml 5 domains.
 
     The pool exists to parallelise the repo's embarrassingly parallel
-    hot loops — micro-engines under traffic, chip shards, fuzz inputs,
-    fault-matrix kernels, the allocation contenders — without ever
-    letting scheduling nondeterminism leak into results. The contract
+    hot loops — chip shards, fuzz inputs, fault-matrix kernels, the
+    allocation contenders and portfolio entrants, whole traffic runs —
+    without ever letting scheduling nondeterminism leak into results.
+
+    Callers give the pool whole runs, never a slice of one: each
+    {!tasks} call spawns its worker domains and joins them before it
+    returns, so a call per simulated slice would pay that cost
+    hundreds of times in one run. The dispatcher and the packet chain
+    therefore advance their engines in the calling domain, and their
+    callers fan out whole [Dispatch.run]s or shards. The contract
     that makes that possible: {!tasks} returns a {e task-indexed} array,
     so result [i] is always the value of task [i] no matter which worker
     ran it or in which order tasks finished. Any pure task function

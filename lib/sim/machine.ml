@@ -81,7 +81,6 @@ type thread_state_view =
   | Runnable
   | Waiting of int  (* blocked on memory until the given cycle *)
   | Completed of int  (* halted at the given cycle *)
-  | Quarantined of int  (* faulted by the sentinel at the given cycle *)
 
 type thread_status = {
   st_thread : int;
@@ -100,15 +99,12 @@ type stuck =
   | Cycle_limit of { limit : int; threads : thread_status list }
       (* execution consumed the whole cycle budget while still runnable *)
   | Deadlock of { limit : int; threads : thread_status list }
-      (* every thread is permanently parked: done, quarantined, or
-         blocked past the cycle budget — no thread can run again *)
+      (* every thread is permanently parked: done or blocked past the
+         cycle budget — no thread can run again *)
 
 exception Stuck of stuck
 exception Corruption of corruption
 (* raised by the sentinel in [`Trap] mode *)
-
-exception Quarantine_fault of corruption
-(* internal: unwinds the faulting instruction in [`Quarantine] mode *)
 
 let pp_corruption ppf c =
   Fmt.pf ppf
@@ -123,7 +119,6 @@ let pp_thread_state ppf = function
   | Runnable -> Fmt.pf ppf "runnable"
   | Waiting c -> Fmt.pf ppf "blocked until cycle %d" c
   | Completed c -> Fmt.pf ppf "halted at cycle %d" c
-  | Quarantined c -> Fmt.pf ppf "quarantined at cycle %d" c
 
 let pp_thread_status ppf s =
   Fmt.pf ppf "thread %d (%s) pc=%d: %a" s.st_thread s.st_name s.st_pc
@@ -154,7 +149,6 @@ type status =
   | Ready
   | Blocked of { until : int }
   | Done of int  (* completion cycle *)
-  | Faulted of { at : int; fault : corruption }
 
 type thread = {
   id : int;
@@ -183,9 +177,8 @@ type timeline_event =
   | Blocked_on_memory
   | Yielded
   | Halted
-  | Trapped
 
-type sentinel_mode = [ `Off | `Trap | `Quarantine ]
+type sentinel_mode = [ `Off | `Trap ]
 
 type engine = [ `Legacy | `Soa ]
 
@@ -204,7 +197,6 @@ type soa = {
 }
 
 type sentinel = {
-  mode : [ `Trap | `Quarantine ];
   owner : int array;  (* last writer thread per register; -1 = unwritten *)
   owner_cycle : int array;  (* cycle of that write *)
   snap_owned : bool array array;  (* per thread: owned at its last switch *)
@@ -253,8 +245,7 @@ let status_view th =
       (match th.status with
       | Ready -> Runnable
       | Blocked { until } -> Waiting until
-      | Done c -> Completed c
-      | Faulted { at; _ } -> Quarantined at);
+      | Done c -> Completed c);
   }
 
 let statuses t = Array.to_list (Array.map status_view t.threads)
@@ -448,10 +439,9 @@ let create ?(config = default_config) ?(engine = `Soa) ?(mem_image = [])
       sentinel =
         (match sentinel with
         | `Off -> None
-        | (`Trap | `Quarantine) as mode ->
+        | `Trap ->
           Some
             {
-              mode;
               owner = Array.make config.nreg (-1);
               owner_cycle = Array.make config.nreg 0;
               snap_owned = Array.init nthd (fun _ -> Array.make config.nreg false);
@@ -502,9 +492,7 @@ let read_idx t th n =
         observed_value = t.regs.(n);
       }
     in
-    (match s.mode with
-    | `Trap -> raise (Corruption c)
-    | `Quarantine -> raise (Quarantine_fault c))
+    raise (Corruption c)
   | Some _ | None -> ());
   t.regs.(n)
 
@@ -871,7 +859,7 @@ let rec pick t from ~horizon ~strict =
     | Blocked { until } when until <= t.cycle ->
       th.status <- Ready;
       th.ready_since <- max until t.cycle
-    | Blocked _ | Ready | Done _ | Faulted _ -> ()
+    | Blocked _ | Ready | Done _ -> ()
   in
   Array.iter wake t.threads;
   let candidate = ref None in
@@ -889,7 +877,7 @@ let rec pick t from ~horizon ~strict =
           match th.status with
           | Blocked { until } -> (
             match acc with Some e -> Some (min e until) | None -> Some until)
-          | Ready | Done _ | Faulted _ -> acc)
+          | Ready | Done _ -> acc)
         None t.threads
     in
     (match earliest with
@@ -953,18 +941,7 @@ let exec_generic t ~horizon ~strict ~stop_on_halt =
       else if (not strict) && t.cycle >= horizon then ret := Some `Horizon
       else begin
         let th = t.threads.(cur) in
-        let outcome =
-          match step t th with
-          | verdict -> verdict
-          | exception Quarantine_fault c ->
-            (* the sentinel caught a corrupted read: quarantine the
-               thread (it is permanently parked) and reschedule the
-               rest *)
-            th.status <- Faulted { at = t.cycle; fault = c };
-            record t th.id Trapped;
-            `Yield
-        in
-        match outcome with
+        match step t th with
         | `Continue -> ()
         | `Yield ->
           snapshot_on_switch t th;
@@ -1024,7 +1001,7 @@ let exec_soa t soa ~horizon ~strict ~stop_on_halt =
              | Blocked { until } when until <= t.cycle ->
                th.status <- Ready;
                th.ready_since <- max until t.cycle
-             | Blocked _ | Ready | Done _ | Faulted _ -> ()
+             | Blocked _ | Ready | Done _ -> ()
            done;
            (* wrap by conditional subtract, not [mod]: an integer
               division per probe is the scan's dominant cost *)
@@ -1044,7 +1021,7 @@ let exec_soa t soa ~horizon ~strict ~stop_on_halt =
                | Blocked { until } ->
                  blocked := true;
                  if until < !earliest then earliest := until
-               | Ready | Done _ | Faulted _ -> ()
+               | Ready | Done _ -> ()
              done;
              if not !blocked then picked := -1
              else if strict && !earliest > t.config.max_cycles then
@@ -1198,7 +1175,7 @@ let park_thread t i =
     invalid_arg "Machine.park_thread: thread is holding the PU";
   match th.status with
   | Ready -> th.status <- Done t.cycle
-  | Blocked _ | Done _ | Faulted _ ->
+  | Blocked _ | Done _ ->
     invalid_arg "Machine.park_thread: thread is not runnable"
 
 let restart_thread t i =
@@ -1208,7 +1185,7 @@ let restart_thread t i =
     th.pc <- 0;
     th.status <- Ready;
     th.ready_since <- t.cycle
-  | Ready | Blocked _ | Faulted _ ->
+  | Ready | Blocked _ ->
     invalid_arg "Machine.restart_thread: thread has not completed"
 
 (* ------------------------------------------------------------------ *)
@@ -1269,7 +1246,7 @@ let swap_check t progs =
         | Done _ when th.pending_writeback <> None ->
           Error (Swap_pending_writeback { thread = i })
         | Done _ -> check_parked (i + 1)
-        | Ready | Blocked _ | Faulted _ ->
+        | Ready | Blocked _ ->
           Error
             (Swap_not_parked
                { thread = i; state = (status_view th).st_state })
@@ -1335,7 +1312,6 @@ type thread_report = {
   move_count : int;
   wait_cycles : int;  (* runnable but queued behind other threads *)
   store_trace : (int * int) list;
-  fault : corruption option;  (* set when the sentinel quarantined it *)
 }
 
 type report = {
@@ -1364,7 +1340,7 @@ let report t =
                completion =
                  (match th.status with
                  | Done c -> Some c
-                 | Ready | Blocked _ | Faulted _ -> None);
+                 | Ready | Blocked _ -> None);
                instructions = th.instrs;
                context_switches = th.ctx_events;
                load_count = th.loads;
@@ -1372,10 +1348,6 @@ let report t =
                move_count = th.moves;
                wait_cycles = th.wait_cycles;
                store_trace = List.rev th.store_trace_rev;
-               fault =
-                 (match th.status with
-                 | Faulted { fault; _ } -> Some fault
-                 | Ready | Blocked _ | Done _ -> None);
              })
       |> fun l -> l;
   }
@@ -1404,7 +1376,6 @@ let pp_timeline ppf t =
           | Blocked_on_memory -> "memory"
           | Yielded -> "yield"
           | Halted -> "halt"
-          | Trapped -> "fault"
           | Dispatched -> "switch"
         in
         Fmt.pf ppf "%8d..%-8d %-16s %s@." c0 c1 (name th) why;
@@ -1426,8 +1397,5 @@ let pp_report ppf r =
         tr.name
         Fmt.(option ~none:(any "-") int)
         tr.completion tr.instructions tr.context_switches tr.load_count
-        tr.store_count tr.move_count tr.wait_cycles;
-      match tr.fault with
-      | Some c -> Fmt.pf ppf "    FAULT %a@." pp_corruption c
-      | None -> ())
+        tr.store_count tr.move_count tr.wait_cycles)
     r.thread_reports

@@ -57,7 +57,6 @@ type thread_state_view =
   | Runnable
   | Waiting of int  (** blocked on memory until the given cycle *)
   | Completed of int
-  | Quarantined of int  (** faulted by the sentinel at the given cycle *)
 
 type thread_status = {
   st_thread : int;
@@ -67,8 +66,8 @@ type thread_status = {
 }
 
 (** Why the machine could not make progress. [Deadlock] — every thread
-    permanently parked (done, quarantined, or blocked past the cycle
-    budget) — is distinguished from [Cycle_limit], where a runnable
+    permanently parked (done, or blocked past the cycle budget) — is
+    distinguished from [Cycle_limit], where a runnable
     thread consumed the whole budget. *)
 type stuck =
   | Not_physical of { thread : string; reg : Reg.t }
@@ -80,16 +79,15 @@ type stuck =
 exception Stuck of stuck
 
 exception Corruption of corruption
-(** Raised by the sentinel in [`Trap] mode at the corrupted read. *)
+(** Raised by the sentinel ([`Trap] mode) at the corrupted read. *)
 
 val pp_corruption : corruption Fmt.t
 val pp_thread_status : thread_status Fmt.t
 val pp_stuck : stuck Fmt.t
 
-type sentinel_mode = [ `Off | `Trap | `Quarantine ]
-(** [`Trap] raises {!Corruption} at the first corrupted read;
-    [`Quarantine] permanently parks the faulting thread (recorded in its
-    {!thread_report}) and keeps the other threads running. *)
+type sentinel_mode = [ `Off | `Trap ]
+(** [`Trap] raises {!Corruption} at the first corrupted read; [`Off]
+    leaves the sentinel disarmed. *)
 
 type engine = [ `Legacy | `Soa ]
 (** [`Soa] (the default) pre-decodes every program at {!create} into a
@@ -137,7 +135,6 @@ type timeline_event =
   | Blocked_on_memory
   | Yielded
   | Halted
-  | Trapped  (** the sentinel quarantined the thread *)
 
 val timeline : t -> (int * int * timeline_event) list
 (** (cycle, thread index, event), in time order; empty unless the
@@ -172,8 +169,7 @@ val run :
 
 (** Why a bounded run returned: [`Horizon] — the clock reached the
     horizon with a thread still holding the PU; [`Idle] — no thread can
-    run before the horizon (all completed, quarantined, or blocked past
-    it), and the clock was advanced {e to} the horizon; [`Halted i] —
+    run before the horizon (all completed or blocked past it), and the clock was advanced {e to} the horizon; [`Halted i] —
     thread [i] just executed [halt] (only with [~stop_on_halt:true]),
     so a dispatcher can hand it the next packet immediately. *)
 type pause = [ `Horizon | `Idle | `Halted of int ]
@@ -275,8 +271,6 @@ type thread_report = {
   store_trace : (int * int) list;
       (** per-thread [(address, value)] store sequence, in program order —
           the observable behaviour used by differential tests *)
-  fault : corruption option;
-      (** the corruption that quarantined this thread, if any *)
 }
 
 type report = {

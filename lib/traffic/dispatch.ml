@@ -5,14 +5,9 @@
    are injected, the per-engine watchdog checks progress, backed-off
    engines are reset, shedding credits are refilled, and dead engines'
    arrivals are re-routed; between barriers the live engines advance in
-   parallel. Barriers are sequential and engine advances touch only
-   their own engine, so a run is byte-deterministic at any worker
-   count.
-
-   The watchdog runs only when [chaos], [watchdog] or a [controller] is
-   passed. Without it a barrier's only work is an engine's own credit
-   refill, so one pool task carries each engine across every slice:
-   the same results, without a pool round per slice.
+   index order, in the calling domain. A run is a pure function of its
+   arguments, so callers that want parallelism hand whole runs to a
+   pool.
 
    A thread serves one packet per program run: it sits parked
    ([Machine.park_thread]) until a packet is queued, is restarted at
@@ -83,9 +78,9 @@ type engine = {
    fabric then stops starting packets on live engines, lets each drain
    to a packet boundary, and hot-swaps it there
    ({!Npra_sim.Machine.swap_programs}); backed-off engines pick the new
-   programs up at their reset, dead engines are left alone. The barrier
-   is sequential, so a controller is consulted exactly once per slice
-   in a fixed position regardless of the pool's worker count. *)
+   programs up at their reset, dead engines are left alone. A
+   controller is consulted exactly once per slice, in a fixed
+   position. *)
 
 type obs_port = {
   op_thread : int;
@@ -278,8 +273,7 @@ let start_service e ~refresh =
         && (not (Queue.is_empty p.queue))
         && (match Machine.thread_state e.machine i with
            | Machine.Completed _ -> true
-           | Machine.Runnable | Machine.Waiting _ | Machine.Quarantined _ ->
-             false)
+           | Machine.Runnable | Machine.Waiting _ -> false)
       then begin
         let at, flood = Queue.pop p.queue in
         let now = Machine.cycle e.machine in
@@ -397,16 +391,6 @@ let pending_count e =
       a + (if p.serving = None then 0 else 1) + Queue.length p.queue)
     0 e.ports
 
-let refill_credits engines_arr = function
-  | None -> ()
-  | Some s ->
-    Array.iter
-      (fun e ->
-        Array.iter
-          (fun p -> p.credit <- min s.burst (p.credit + s.quantum))
-          e.ports)
-      engines_arr
-
 let port_metrics i p =
   {
     Metrics.tm_thread = i;
@@ -488,9 +472,9 @@ let salvage e =
     e.ports;
   List.rev !acc
 
-let run ?(pool = Npra_par.Pool.sequential) ?(engines = 1) ?(sentinel = `Off)
-    ?machine_config ?refresh ?drain_budget ?chaos ?watchdog ?shed ?controller
-    ~seed ~duration ~specs ~mem_image progs =
+let run ?(engines = 1) ?(sentinel = `Off) ?machine_config ?refresh
+    ?drain_budget ?chaos ?watchdog ?shed ?controller ~seed ~duration ~specs
+    ~mem_image progs =
   if engines < 1 then invalid_arg "Dispatch.run: engines must be >= 1";
   if List.length specs <> List.length progs then
     invalid_arg "Dispatch.run: one traffic spec per thread program";
@@ -511,7 +495,7 @@ let run ?(pool = Npra_par.Pool.sequential) ?(engines = 1) ?(sentinel = `Off)
   let burst = match shed with Some s -> s.burst | None -> 0 in
   let retries = match wd with Some wd -> wd.retries | None -> 0 in
   let es =
-    Npra_par.Pool.tasks pool engines
+    Array.init engines
       (make_engine ~seed ~sentinel ~machine_config ~mem_image ~specs ~progs
          ~retries ~burst)
   in
@@ -730,7 +714,15 @@ let run ?(pool = Npra_par.Pool.sequential) ?(engines = 1) ?(sentinel = `Off)
         | Live | Backoff _ | Dead -> ())
       es;
     (* 4. shedding credits *)
-    refill_credits es shed;
+    Option.iter
+      (fun s ->
+        Array.iter
+          (fun e ->
+            Array.iter
+              (fun p -> p.credit <- min s.burst (p.credit + s.quantum))
+              e.ports)
+          es)
+      shed;
     (* 5. inert engines' arrivals: a backed-off engine queues its own
        (it will return); a dead engine's stream packets are re-routed
        round-robin onto survivors, its flood packets dropped *)
@@ -779,9 +771,7 @@ let run ?(pool = Npra_par.Pool.sequential) ?(engines = 1) ?(sentinel = `Off)
             e.ports)
       es;
     (* 6. adaptive re-balance: apply pending hot-swaps on engines that
-       have drained to a packet boundary, then consult the controller.
-       Both happen inside the sequential barrier, so decisions and
-       swap cycles are identical at any pool worker count. *)
+       have drained to a packet boundary, then consult the controller *)
     match controller with
     | None -> ()
     | Some ctl ->
@@ -803,19 +793,6 @@ let run ?(pool = Npra_par.Pool.sequential) ?(engines = 1) ?(sentinel = `Off)
                          cycle = now;
                          engine = e.index;
                          detail = "hot-swap at packet boundary";
-                       })
-                | Error
-                    (Machine.Swap_not_parked
-                       { state = Machine.Quarantined _; _ }) ->
-                  (* a sentinel-quarantined thread never parks: give the
-                     swap up rather than stall the engine forever *)
-                  e.swap_wait <- false;
-                  emit
-                    (Metrics.Fault_observed
-                       {
-                         cycle = now;
-                         engine = e.index;
-                         what = "hot-swap abandoned: thread quarantined";
                        })
                 | Error (Machine.Swap_not_parked _) -> ()  (* keep draining *)
                 | Error err ->
@@ -845,44 +822,26 @@ let run ?(pool = Npra_par.Pool.sequential) ?(engines = 1) ?(sentinel = `Off)
               | Dead -> ())
             es)
   in
-  (* The global clock, slice by slice over the engines [es']: a
-     barrier, then every live engine advances to the next boundary.
-     Traffic stops at [duration]; the drain runs on while any engine
-     holds packets, up to [deadline]. One last barrier lets faults from
-     the final slice (a trap, a stall that just crossed the threshold)
-     reach the trail. *)
-  let drive es' ~barrier ~advance_all =
-    let t = ref 0 and barrier_no = ref 0 in
-    let busy () = Array.exists (fun e -> e.life <> Dead && pending e) es' in
-    while !t < duration || (!t < deadline && busy ()) do
-      barrier ~now:!t ~barrier_no:!barrier_no;
-      let upto = min (if !t < duration then duration else deadline) (!t + slice) in
-      advance_all ~upto;
-      t := upto;
-      incr barrier_no
-    done;
-    barrier ~now:!t ~barrier_no:!barrier_no
-  in
-  let advance_live ~upto e =
-    match e.life with
-    | Live ->
-      advance e ~upto ~duration ~refresh ~shed
-        ~ctx_switch_cost:machine_config.Machine.ctx_switch_cost
-    | Backoff _ | Dead -> ()
-  in
-  (match wd with
-  | Some _ ->
-    drive es ~barrier ~advance_all:(fun ~upto ->
-        ignore (Npra_par.Pool.tasks pool engines (fun i -> advance_live ~upto es.(i))))
-  | None ->
-    (* no barrier has global work: one pool task carries each engine
-       across every slice, refilling its own credits *)
-    ignore
-      (Npra_par.Pool.tasks pool engines (fun i ->
-           let own = [| es.(i) |] in
-           drive own
-             ~barrier:(fun ~now:_ ~barrier_no:_ -> refill_credits own shed)
-             ~advance_all:(fun ~upto -> advance_live ~upto es.(i)))));
+  (* The global clock, slice by slice: a barrier, then every live
+     engine advances to the next boundary. Traffic stops at [duration];
+     the drain runs on while any engine holds packets, up to
+     [deadline]. One last barrier lets faults from the final slice (a
+     trap, a stall that just crossed the threshold) reach the trail. *)
+  let t = ref 0 and barrier_no = ref 0 in
+  let busy () = Array.exists (fun e -> e.life <> Dead && pending e) es in
+  while !t < duration || (!t < deadline && busy ()) do
+    barrier ~now:!t ~barrier_no:!barrier_no;
+    let upto = min (if !t < duration then duration else deadline) (!t + slice) in
+    Array.iter
+      (fun e ->
+        if e.life = Live then
+          advance e ~upto ~duration ~refresh ~shed
+            ~ctx_switch_cost:machine_config.Machine.ctx_switch_cost)
+      es;
+    t := upto;
+    incr barrier_no
+  done;
+  barrier ~now:!t ~barrier_no:!barrier_no;
   (* Anything still held is a structured drain deadlock — except on an
      engine whose trap no watchdog handled: its fault stands. *)
   Array.iter

@@ -19,7 +19,10 @@
     watchdog → re-dispatch → survival, and whose drop accounting
     conserves packets exactly ({!Metrics.conservation_ok}).
 
-    A run is byte-deterministic at any [pool] worker count. *)
+    Engines advance one after another in the calling domain. A run is a
+    pure function of its arguments, so callers that want parallelism
+    hand whole runs to a {!Npra_par.Pool} (the chip's [Shard] runs one
+    dispatcher per shard that way). *)
 
 open Npra_ir
 open Npra_sim
@@ -54,9 +57,9 @@ type shed = { quantum : int; burst : int }
     engine until it drains to a packet boundary, hot-swaps it there
     with {!Npra_sim.Machine.swap_programs} (recorded as
     {!Metrics.Swapped}), and resumes. Backed-off engines pick the new
-    allocation up at their reset; dead engines are untouched. Because
-    the barrier is sequential, controller decisions — and therefore the
-    whole adaptive run — are byte-deterministic at any worker count. *)
+    allocation up at their reset; dead engines are untouched. Controller
+    decisions, and therefore the whole adaptive run, are
+    deterministic. *)
 
 type obs_port = {
   op_thread : int;
@@ -92,7 +95,6 @@ type decision = {
 type controller = observation -> decision option
 
 val run :
-  ?pool:Npra_par.Pool.t ->
   ?engines:int ->
   ?sentinel:Machine.sentinel_mode ->
   ?machine_config:Machine.config ->
@@ -122,9 +124,7 @@ val run :
     admission credit; [controller] closes the adaptive re-allocation
     loop. Passing any of [chaos]/[watchdog]/[controller] turns the
     watchdog on ({!default_watchdog} unless given). Without it a trap
-    leaves the engine's fault and packets standing, and each engine
-    crosses every slice in one pool task, since no barrier has global
-    work; with it the engines meet at every barrier. Cadence never
+    leaves the engine's fault and packets standing. The watchdog never
     changes a fault-free run: its metrics are the same either way.
 
     Past [duration] an engine advances only while it holds packets, so
@@ -151,7 +151,5 @@ val run :
 
     The default machine config lifts [max_cycles] to [max_int]: the
     horizon is the budget. Results are a pure function of every
-    argument — identical calls produce identical metrics, and a
-    multi-worker [pool] returns {e exactly} the sequential metrics,
-    byte for byte once serialised. [refresh] then runs on worker
-    domains and must also be thread-safe. *)
+    argument: identical calls produce identical metrics, byte for byte
+    once serialised, also when the calls run on different domains. *)
