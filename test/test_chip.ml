@@ -249,6 +249,25 @@ let chain_tests =
             (Chain.run ~seed:5 ~duration:15_000 (chain_config ~period:90))
         in
         check Alcotest.string "same JSON" (run ()) (run ()));
+    test "run rejects a chain without stages or sources" (fun () ->
+        let cf = chain_config ~period:90 in
+        let run cf () = ignore (Chain.run ~seed:1 ~duration:1_000 cf) in
+        Alcotest.check_raises "no stages"
+          (Invalid_argument "Chain.run: no stages")
+          (run { cf with Chain.cf_stages = [] });
+        Alcotest.check_raises "no sources"
+          (Invalid_argument "Chain.run: no sources")
+          (run { cf with Chain.cf_sources = 0 }));
+    test "chains run as 4-job pool tasks equal sequential runs" (fun () ->
+        let run seed =
+          Chain.to_json
+            (Chain.run ~seed ~duration:8_000 (chain_config ~period:90))
+        in
+        let seeds = [ 3; 5; 11 ] in
+        check
+          Alcotest.(list string)
+          "same JSON" (List.map run seeds)
+          (Npra_par.Pool.map_list (Npra_par.Pool.create ~jobs:4 ()) run seeds));
   ]
 
 (* ---------------- jobs determinism of the matrix ---------------- *)
