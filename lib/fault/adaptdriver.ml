@@ -364,8 +364,7 @@ let swap_json (s : Adapt.swap_record) =
       ("previous", match s.Adapt.sw_previous with None -> Null | Some p -> Int p);
       ("dwell", Int s.Adapt.sw_dwell);
       ("required_dwell", Int s.Adapt.sw_required_dwell);
-      ("provenance", String s.Adapt.sw_provenance);
-      ("cache_hit", Bool s.Adapt.sw_cache_hit) ]
+      ("provenance", String s.Adapt.sw_provenance) ]
 
 let cell_json c =
   Json.Obj

@@ -65,7 +65,9 @@ type swap_record = {
   sw_dwell : int;  (* slices since the previous swap (or start) *)
   sw_required_dwell : int;  (* hysteresis requirement it had to meet *)
   sw_provenance : string;  (* which pipeline stage produced the winner *)
-  sw_cache_hit : bool;  (* served from the content-addressed cache *)
+  sw_cache_hit : bool;
+      (* served from the process-wide allocation cache: depends on what
+         the process allocated before, so no trail or report shows it *)
 }
 
 type sample = {
@@ -241,11 +243,10 @@ let controller t : Dispatch.controller =
             t.swaps_rev <- record :: t.swaps_rev;
             let detail =
               Fmt.str
-                "critical=%s scores=[%a] dwell=%d/%d weights=[%a] alloc=%s%s"
+                "critical=%s scores=[%a] dwell=%d/%d weights=[%a] alloc=%s"
                 t.names.(winner) (pp_scores t.names) scores dwell required
                 Fmt.(list ~sep:(any ";") int)
                 (weights_for t winner) provenance
-                (if cache_hit then " (cache hit)" else "")
             in
             Some { Dispatch.d_progs = progs; d_detail = detail })
         else None
@@ -256,8 +257,7 @@ let controller t : Dispatch.controller =
 
 let pp_swap ppf s =
   Fmt.pf ppf
-    "slice %-5d cycle %-8d critical %d (was %a) dwell %d/%d alloc %s%s"
+    "slice %-5d cycle %-8d critical %d (was %a) dwell %d/%d alloc %s"
     s.sw_slice s.sw_cycle s.sw_critical
     Fmt.(option ~none:(any "-") int)
     s.sw_previous s.sw_dwell s.sw_required_dwell s.sw_provenance
-    (if s.sw_cache_hit then " [cache]" else "")

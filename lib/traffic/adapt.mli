@@ -47,6 +47,9 @@ type swap_record = {
   sw_required_dwell : int;
   sw_provenance : string;
   sw_cache_hit : bool;
+      (** served from the process-wide allocation cache; it depends on
+          what the process allocated before, so no trail, printer or
+          report shows it *)
 }
 (** One committed re-balance decision, for trails and reports. *)
 

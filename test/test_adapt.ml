@@ -266,9 +266,6 @@ let golden_tests =
             (fun c -> Npra_core.Json.to_string (Adaptdriver.cell_json c))
             m.Adaptdriver.m_cells
         in
-        (* an adaptive trail notes allocation-cache hits, so a warm-up
-           matrix fills the cache before the reference *)
-        ignore (Adaptdriver.run ~seed:42 ~quick:true ());
         let matrix = cells (Adaptdriver.run ~seed:42 ~quick:true ()) in
         let scenario name =
           match Adaptdriver.run_scenario ~seed:42 ~quick:true name with
@@ -281,6 +278,19 @@ let golden_tests =
           (Npra_par.Pool.map_list
              (Npra_par.Pool.create ~jobs:4 ())
              scenario Adaptdriver.scenario_names));
+    test "a seeded scenario prints the same cell twice in one process"
+      (fun () ->
+        (* the first run starts from an empty process-wide allocation
+           cache and the second finds every allocation in it; nothing
+           in the cell may show that *)
+        Npra_core.Pipeline.cache_clear ();
+        let cell () =
+          match Adaptdriver.run_scenario ~seed:42 ~quick:true "phase-shift" with
+          | Some c -> Npra_core.Json.to_string (Adaptdriver.cell_json c)
+          | None -> Alcotest.fail "scenario phase-shift disappeared"
+        in
+        let first = cell () in
+        check Alcotest.string "same cell JSON" first (cell ()));
   ]
 
 let suite =

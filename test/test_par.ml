@@ -377,9 +377,6 @@ let determinism_tests =
         List.iter
           (fun seed ->
             let runs = whole_runs seed in
-            (* an adaptive trail notes allocation-cache hits, so a
-               warm-up pass fills the cache before the reference *)
-            ignore (List.map run runs);
             let sequential = List.map run runs in
             List.iter
               (fun jobs ->
