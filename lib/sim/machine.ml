@@ -153,9 +153,6 @@ type status =
 type thread = {
   id : int;
   prog : Prog.t;
-  dcode : int array;
-      (* pre-decoded program, 4 words per instruction (see the decoder
-         below); [||] when the machine runs the legacy engine *)
   mutable pc : int;
   mutable status : status;
   mutable instrs : int;
@@ -182,18 +179,19 @@ type sentinel_mode = [ `Off | `Trap ]
 
 type engine = [ `Legacy | `Soa ]
 
-(* Struct-of-arrays rows for the batched burst: every thread's decoded
-   quads concatenated into one machine-wide flat code row, indexed
-   through per-thread base/limit rows. Together with the shared register
-   row [t.regs] this is the whole working set the burst loop touches.
-   The per-thread pc and status deliberately stay in the [thread]
-   record: [park_thread]/[restart_thread]/[swap_programs] mutate them
-   between slices, and a mirrored row would be a divergence hazard — the
-   burst instead holds them in locals for the duration of a slice. *)
+(* Struct-of-arrays rows for the burst: every thread's decoded quads
+   concatenated into one machine-wide flat code row, indexed through a
+   per-thread base row. Each thread's range ends in one fetch-fault
+   quad, so the burst fetches without a bounds test. Together with the
+   shared register row [t.regs] this is the whole working set the burst
+   loop touches. The per-thread pc and status deliberately stay in the
+   [thread] record: [park_thread]/[restart_thread]/[swap_programs] mutate
+   them between slices, and a mirrored row would be a divergence hazard —
+   the burst instead holds them in locals for the duration of a slice. *)
 type soa = {
   s_code : int array;  (* all threads' quads, concatenated *)
   s_base : int array;  (* per-thread first word in [s_code] *)
-  s_lim : int array;  (* per-thread exclusive word bound *)
+  s_flagged : bool;  (* some quad is flagged (see [flagged]) *)
 }
 
 type sentinel = {
@@ -231,9 +229,7 @@ type t = {
       (* chaos-injected hang: while [cycle < stalled_until] a bounded
          run advances the clock but retires nothing — the observable a
          dispatcher-level watchdog detects *)
-  mutable soa : soa option;
-      (* {!burst_rows}: [Some] when the machine bursts through
-         [exec_soa], [None] when it steps through [exec_generic] *)
+  mutable soa : soa;  (* the [`Soa] burst's rows, rebuilt at every swap *)
 }
 
 let status_view th =
@@ -256,17 +252,18 @@ let statuses t = Array.to_list (Array.map status_view t.threads)
    The [`Soa] engine flattens each program into an immutable int array
    of four words per instruction — [op; f1; f2; f3] — with register
    operands resolved to file indices and branch targets to instruction
-   indices (sound because {!Prog.make} validates every target). [step]
-   on this form touches no lists, closures or label tables and allocates
-   nothing; it exists because [Prog.label_index] is an O(labels) assoc
-   walk per executed branch and [Instr.t]'s boxed operands cost a
-   pointer chase per operand per cycle.
+   indices (sound because {!Prog.make} validates every target). The
+   burst on this form touches no lists, closures or label tables and
+   allocates nothing; it exists because [Prog.label_index] is an
+   O(labels) assoc walk per executed branch and [Instr.t]'s boxed
+   operands cost a pointer chase per operand per cycle.
 
    Opcode map: 0–7 ALU with register src2 and 8–15 with immediate src2
-   (low three bits index {!alu_of_int}); 16 mov, 17 movi, 18 load,
-   19 store, 20 br; 21–26 brc with register src2 and 27–32 with
-   immediate (offset by {!cond_of_int}); 33 ctx_switch, 34 nop,
-   35 halt. *)
+   (low three bits: {!alu_code}); 16 mov, 17 movi, 18 load, 19 store,
+   20 br; 21–26 brc with register src2 and 27–32 with immediate
+   (offset by {!cond_code}); 33 ctx_switch, 34 nop,
+   35 halt; 36 the fetch fault that ends each thread's range. A flagged
+   quad carries its opcode plus [flagged]. *)
 
 let alu_code = function
   | Instr.Add -> 0 | Instr.Sub -> 1 | Instr.And -> 2 | Instr.Or -> 3
@@ -276,17 +273,10 @@ let cond_code = function
   | Instr.Eq -> 0 | Instr.Ne -> 1 | Instr.Lt -> 2 | Instr.Ge -> 3
   | Instr.Gt -> 4 | Instr.Le -> 5
 
-let alu_of_int =
-  [| Instr.Add; Instr.Sub; Instr.And; Instr.Or;
-     Instr.Xor; Instr.Shl; Instr.Shr; Instr.Mul |]
-
-let cond_of_int =
-  [| Instr.Eq; Instr.Ne; Instr.Lt; Instr.Ge; Instr.Gt; Instr.Le |]
-
-(* Register number without a file-bounds check: bounds are still checked
-   at access time (like the legacy engine), so [Out_of_file] traps on
-   the same cycle under both engines. [create] has already rejected
-   non-physical programs. *)
+(* Register number without a file-bounds check: flagged quads are
+   checked at access time (like the legacy engine), so [Out_of_file]
+   traps on the same cycle under both engines. [create] has already
+   rejected non-physical programs. *)
 let rnum = function
   | Reg.P n -> n
   | Reg.V _ as r -> raise (Stuck (Virtual_operand { reg = r }))
@@ -349,41 +339,41 @@ let quad_regs_ok ~nreg code w =
     | 17 (* movi *) -> ok code.(w + 1)
     | _ -> true
 
-(* Concatenate every thread's quads into the machine-wide code row,
-   recording each thread's word range. [None] when any register operand
-   of any quad lies outside the file: the burst accesses the register
-   row unchecked, so such a machine steps through [read_idx]/[write_idx]
-   instead, which trap at access time exactly like the legacy engine.
-   Threads with no program occupy an empty range, which the burst's
-   fetch guard rejects exactly like [step_decoded]'s fetch of an empty
-   [dcode]. *)
-let build_soa ~nreg threads =
-  let nthd = Array.length threads in
-  let total = Array.fold_left (fun a th -> a + Array.length th.dcode) 0 threads in
-  let code = Array.make (max 1 total) 0 in
-  let base = Array.make nthd 0 and lim = Array.make nthd 0 in
+(* A quad whose register accesses the burst must check carries its
+   opcode plus [flagged]: every quad with a register operand outside
+   the file, and with the sentinel armed every quad that touches a
+   register (ALU, mov, movi, load, store, brc). *)
+let flagged = 64
+
+let touches_regs op = op < 20 || (op >= 21 && op < 33)
+
+(* Concatenate every thread's quads, each thread's range closed by one
+   fetch-fault quad, into the machine-wide code row, and flag the quads
+   the burst must check. *)
+let build_soa ~nreg ~armed threads =
+  let codes = Array.map (fun th -> decode th.prog) threads in
+  let total = Array.fold_left (fun a c -> a + Array.length c + 4) 0 codes in
+  let code = Array.make total 0 in
+  let base = Array.make (Array.length threads) 0 in
   let off = ref 0 in
   Array.iteri
-    (fun i th ->
-      let len = Array.length th.dcode in
+    (fun i c ->
+      let len = Array.length c in
       base.(i) <- !off;
-      lim.(i) <- !off + len;
-      Array.blit th.dcode 0 code !off len;
-      off := !off + len)
-    threads;
-  let rec clean w = w >= total || (quad_regs_ok ~nreg code w && clean (w + 4)) in
-  if clean 0 then Some { s_code = code; s_base = base; s_lim = lim } else None
-
-let decode_for engine prog =
-  match engine with `Soa -> decode prog | `Legacy -> [||]
-
-(* The one scheduler decision: burst when the engine is [`Soa], there is
-   no sentinel bookkeeping and no timeline to record, and every thread
-   is register-clean; otherwise step. *)
-let burst_rows t =
-  if t.engine = `Soa && t.sentinel = None && not t.record_timeline then
-    build_soa ~nreg:t.config.nreg t.threads
-  else None
+      Array.blit c 0 code !off len;
+      code.(!off + len) <- 36;
+      off := !off + len + 4)
+    codes;
+  let any = ref false in
+  for q = 0 to (total / 4) - 1 do
+    let w = 4 * q in
+    if (armed && touches_regs code.(w)) || not (quad_regs_ok ~nreg code w)
+    then begin
+      code.(w) <- code.(w) + flagged;
+      any := true
+    end
+  done;
+  { s_code = code; s_base = base; s_flagged = !any }
 
 let create ?(config = default_config) ?(engine = `Soa) ?(mem_image = [])
     ?(timeline = false) ?(sentinel = `Off) progs =
@@ -403,7 +393,6 @@ let create ?(config = default_config) ?(engine = `Soa) ?(mem_image = [])
            {
              id;
              prog;
-             dcode = decode_for engine prog;
              pc = 0;
              status = Ready;
              instrs = 0;
@@ -418,53 +407,51 @@ let create ?(config = default_config) ?(engine = `Soa) ?(mem_image = [])
            })
          progs)
   in
-  let t =
-    {
-      config;
-      engine;
-      regs = Array.make config.nreg 0;
-      mem;
-      threads;
-      soa = None;
-      cycle = 0;
-      dispatches = 0;
-      busy_cycles = 0;
-      switch_cycles = 0;
-      record_timeline = timeline;
-      timeline_rev = [];
-      holder = None;
-      rr_from = nthd - 1;
-      last_yielder = None;
-      stalled_until = 0;
-      sentinel =
-        (match sentinel with
-        | `Off -> None
-        | `Trap ->
-          Some
-            {
-              owner = Array.make config.nreg (-1);
-              owner_cycle = Array.make config.nreg 0;
-              snap_owned = Array.init nthd (fun _ -> Array.make config.nreg false);
-              snap_value = Array.init nthd (fun _ -> Array.make config.nreg 0);
-            });
-    }
-  in
-  t.soa <- burst_rows t;
-  t
+  {
+    config;
+    engine;
+    regs = Array.make config.nreg 0;
+    mem;
+    threads;
+    soa = build_soa ~nreg:config.nreg ~armed:(sentinel = `Trap) threads;
+    cycle = 0;
+    dispatches = 0;
+    busy_cycles = 0;
+    switch_cycles = 0;
+    record_timeline = timeline;
+    timeline_rev = [];
+    holder = None;
+    rr_from = nthd - 1;
+    last_yielder = None;
+    stalled_until = 0;
+    sentinel =
+      (match sentinel with
+      | `Off -> None
+      | `Trap ->
+        Some
+          {
+            owner = Array.make config.nreg (-1);
+            owner_cycle = Array.make config.nreg 0;
+            snap_owned = Array.init nthd (fun _ -> Array.make config.nreg false);
+            snap_value = Array.init nthd (fun _ -> Array.make config.nreg 0);
+          });
+  }
 
 let memory t = t.mem
-let bursts t = t.soa <> None
+let can_trap t = t.engine = `Legacy || t.sentinel <> None || t.soa.s_flagged
 
+(* Callers test [t.record_timeline] first: the scheduler pays one field
+   test per dispatch and yield, not a call. *)
 let record t thread event =
-  if t.record_timeline then
-    t.timeline_rev <- (t.cycle, thread, event) :: t.timeline_rev
+  t.timeline_rev <- (t.cycle, thread, event) :: t.timeline_rev
 
 let timeline t = List.rev t.timeline_rev
 
-(* All per-step register traffic funnels through [read_idx]/[write_idx]:
+(* All checked register traffic funnels through [read_idx]/[claim_idx]:
    the file-bounds check and the sentinel's ownership bookkeeping happen
-   at access time, by register {e index}, so [step_decoded] and
-   [step_legacy] share exactly the same trap and corruption behaviour. *)
+   at access time, by register {e index}, so the burst's flagged quads
+   and [step_legacy] share exactly the same trap and corruption
+   behaviour. *)
 
 let read_idx t th n =
   if n < 0 || n >= t.config.nreg then
@@ -496,14 +483,18 @@ let read_idx t th n =
   | Some _ | None -> ());
   t.regs.(n)
 
-let write_idx t th n v =
+(* The write side of a checked access, short of storing the value. *)
+let claim_idx t th n =
   if n < 0 || n >= t.config.nreg then
     raise (Stuck (Out_of_file { reg = n; nreg = t.config.nreg }));
-  (match t.sentinel with
+  match t.sentinel with
   | Some s ->
     s.owner.(n) <- th.id;
     s.owner_cycle.(n) <- t.cycle
-  | None -> ());
+  | None -> ()
+
+let write_idx t th n v =
+  claim_idx t th n;
   t.regs.(n) <- v
 
 let read_reg t th r = read_idx t th (rnum r)
@@ -537,7 +528,7 @@ let access_latency t a =
 (* Executes one instruction of [th]; returns [`Continue] to keep running
    the same thread or [`Yield] when the PU must be rescheduled. This is
    the legacy engine, interpreting [Instr.t] directly; kept as the
-   differential oracle for the [`Soa] engine's two paths below. *)
+   differential oracle for the [`Soa] burst below. *)
 let step_legacy t th =
   let ins = Prog.instr th.prog th.pc in
   t.cycle <- t.cycle + 1;
@@ -568,7 +559,6 @@ let step_legacy t th =
     th.pc <- next;
     th.pending_writeback <- Some (rnum dst, v);
     th.status <- Blocked { until = t.cycle + access_latency t a };
-    record t th.id Blocked_on_memory;
     `Yield
   | Instr.Store { src; addr; off } ->
     let a = read_reg t th addr + off in
@@ -579,7 +569,6 @@ let step_legacy t th =
     th.ctx_events <- th.ctx_events + 1;
     th.pc <- next;
     th.status <- Blocked { until = t.cycle + access_latency t a };
-    record t th.id Blocked_on_memory;
     `Yield
   | Instr.Br { target } ->
     th.pc <- Prog.label_index th.prog target;
@@ -592,134 +581,55 @@ let step_legacy t th =
   | Instr.Ctx_switch ->
     th.ctx_events <- th.ctx_events + 1;
     th.pc <- next;
-    record t th.id Yielded;
     `Yield
   | Instr.Nop ->
     th.pc <- next;
     `Continue
   | Instr.Halt ->
     th.status <- Done t.cycle;
-    record t th.id Halted;
     `Yield
 
-(* The [`Soa] engine's per-step path: same observable semantics as
-   [step_legacy], executed off the thread's flat [dcode] quads. It runs
-   whenever the machine cannot burst (see {!burst_rows}). Operand reads
-   keep the legacy engine's order — OCaml evaluates arguments
-   right-to-left, so the legacy ALU and conditional branches read src2
-   {e before} src1 — because with the sentinel armed the first corrupted
-   read wins, and the two engines must name the same register in the
-   diagnostic. *)
-let step_decoded t th =
-  let code = th.dcode in
-  let base = th.pc * 4 in
-  let op = code.(base) in
-  t.cycle <- t.cycle + 1;
-  t.busy_cycles <- t.busy_cycles + 1;
-  th.instrs <- th.instrs + 1;
-  let next = th.pc + 1 in
-  if op < 16 then begin
-    (* ALU: 0-7 register src2, 8-15 immediate src2 *)
-    let s2 = code.(base + 3) in
-    let v2 = if op < 8 then read_idx t th s2 else s2 in
-    let v1 = read_idx t th (code.(base + 2)) in
-    write_idx t th (code.(base + 1)) (Instr.eval_alu alu_of_int.(op land 7) v1 v2);
-    th.pc <- next;
-    `Continue
-  end
-  else if op >= 21 && op < 33 then begin
-    (* Brc: 21-26 register src2, 27-32 immediate src2 *)
-    let s2 = code.(base + 2) in
-    let v2 = if op < 27 then read_idx t th s2 else s2 in
-    let v1 = read_idx t th (code.(base + 1)) in
-    let cond = cond_of_int.(if op < 27 then op - 21 else op - 27) in
-    th.pc <- (if Instr.eval_cond cond v1 v2 then code.(base + 3) else next);
-    `Continue
-  end
+(* [`Legacy] under the one scheduler: step until the thread yields or
+   the clock reaches [limit]. *)
+let rec step_until t th limit =
+  if t.cycle >= limit then `Continue
   else
-    match op with
-    | 16 (* mov *) ->
-      th.moves <- th.moves + 1;
-      let v = read_idx t th (code.(base + 2)) in
-      write_idx t th (code.(base + 1)) v;
-      th.pc <- next;
-      `Continue
-    | 17 (* movi *) ->
-      write_idx t th (code.(base + 1)) code.(base + 2);
-      th.pc <- next;
-      `Continue
-    | 18 (* load *) ->
-      let a = read_idx t th (code.(base + 2)) + code.(base + 3) in
-      let v = Memory.read t.mem a in
-      th.loads <- th.loads + 1;
-      th.ctx_events <- th.ctx_events + 1;
-      th.pc <- next;
-      th.pending_writeback <- Some (code.(base + 1), v);
-      th.status <- Blocked { until = t.cycle + access_latency t a };
-      record t th.id Blocked_on_memory;
-      `Yield
-    | 19 (* store *) ->
-      let a = read_idx t th (code.(base + 2)) + code.(base + 3) in
-      let v = read_idx t th (code.(base + 1)) in
-      Memory.write t.mem a v;
-      th.store_trace_rev <- (a, v) :: th.store_trace_rev;
-      th.stores <- th.stores + 1;
-      th.ctx_events <- th.ctx_events + 1;
-      th.pc <- next;
-      th.status <- Blocked { until = t.cycle + access_latency t a };
-      record t th.id Blocked_on_memory;
-      `Yield
-    | 20 (* br *) ->
-      th.pc <- code.(base + 1);
-      `Continue
-    | 33 (* ctx_switch *) ->
-      th.ctx_events <- th.ctx_events + 1;
-      th.pc <- next;
-      record t th.id Yielded;
-      `Yield
-    | 34 (* nop *) ->
-      th.pc <- next;
-      `Continue
-    | _ (* 35: halt *) ->
-      th.status <- Done t.cycle;
-      record t th.id Halted;
-      `Yield
-
-let step t th =
-  match t.engine with
-  | `Soa -> step_decoded t th
-  | `Legacy -> step_legacy t th
+    match step_legacy t th with
+    | `Continue -> step_until t th limit
+    | `Yield -> `Yield
 
 (* ------------------------------------------------------------------ *)
 (* The SoA batched burst.
 
-   [`Soa] shares the decoded opcode map but executes out of the
-   machine-wide flat rows built by {!build_soa}. [burst_soa] runs the
-   dispatched thread in one tight loop — pc, clock and retired count
-   held in locals, the opcode dispatched by a direct match on the int
-   tag, operand and ALU/condition evaluation inlined — until the thread
-   yields the PU or the clock reaches [limit] (the bounded horizon, or
-   the strict cycle budget + 1 so the budget-exceeding instruction still
-   executes exactly as under [step_decoded]). A whole scheduling slice
-   between traffic events therefore costs no per-instruction scheduler
-   dispatch, closure call, or sentinel match.
+   [`Soa] executes out of the machine-wide flat rows built by
+   {!build_soa}. [burst_go] runs the dispatched thread in one tight
+   loop — pc, clock and retired count held in locals, the opcode
+   dispatched by a direct match on the int tag, operand and
+   ALU/condition evaluation inlined — until the thread yields the PU or
+   the clock reaches [limit] (the bounded horizon, or the strict cycle
+   budget + 1 so the budget-exceeding instruction still executes exactly
+   as under [step_legacy]). A whole scheduling slice between traffic
+   events therefore costs no per-instruction scheduler dispatch or
+   closure call.
 
-   Only entered when {!burst_rows} built the rows: with the sentinel or
-   timeline on, or any out-of-range register operand in any thread's
-   code, the machine takes the per-step path above instead. Cleanliness
-   is what lets the loop touch the register row with unchecked accesses
-   — the per-access bounds test [step_decoded] pays through [read_idx]
-   is the single biggest per-instruction cost once dispatch is
-   inlined.
+   Unflagged quads touch the register row with unchecked accesses: the
+   per-access bounds and sentinel tests are the single biggest
+   per-instruction cost once dispatch is inlined. A flagged quad (see
+   [flagged]) reaches the final arm of the match, which flushes the
+   in-flight state, runs [check_quad] and then executes the quad through
+   its unchecked arm. So a machine with the sentinel armed, or with
+   register operands outside the file, bursts too, and pays for the
+   checks only on the quads that need them.
 
-   The loop itself is a tail-recursive function over plain integer
-   state (pc, cycle, mov count), which the compiler keeps in machine
-   registers — no ref cells, no closures. Equality of the burst rests
-   on one discipline, exercised by the differential suite: every exit
-   (yield, limit, or fetch fault) flushes the in-flight state back into
-   [th]/[t] first, so a raised exception observes exactly the machine
-   state [step_decoded] would leave — the faulting pc, the cycle after
-   the last issued instruction, and the retired count including it. *)
+   The loop itself is a pair of tail-recursive functions over plain
+   integer state (pc, cycle, mov count), which the compiler keeps in
+   machine registers — no ref cells, no closures. Equality of the burst
+   rests on one discipline, exercised by the differential suite: every
+   exit (yield, limit, fetch fault or check) flushes the in-flight state
+   back into [th]/[t] first, so a raised exception observes exactly the
+   machine state [step_legacy] would leave — the faulting pc, the cycle
+   after the last issued instruction, and the retired count including
+   it. *)
 (* [t.cycle] is untouched while a burst is in flight — only [burst_flush]
    writes it — so the retired-count delta is [cycle - t.cycle]. *)
 let burst_flush t th pc cycle moves =
@@ -730,250 +640,209 @@ let burst_flush t th pc cycle moves =
   th.instrs <- th.instrs + steps;
   if moves > 0 then th.moves <- th.moves + moves
 
+(* The register accesses of a flagged quad, in [step_legacy]'s order,
+   through the checked accessors: the legacy ALU and conditional
+   branches read src2 {e before} src1 (OCaml evaluates arguments right
+   to left), and with the sentinel armed the first corrupted read names
+   the register. Raises where [step_legacy] would; otherwise every
+   written register is claimed for the sentinel at the instruction's
+   cycle and lies in the file. A load's destination is checked at its
+   write-back, as under [step_legacy]. *)
+let check_quad t th code w op =
+  if op < 16 then begin
+    if op < 8 then ignore (read_idx t th code.(w + 3) : int);
+    ignore (read_idx t th code.(w + 2) : int);
+    claim_idx t th code.(w + 1)
+  end
+  else if op >= 21 && op < 33 then begin
+    if op < 27 then ignore (read_idx t th code.(w + 2) : int);
+    ignore (read_idx t th code.(w + 1) : int)
+  end
+  else
+    match op with
+    | 16 (* mov *) -> (
+      try
+        ignore (read_idx t th code.(w + 2) : int);
+        claim_idx t th code.(w + 1)
+      with e ->
+        (* [step_legacy] counts a mov before its accesses *)
+        th.moves <- th.moves + 1;
+        raise e)
+    | 17 (* movi *) -> claim_idx t th code.(w + 1)
+    | 18 (* load *) -> ignore (read_idx t th code.(w + 2) : int)
+    | 19 (* store *) ->
+      ignore (read_idx t th code.(w + 2) : int);
+      ignore (read_idx t th code.(w + 1) : int)
+    | _ -> ()
+
 (* Top-level and tail-recursive on purpose: every loop-carried value is
-   an argument, so the self-call is a jump with the state in machine
+   an argument, so each call is a jump with the state in machine
    registers and entering a burst allocates nothing (a local [let rec]
    closing over the rows would cost a closure per dispatch — real money
-   on spill-heavy code that yields every few instructions). *)
-let rec burst_go t th code b0 blim regs limit pc cycle moves =
+   on spill-heavy code that yields every few instructions). Neither
+   function takes more than ten arguments, the most a tail call passes
+   in registers on amd64. *)
+let rec burst_go t th code b0 regs limit pc cycle moves =
   if cycle >= limit then begin
     burst_flush t th pc cycle moves;
     `Continue
   end
-  else begin
-    let w = b0 + (pc * 4) in
-    if w < b0 || w >= blim then begin
-      (* pc ran off the program: fail exactly like [step_decoded]'s
-         fetch of [th.dcode.(pc * 4)] *)
-      burst_flush t th pc cycle moves;
-      raise (Invalid_argument "index out of bounds")
-    end;
-    let op = Array.unsafe_get code w in
-    let cycle = cycle + 1 in
-    (* remaining quad words are in-range: [blim - b0] is a multiple
-       of 4 and so is [w - b0], hence [w + 3 < blim]; register
-       operands are in-range by {!build_soa} *)
-    if op < 16 then begin
-      (* ALU: 0-7 register src2, 8-15 immediate src2 *)
-      let s2 = Array.unsafe_get code (w + 3) in
-      let v2 = if op < 8 then Array.unsafe_get regs s2 else s2 in
-      let v1 = Array.unsafe_get regs (Array.unsafe_get code (w + 2)) in
-      let v =
-        match op land 7 with
-        | 0 -> v1 + v2
-        | 1 -> v1 - v2
-        | 2 -> v1 land v2
-        | 3 -> v1 lor v2
-        | 4 -> v1 lxor v2
-        | 5 -> v1 lsl (v2 land 31)
-        | 6 -> v1 lsr (v2 land 31)
-        | _ -> v1 * v2
-      in
-      Array.unsafe_set regs (Array.unsafe_get code (w + 1)) v;
-      burst_go t th code b0 blim regs limit (pc + 1) cycle moves
-    end
-    else if op >= 21 && op < 33 then begin
-      (* Brc: 21-26 register src2, 27-32 immediate src2 *)
-      let s2 = Array.unsafe_get code (w + 2) in
-      let v2 = if op < 27 then Array.unsafe_get regs s2 else s2 in
-      let v1 = Array.unsafe_get regs (Array.unsafe_get code (w + 1)) in
-      let taken =
-        match if op < 27 then op - 21 else op - 27 with
-        | 0 -> v1 = v2
-        | 1 -> v1 <> v2
-        | 2 -> v1 < v2
-        | 3 -> v1 >= v2
-        | 4 -> v1 > v2
-        | _ -> v1 <= v2
-      in
-      burst_go t th code b0 blim regs limit
-        (if taken then Array.unsafe_get code (w + 3) else pc + 1)
-        cycle moves
-    end
-    else
-      match op with
-      | 16 (* mov *) ->
-        Array.unsafe_set regs
-          (Array.unsafe_get code (w + 1))
-          (Array.unsafe_get regs (Array.unsafe_get code (w + 2)));
-        burst_go t th code b0 blim regs limit (pc + 1) cycle (moves + 1)
-      | 17 (* movi *) ->
-        Array.unsafe_set regs
-          (Array.unsafe_get code (w + 1))
-          (Array.unsafe_get code (w + 2));
-        burst_go t th code b0 blim regs limit (pc + 1) cycle moves
-      | 18 (* load *) ->
-        let a =
-          Array.unsafe_get regs (Array.unsafe_get code (w + 2))
-          + Array.unsafe_get code (w + 3)
-        in
-        let v = Memory.read t.mem a in
-        th.loads <- th.loads + 1;
-        th.ctx_events <- th.ctx_events + 1;
-        th.pending_writeback <- Some (Array.unsafe_get code (w + 1), v);
-        th.status <- Blocked { until = cycle + access_latency t a };
-        burst_flush t th (pc + 1) cycle moves;
-        `Yield
-      | 19 (* store *) ->
-        let a =
-          Array.unsafe_get regs (Array.unsafe_get code (w + 2))
-          + Array.unsafe_get code (w + 3)
-        in
-        let v = Array.unsafe_get regs (Array.unsafe_get code (w + 1)) in
-        Memory.write t.mem a v;
-        th.store_trace_rev <- (a, v) :: th.store_trace_rev;
-        th.stores <- th.stores + 1;
-        th.ctx_events <- th.ctx_events + 1;
-        th.status <- Blocked { until = cycle + access_latency t a };
-        burst_flush t th (pc + 1) cycle moves;
-        `Yield
-      | 20 (* br *) ->
-        burst_go t th code b0 blim regs limit (Array.unsafe_get code (w + 1))
-          cycle moves
-      | 33 (* ctx_switch *) ->
-        th.ctx_events <- th.ctx_events + 1;
-        burst_flush t th (pc + 1) cycle moves;
-        `Yield
-      | 34 (* nop *) -> burst_go t th code b0 blim regs limit (pc + 1) cycle moves
-      | _ (* 35: halt *) ->
-        th.status <- Done cycle;
-        burst_flush t th pc cycle moves;
-        `Yield
+  else
+    (* in range: a validated program's pc stays inside it, and falling
+       off its end lands on the fetch-fault quad *)
+    burst_op t th code b0 regs limit pc (cycle + 1) moves
+      (Array.unsafe_get code (b0 + (pc * 4)))
+
+(* Executes the quad at [pc], opcode [op], issued at [cycle]. Its
+   remaining words are in range (a quad is four words), and so are its
+   register operands unless it is flagged. *)
+and burst_op t th code b0 regs limit pc cycle moves op =
+  let w = b0 + (pc * 4) in
+  if op < 16 then begin
+    (* ALU: 0-7 register src2, 8-15 immediate src2 *)
+    let s2 = Array.unsafe_get code (w + 3) in
+    let v2 = if op < 8 then Array.unsafe_get regs s2 else s2 in
+    let v1 = Array.unsafe_get regs (Array.unsafe_get code (w + 2)) in
+    let v =
+      match op land 7 with
+      | 0 -> v1 + v2
+      | 1 -> v1 - v2
+      | 2 -> v1 land v2
+      | 3 -> v1 lor v2
+      | 4 -> v1 lxor v2
+      | 5 -> v1 lsl (v2 land 31)
+      | 6 -> v1 lsr (v2 land 31)
+      | _ -> v1 * v2
+    in
+    Array.unsafe_set regs (Array.unsafe_get code (w + 1)) v;
+    burst_go t th code b0 regs limit (pc + 1) cycle moves
   end
+  else if op >= 21 && op < 33 then begin
+    (* Brc: 21-26 register src2, 27-32 immediate src2 *)
+    let s2 = Array.unsafe_get code (w + 2) in
+    let v2 = if op < 27 then Array.unsafe_get regs s2 else s2 in
+    let v1 = Array.unsafe_get regs (Array.unsafe_get code (w + 1)) in
+    let taken =
+      match if op < 27 then op - 21 else op - 27 with
+      | 0 -> v1 = v2
+      | 1 -> v1 <> v2
+      | 2 -> v1 < v2
+      | 3 -> v1 >= v2
+      | 4 -> v1 > v2
+      | _ -> v1 <= v2
+    in
+    burst_go t th code b0 regs limit
+      (if taken then Array.unsafe_get code (w + 3) else pc + 1)
+      cycle moves
+  end
+  else
+    match op with
+    | 16 (* mov *) ->
+      Array.unsafe_set regs
+        (Array.unsafe_get code (w + 1))
+        (Array.unsafe_get regs (Array.unsafe_get code (w + 2)));
+      burst_go t th code b0 regs limit (pc + 1) cycle (moves + 1)
+    | 17 (* movi *) ->
+      Array.unsafe_set regs
+        (Array.unsafe_get code (w + 1))
+        (Array.unsafe_get code (w + 2));
+      burst_go t th code b0 regs limit (pc + 1) cycle moves
+    | 18 (* load *) ->
+      let a =
+        Array.unsafe_get regs (Array.unsafe_get code (w + 2))
+        + Array.unsafe_get code (w + 3)
+      in
+      let v = Memory.read t.mem a in
+      th.loads <- th.loads + 1;
+      th.ctx_events <- th.ctx_events + 1;
+      th.pending_writeback <- Some (Array.unsafe_get code (w + 1), v);
+      th.status <- Blocked { until = cycle + access_latency t a };
+      burst_flush t th (pc + 1) cycle moves;
+      `Yield
+    | 19 (* store *) ->
+      let a =
+        Array.unsafe_get regs (Array.unsafe_get code (w + 2))
+        + Array.unsafe_get code (w + 3)
+      in
+      let v = Array.unsafe_get regs (Array.unsafe_get code (w + 1)) in
+      Memory.write t.mem a v;
+      th.store_trace_rev <- (a, v) :: th.store_trace_rev;
+      th.stores <- th.stores + 1;
+      th.ctx_events <- th.ctx_events + 1;
+      th.status <- Blocked { until = cycle + access_latency t a };
+      burst_flush t th (pc + 1) cycle moves;
+      `Yield
+    | 20 (* br *) ->
+      burst_go t th code b0 regs limit (Array.unsafe_get code (w + 1)) cycle
+        moves
+    | 33 (* ctx_switch *) ->
+      th.ctx_events <- th.ctx_events + 1;
+      burst_flush t th (pc + 1) cycle moves;
+      `Yield
+    | 34 (* nop *) -> burst_go t th code b0 regs limit (pc + 1) cycle moves
+    | 35 (* halt *) ->
+      th.status <- Done cycle;
+      burst_flush t th pc cycle moves;
+      `Yield
+    | 36 (* fetch fault: fail like [step_legacy]'s fetch past the end,
+            before the cycle is issued *) ->
+      burst_flush t th pc (cycle - 1) moves;
+      raise (Invalid_argument "index out of bounds")
+    | _ (* flagged *) ->
+      burst_flush t th pc cycle moves;
+      let op = op - flagged in
+      check_quad t th code w op;
+      burst_op t th code b0 regs limit pc cycle 0 op
 
-let burst_soa t soa th ~limit =
-  burst_go t th soa.s_code soa.s_base.(th.id) soa.s_lim.(th.id) t.regs limit
-    th.pc t.cycle 0
+(* After a yield: the sentinel's switch snapshot, and the timeline's
+   record of why the thread gave up the PU. *)
+let note_yield t th =
+  snapshot_on_switch t th;
+  if t.record_timeline then
+    record t th.id
+      (match th.status with
+      | Blocked _ -> Blocked_on_memory
+      | Done _ -> Halted
+      | Ready -> Yielded)
 
-(* Round-robin dispatch: the next ready thread after [from]; if none is
-   ready but some are blocked, time advances to the earliest wake-up —
-   but never past [horizon] in bounded mode. In strict mode (the classic
-   [run]), an earliest wake-up beyond the cycle budget means every
+(* Runs the holder until it yields or the clock reaches [limit]. *)
+let run_holder t th ~limit =
+  match t.engine with
+  | `Soa ->
+    burst_go t th t.soa.s_code t.soa.s_base.(th.id) t.regs limit th.pc
+      t.cycle 0
+  | `Legacy -> step_until t th limit
+
+(* The scheduler, shared by the one-shot [run] (strict: the cycle budget
+   and deadlock detection are enforced with exceptions) and the
+   re-entrant [run_until] (bounded: progress stops at [horizon] and the
+   machine can always be resumed). Returns [`Done] only in strict mode,
+   when no thread can ever run again.
+
+   Round-robin dispatch picks the next ready thread after the last
+   holder; if none is ready but some are blocked, time advances to the
+   earliest wake-up — but never past [horizon] in bounded mode. In
+   strict mode an earliest wake-up beyond the cycle budget means every
    thread is permanently parked within that budget: that is a deadlock,
    reported with per-thread status, as opposed to plain [Cycle_limit]
-   exhaustion where a runnable thread consumed the budget. *)
-let rec pick t from ~horizon ~strict =
-  let n = Array.length t.threads in
-  let wake th =
-    match th.status with
-    | Blocked { until } when until <= t.cycle ->
-      th.status <- Ready;
-      th.ready_since <- max until t.cycle
-    | Blocked _ | Ready | Done _ -> ()
-  in
-  Array.iter wake t.threads;
-  let candidate = ref None in
-  for k = 1 to n do
-    let i = (from + k) mod n in
-    if !candidate = None && t.threads.(i).status = Ready then
-      candidate := Some i
-  done;
-  match !candidate with
-  | Some i -> Some i
-  | None ->
-    let earliest =
-      Array.fold_left
-        (fun acc th ->
-          match th.status with
-          | Blocked { until } -> (
-            match acc with Some e -> Some (min e until) | None -> Some until)
-          | Ready | Done _ -> acc)
-        None t.threads
-    in
-    (match earliest with
-    | Some e when strict && e > t.config.max_cycles ->
-      raise
-        (Stuck (Deadlock { limit = t.config.max_cycles; threads = statuses t }))
-    | Some e when (not strict) && e > horizon -> None
-    | Some e ->
-      t.cycle <- max t.cycle e;
-      pick t from ~horizon ~strict
-    | None -> None)
+   exhaustion where a runnable thread consumed the budget.
 
-let dispatch t i =
-  let th = t.threads.(i) in
-  (match th.pending_writeback with
-  | Some (dst, v) ->
-    write_idx t th dst v;
-    th.pending_writeback <- None
-  | None -> ());
-  th.wait_cycles <- th.wait_cycles + max 0 (t.cycle - th.ready_since);
-  record t i Dispatched;
-  t.dispatches <- t.dispatches + 1
-
-(* The per-step execution loop, shared by the one-shot [run] (strict:
-   the cycle budget and deadlock detection are enforced with exceptions)
-   and the re-entrant [run_until] (bounded: progress stops at [horizon]
-   and the machine can always be resumed). Returns [`Done] only in
-   strict mode, when no thread can ever run again. *)
-let exec_generic t ~horizon ~strict ~stop_on_halt =
-  let ret = ref None in
-  while !ret = None do
-    match t.holder with
-    | None -> (
-      match pick t t.rr_from ~horizon ~strict with
-      | Some next ->
-        (match t.last_yielder with
-        | None -> ()  (* very first dispatch: the PU was free *)
-        | Some y ->
-          let yth = t.threads.(y) in
-          if next <> y || yth.status <> Ready then begin
-            t.cycle <- t.cycle + t.config.ctx_switch_cost;
-            t.switch_cycles <- t.switch_cycles + t.config.ctx_switch_cost
-          end;
-          (* a voluntary yield leaves the thread runnable from now *)
-          if yth.status = Ready then yth.ready_since <- t.cycle);
-        t.last_yielder <- None;
-        t.holder <- Some next;
-        dispatch t next
-      | None ->
-        if strict then ret := Some `Done
-        else begin
-          (* nothing can run before the horizon: the PU idles up to it *)
-          if t.cycle < horizon then t.cycle <- horizon;
-          ret := Some `Idle
-        end)
-    | Some cur ->
-      if strict && t.cycle > t.config.max_cycles then
-        raise
-          (Stuck
-             (Cycle_limit { limit = t.config.max_cycles; threads = statuses t }))
-      else if (not strict) && t.cycle >= horizon then ret := Some `Horizon
-      else begin
-        let th = t.threads.(cur) in
-        match step t th with
-        | `Continue -> ()
-        | `Yield ->
-          snapshot_on_switch t th;
-          t.holder <- None;
-          t.rr_from <- cur;
-          t.last_yielder <- Some cur;
-          if
-            stop_on_halt
-            && (match th.status with Done _ -> true | _ -> false)
-          then ret := Some (`Halted cur)
-      end
-  done;
-  match !ret with Some r -> r | None -> assert false
-
-(* Specialised driver for a machine whose every thread can burst (see
-   {!burst_rows}). Exactly the state machine of [exec_generic] — the
-   differential suite pins the two drivers cycle-for-cycle, trap state
-   included — but monomorphised for the burst: scheduler state lives in
-   locals with [-1] for "none" (no [Some] allocation per dispatch), the
-   round-robin pick and wake scan are inlined loops, and the
-   sentinel/timeline hooks that are statically no-ops here are gone.
-   This matters because short-burst workloads — spill-heavy allocator
-   output yields every few instructions — spend as much time in the
-   scheduler as in the burst itself. Scheduler state is written back to
-   [t] on every exit, exceptional ones included, so pausing, resuming
-   and trap reports are indistinguishable from the generic driver. *)
-let exec_soa t soa ~horizon ~strict ~stop_on_halt =
+   Scheduler state lives in locals with [-1] for "none" (no [Some]
+   allocation per dispatch) and the pick and wake scans are inlined
+   loops. This matters because short-burst workloads — spill-heavy
+   allocator output yields every few instructions — spend as much time
+   in the scheduler as in the burst itself. Scheduler state is written
+   back to [t] on every exit, exceptional ones included, so pausing,
+   resuming and trap reports see one consistent machine. The timeline
+   events and the sentinel's switch snapshot are taken here, at
+   dispatch and after each yield, for both engines, each behind a field
+   test so a machine that needs neither makes no call. *)
+let exec t ~horizon ~strict ~stop_on_halt =
   let threads = t.threads in
   let n = Array.length threads in
   (* run the holder up to the horizon (bounded) or the cycle budget + 1
      (strict — the budget-exceeding instruction must execute so the loop
-     re-check raises the same [Cycle_limit] as the per-step path) *)
+     re-check raises [Cycle_limit]) *)
   let limit =
     if strict then
       if t.config.max_cycles = max_int then max_int else t.config.max_cycles + 1
@@ -991,8 +860,8 @@ let exec_soa t soa ~horizon ~strict ~stop_on_halt =
   (try
      while !ret = None do
        if !holder < 0 then begin
-         (* [pick], inlined: wake, round-robin scan, or advance time to
-            the earliest blocked wake-up and retry *)
+         (* pick: wake, round-robin scan, or advance time to the
+            earliest blocked wake-up and retry *)
          let picked = ref (-2) in
          while !picked = -2 do
            for i = 0 to n - 1 do
@@ -1036,6 +905,7 @@ let exec_soa t soa ~horizon ~strict ~stop_on_halt =
          if !picked < 0 then
            if strict then ret := Some `Done
            else begin
+             (* nothing can run before the horizon: the PU idles up to it *)
              if t.cycle < horizon then t.cycle <- horizon;
              ret := Some `Idle
            end
@@ -1048,11 +918,12 @@ let exec_soa t soa ~horizon ~strict ~stop_on_halt =
                   t.cycle <- t.cycle + t.config.ctx_switch_cost;
                   t.switch_cycles <- t.switch_cycles + t.config.ctx_switch_cost
                 end;
+                (* a voluntary yield leaves the thread runnable from now *)
                 if yth.status = Ready then yth.ready_since <- t.cycle
               end);
            last_yielder := -1;
            holder := next;
-           (* [dispatch], inlined (the timeline hook is statically off) *)
+           (* dispatch: the load write-back of the transfer-register rule *)
            let th = threads.(next) in
            (match th.pending_writeback with
            | Some (dst, v) ->
@@ -1060,6 +931,7 @@ let exec_soa t soa ~horizon ~strict ~stop_on_halt =
              th.pending_writeback <- None
            | None -> ());
            th.wait_cycles <- th.wait_cycles + max 0 (t.cycle - th.ready_since);
+           if t.record_timeline then record t next Dispatched;
            t.dispatches <- t.dispatches + 1
          end
        end
@@ -1071,9 +943,10 @@ let exec_soa t soa ~horizon ~strict ~stop_on_halt =
        else begin
          let cur = !holder in
          let th = threads.(cur) in
-         match burst_soa t soa th ~limit with
+         match run_holder t th ~limit with
          | `Continue -> ()
          | `Yield ->
+           if t.sentinel <> None || t.record_timeline then note_yield t th;
            holder := -1;
            rr_from := cur;
            last_yielder := cur;
@@ -1087,11 +960,6 @@ let exec_soa t soa ~horizon ~strict ~stop_on_halt =
      raise e);
   save ();
   match !ret with Some r -> r | None -> assert false
-
-let exec t ~horizon ~strict ~stop_on_halt =
-  match t.soa with
-  | Some soa -> exec_soa t soa ~horizon ~strict ~stop_on_halt
-  | None -> exec_generic t ~horizon ~strict ~stop_on_halt
 
 let run ?(config = default_config) ?(engine = `Soa) ?(mem_image = [])
     ?(timeline = false) ?(sentinel = `Off) progs =
@@ -1283,15 +1151,14 @@ let swap_programs t progs =
           {
             th with
             prog;
-            dcode = decode_for t.engine prog;
             pc = 0;
             pending_writeback = None;
             (* counters, traces and completion stamps accumulate across
                the swap so IPC and store-order checks stay continuous *)
           })
       progs;
-    (* the new programs may differ in length and in cleanliness *)
-    t.soa <- burst_rows t;
+    (* the new programs may differ in length and in flagged quads *)
+    t.soa <- build_soa ~nreg:t.config.nreg ~armed:(t.sentinel <> None) t.threads;
     (match t.sentinel with
     | None -> ()
     | Some s ->

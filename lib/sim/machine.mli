@@ -94,19 +94,24 @@ type engine = [ `Legacy | `Soa ]
     flat immutable int-array form — register operands resolved to file
     indices, branch targets to instruction indices — and concatenates
     every thread's code into one machine-wide struct-of-arrays row over
-    the shared register row. When the sentinel and timeline are off and
-    every register operand of every thread lies inside the file, the
-    machine runs each dispatched thread in a batched burst — pc, clock
-    and retired count in locals, ALU/condition evaluation inlined —
-    until it yields the PU or the slice horizon arrives, with no
-    per-instruction scheduler dispatch. Otherwise it steps one decoded
-    instruction at a time through the checked register accessors. The
-    choice is made at {!create} and again at every {!swap_programs}.
+    the shared register row. The machine runs each dispatched thread in
+    a batched burst — pc, clock and retired count in locals,
+    ALU/condition evaluation inlined — until it yields the PU or the
+    slice horizon arrives, with no per-instruction scheduler dispatch.
+    Quads whose register accesses need checking are flagged at decode:
+    every quad with a register operand outside the file, and with the
+    sentinel armed every quad that touches a register. The burst runs a
+    flagged quad's accesses through the checked register accessors, so
+    it traps on the same cycle and with the same machine state as
+    [`Legacy]; unflagged quads pay no check. The rows are built at
+    {!create} and again at every {!swap_programs}.
 
-    [`Legacy] interprets {!Npra_ir.Instr.t} directly. It is the
-    differential oracle: the test suite proves both [`Soa] paths cycle-,
-    trap- and report-equal to it (registry kernels, sentinel modes,
-    chaos stall/scribble, tiered memory, bounded slices, hot-swaps). *)
+    [`Legacy] interprets {!Npra_ir.Instr.t} directly, one instruction at
+    a time, under the same scheduler. It is the differential oracle for
+    instruction semantics: the test suite proves the [`Soa] burst
+    cycle-, trap- and report-equal to it (registry kernels, sentinel
+    modes, chaos stall/scribble, tiered memory, bounded slices,
+    hot-swaps), and golden digests pin the shared schedule. *)
 
 val create :
   ?config:config ->
@@ -118,16 +123,17 @@ val create :
   t
 (** One thread per program; programs must be fully physical. [mem_image]
     preloads memory words (packet buffers, tables); [timeline] records
-    scheduling events for {!pp_timeline}.
+    scheduling events for {!pp_timeline} — the scheduler records them,
+    so they cost nothing per instruction and the machine still bursts.
     @raise Stuck ([Not_physical]) on a program with virtual registers. *)
 
 val memory : t -> Memory.t
 
-val bursts : t -> bool
-(** Whether the machine runs each dispatched thread in a batched burst
-    (see {!engine}): [`Soa], sentinel and timeline off, and every thread
-    register-clean. Such a machine cannot trap, so a {!run_until} ends
-    only at its horizon or at a halt. Decided at {!create} and again at
+val can_trap : t -> bool
+(** Whether a {!run_until} can end in a trap ({!Stuck} or {!Corruption})
+    rather than only at its horizon or at a halt: true for [`Legacy],
+    for an armed sentinel, and for a machine with a register operand
+    outside the file anywhere in its code, reached or not. Recomputed at
     every {!swap_programs}. *)
 
 type timeline_event =

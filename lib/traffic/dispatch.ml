@@ -350,16 +350,16 @@ let pending e =
 
    A pause lands at most [ctx_switch_cost] past its horizon, so pausing
    at every arrival admits each one before [late] within the slice (a
-   slice never straddles [duration]). A bursting machine skips busy
-   ports' arrivals before [late]; the loop condition admits them first,
-   so [pending] and the slice exit see the same queues. A stepping
-   machine pauses at every arrival ([late = min_int]): a trap can end
-   its run at any cycle, and the salvaged queues must hold exactly what
-   arrived by then. *)
+   slice never straddles [duration]). A machine that cannot trap skips
+   busy ports' arrivals before [late]; the loop condition admits them
+   first, so [pending] and the slice exit see the same queues. A machine
+   that can trap ({!Machine.can_trap}) pauses at every arrival
+   ([late = min_int]): a trap can end its run at any cycle, and the
+   salvaged queues must hold exactly what arrived by then. *)
 let advance e ~upto ~duration ~refresh ~shed ~ctx_switch_cost =
   guard_faults e (fun () ->
       let late =
-        if Machine.bursts e.machine then upto - ctx_switch_cost else min_int
+        if Machine.can_trap e.machine then min_int else upto - ctx_switch_cost
       in
       while
         e.fault = None

@@ -134,13 +134,14 @@ val run :
     arrival before [duration] that an engine's last run stepped over is
     still offered once its clock passes [duration].
 
-    Every machine runs on the default [`Soa] {!Machine.engine}: it
-    bursts when [sentinel] is [`Off] and steps one instruction at a time
-    otherwise — the sentinel, not the engine, decides the speed. A
-    bursting engine ({!Machine.bursts}) pauses for a busy port's arrival
-    only near a slice end and admits the packet, in time order, at its
-    next pause: admission is decided exactly as on time, so on a safe
-    allocation [`Off] and [`Trap] runs produce the same metrics.
+    Every machine runs on the default [`Soa] {!Machine.engine}, which
+    bursts whether the sentinel is armed or not. An engine that cannot
+    trap (not {!Machine.can_trap}: sentinel [`Off], every register
+    operand in the file) pauses for a busy port's arrival only near a
+    slice end and admits the packet, in time order, at its next pause:
+    admission is decided exactly as on time, so on a safe allocation
+    [`Off] and [`Trap] runs produce the same metrics. An engine that can
+    trap pauses at every arrival.
 
     [refresh], when given, is called at each service start and returns
     [(address, value)] words poked into the engine's memory — the

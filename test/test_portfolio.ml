@@ -294,7 +294,8 @@ let cache_tests =
 (* The portfolio winner must behave identically under both paths of the
    soa engine and the legacy interpreter — same extension of the
    sim.engines contract to the new allocation producer. The armed
-   sentinel covers the per-step path, the disarmed one the burst. *)
+   sentinel covers the burst's flagged quads, the disarmed one its
+   unchecked arms. *)
 let engine_tests =
   List.map
     (fun id ->

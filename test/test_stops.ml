@@ -1,6 +1,7 @@
-(* Tests for where the dispatcher pauses an engine. A bursting machine
-   (sentinel off, register-clean) is paused only at halts, at arrivals
-   for idle ports and near slice ends; a stepping one at every arrival.
+(* Tests for where the dispatcher pauses an engine. A machine that
+   cannot trap (sentinel off, register-clean) is paused only at halts,
+   at arrivals for idle ports and near slice ends; one that can trap
+   (sentinel armed) at every arrival.
    On a safe allocation the sentinel never fires, so the two must agree
    byte for byte: a qcheck differential over traffic, queue, shedding,
    chaos, controller, engine-count and switch-cost settings. Golden
