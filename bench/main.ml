@@ -78,21 +78,17 @@ let ablation_sharing () =
   Fmt.pr "%-12s  %9s  %9s  %9s@." "benchmark" "4*chaitin" "balanced"
     "no-shared";
   List.iter
-    (fun spec ->
-      let w = Registry.instantiate spec ~slot:0 in
-      let prog = Webs.rename w.Workload.prog in
-      let chaitin = Chaitin.color_count prog in
-      match Inter.tighten_zero_cost ~nreg:128 [ prog ] with
-      | Error (`Infeasible m) ->
-        Fmt.pr "%-12s  %9d  (infeasible: %s)@." spec.Workload.id (4 * chaitin) m
-      | Ok inter ->
-        let th = inter.Inter.threads.(0) in
+    (fun r ->
+      match r.Experiments.f14_data with
+      | None ->
+        Fmt.pr "%-12s  (infeasible: %s)@." r.f14_name
+          (Option.value r.f14_note ~default:"")
+      | Some d ->
         (* no-shared: every register a thread touches must be private *)
-        let no_shared = 4 * (th.Inter.pr + th.Inter.sr) in
-        Fmt.pr "%-12s  %9d  %9d  %9d@." spec.Workload.id (4 * chaitin)
-          ((4 * th.Inter.pr) + th.Inter.sr)
-          no_shared)
-    Registry.all
+        Fmt.pr "%-12s  %9d  %9d  %9d@." r.f14_name d.partitioned_demand
+          d.shared_demand
+          (4 * (d.pr + d.sr)))
+    (Experiments.fig14 ())
 
 (* Ablation 2: register-file size sweep — where does the balanced
    allocator stop fitting, and how does move cost grow as the file
@@ -199,7 +195,8 @@ let bechamel_tests () =
            let _ = Estimate.run ctx in
            Nsr.compute md5_prog));
     Test.make ~name:"fig14:zero-cost-tighten(md5)"
-      (staged (fun () -> Inter.tighten_zero_cost ~nreg:128 [ md5_prog ]));
+      (staged (fun () ->
+           Inter.balance ~nreg:128 `Zero_cost [| Inter.init_thread md5_prog |]));
     Test.make ~name:"table2:reduce-to-min(fir2dim)"
       (staged
          (let w = Registry.instantiate (Registry.find_exn "fir2dim") ~slot:0 in

@@ -109,7 +109,10 @@ type cell = { cl_engines : int; cl_shards : int; cl_duration : int }
 (* Cells at deliberately different scales: the spread hash deals each
    cell's engines unevenly across its shards, and mixing small and
    large cells gives the task vector a cost spread that idle workers
-   even out by stealing. *)
+   even out by stealing. The full-mode cells run long enough that each
+   side of a jobs-1/jobs-2 pair takes at least about 0.3 s on a 2-core
+   host: at a few tens of milliseconds, domain start-up decided the
+   ratio. *)
 let cells ~quick =
   if quick then
     [
@@ -119,9 +122,9 @@ let cells ~quick =
     ]
   else
     [
-      { cl_engines = 8; cl_shards = 2; cl_duration = 3_000 };
-      { cl_engines = 24; cl_shards = 6; cl_duration = 3_000 };
-      { cl_engines = 64; cl_shards = 8; cl_duration = 6_000 };
+      { cl_engines = 8; cl_shards = 2; cl_duration = 180_000 };
+      { cl_engines = 24; cl_shards = 6; cl_duration = 180_000 };
+      { cl_engines = 64; cl_shards = 8; cl_duration = 360_000 };
     ]
 
 let shard_system () =

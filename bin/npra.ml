@@ -165,25 +165,31 @@ let balanced_or_die ?spill_bases ~nreg progs =
     List.iter (fun d -> Fmt.epr "  %a@." Pipeline.pp_diagnostic d) trail;
     exit 1
 
-let print_balanced (bal : Pipeline.balanced) =
-  List.iter
-    (fun d -> Fmt.pr "degraded: %a@." Pipeline.pp_diagnostic d)
-    bal.Pipeline.trail;
-  Fmt.pr "allocation served by: %a@." Pipeline.pp_stage bal.Pipeline.provenance;
+let print_layout (bal : Pipeline.balanced) =
   (match bal.Pipeline.inter with
   | Some inter -> Fmt.pr "%a" Inter.pp inter
   | None ->
     Fmt.pr "spilled ranges per thread: %a@."
       Fmt.(list ~sep:sp int)
       bal.Pipeline.spilled_ranges);
-  Fmt.pr "%a" Assign.pp bal.Pipeline.layout;
-  Fmt.pr "moves inserted: %d@." bal.Pipeline.moves;
+  Fmt.pr "%a" Assign.pp bal.Pipeline.layout
+
+let verified_or_die (bal : Pipeline.balanced) =
   match bal.Pipeline.verify_errors with
   | [] -> Fmt.pr "safety verification: OK@."
   | errs ->
     Fmt.pr "safety verification FAILED:@.";
     List.iter (fun e -> Fmt.pr "  %a@." Verify.pp_error e) errs;
     exit 1
+
+let print_balanced (bal : Pipeline.balanced) =
+  List.iter
+    (fun d -> Fmt.pr "degraded: %a@." Pipeline.pp_diagnostic d)
+    bal.Pipeline.trail;
+  Fmt.pr "allocation served by: %a@." Pipeline.pp_stage bal.Pipeline.provenance;
+  print_layout bal;
+  Fmt.pr "moves inserted: %d@." bal.Pipeline.moves;
+  verified_or_die bal
 
 let allocate_cmd =
   let run nreg iters ids =
@@ -238,7 +244,7 @@ let simulate_cmd =
       let base = Pipeline.baseline ~nreg ~spill_bases progs in
       let report =
         Npra_sim.Machine.report
-          (Pipeline.simulate ~mem_image base.Pipeline.base_programs)
+          (Npra_sim.Machine.run ~mem_image base.Pipeline.base_programs)
       in
       Fmt.pr "== spilling baseline (fixed partition) ==@.%a"
         Npra_sim.Machine.pp_report report;
@@ -586,65 +592,32 @@ let chip_cmd =
 let portfolio_cmd =
   let run nreg seed jobs probe_horizon json ids =
     let pool = Npra_par.Pool.create ~jobs () in
-    let ws =
-      List.mapi
-        (fun i id ->
-          let spec = lookup id in
-          let t =
-            match Registry.default_traffic id with
-            | Some t -> t
-            | None ->
-              { Workload.arrival = Workload.Uniform { period = 1000 };
-                queue_capacity = 8;
-                per_packet_iters = 2 }
-          in
-          (Registry.instantiate spec ~slot:i ~iters:t.Workload.per_packet_iters, t))
-        ids
+    let progs, spill_bases, probe =
+      Experiments.portfolio_system ~horizon:probe_horizon (List.map lookup ids)
     in
-    let progs = List.map (fun (w, _) -> w.Workload.prog) ws in
-    let mem_image = List.concat_map (fun (w, _) -> w.Workload.mem_image) ws in
-    let spill_bases = List.map (fun (w, _) -> Workload.spill_base w) ws in
-    let probe =
-      {
-        Pipeline.probe_mem_image = mem_image;
-        probe_traffic = List.map snd ws;
-        probe_horizon;
-      }
-    in
-    match Pipeline.portfolio ~pool ~nreg ~spill_bases ~seed ~probe progs with
+    match Portfolio.race ~pool ~nreg ~spill_bases ~seed ~probe progs with
     | Error trail ->
       Fmt.epr "every portfolio entrant failed:@.";
       List.iter (fun d -> Fmt.epr "  %a@." Pipeline.pp_diagnostic d) trail;
       exit 1
     | Ok p when json ->
       print_string (Json.to_string (Experiments.portfolio_race_json ~seed ~nreg p));
-      if p.Pipeline.winner.Pipeline.verify_errors <> [] then exit 1
+      if p.Portfolio.winner.Pipeline.verify_errors <> [] then exit 1
     | Ok p ->
       Fmt.pr "slate (%d entrants, %d probed):@."
-        (List.length p.Pipeline.slate)
-        p.Pipeline.probed;
+        (List.length p.Portfolio.slate)
+        p.Portfolio.probed;
       List.iter
         (fun (stage, oc) ->
           Fmt.pr "  %-40s %a@."
             (Fmt.str "%a" Pipeline.pp_stage stage)
-            Pipeline.pp_outcome oc)
-        p.Pipeline.slate;
-      let w = p.Pipeline.winner in
+            Portfolio.pp_outcome oc)
+        p.Portfolio.slate;
+      let w = p.Portfolio.winner in
       Fmt.pr "winner: %a (%a)@." Pipeline.pp_stage w.Pipeline.provenance
-        Pipeline.pp_score p.Pipeline.winner_score;
-      (match w.Pipeline.inter with
-      | Some inter -> Fmt.pr "%a" Inter.pp inter
-      | None ->
-        Fmt.pr "spilled ranges per thread: %a@."
-          Fmt.(list ~sep:sp int)
-          w.Pipeline.spilled_ranges);
-      Fmt.pr "%a" Assign.pp w.Pipeline.layout;
-      match w.Pipeline.verify_errors with
-      | [] -> Fmt.pr "safety verification: OK@."
-      | errs ->
-        Fmt.pr "safety verification FAILED:@.";
-        List.iter (fun e -> Fmt.pr "  %a@." Verify.pp_error e) errs;
-        exit 1
+        Portfolio.pp_score p.Portfolio.winner_score;
+      print_layout w;
+      verified_or_die w
   in
   let seed_arg =
     Arg.(
@@ -742,7 +715,8 @@ let cc_cmd =
         bal.Pipeline.programs;
       if simulate then begin
         let report =
-          Npra_sim.Machine.report (Pipeline.simulate ~mem_image:[] bal.Pipeline.programs)
+          Npra_sim.Machine.report
+            (Npra_sim.Machine.run ~mem_image:[] bal.Pipeline.programs)
         in
         Fmt.pr "%a" Npra_sim.Machine.pp_report report
       end
@@ -766,8 +740,8 @@ let cc_cmd =
 let sra_cmd =
   let run nreg nthd id =
     let w = Registry.instantiate (lookup id) ~slot:0 in
-    let prog = Npra_cfg.Webs.rename w.Workload.prog in
-    match Sra.allocate ~nreg ~nthd prog with
+    let th = Inter.init_thread (Npra_cfg.Webs.rename w.Workload.prog) in
+    match Sra.allocate ~nreg ~nthd th with
     | Error (`Infeasible m) ->
       Fmt.epr "infeasible: %s@." m;
       exit 1

@@ -59,7 +59,8 @@ let () =
 
   let mem_image = List.init 4 (fun i -> (1000 + i, 10 + i)) in
   let report =
-    Npra_sim.Machine.report (Pipeline.simulate ~mem_image bal.Pipeline.programs)
+    Npra_sim.Machine.report
+      (Npra_sim.Machine.run ~mem_image bal.Pipeline.programs)
   in
   Fmt.pr "== run ==@.%a" Npra_sim.Machine.pp_report report;
   (* the checksum of 10+11+12+13 lands at address 2000 *)

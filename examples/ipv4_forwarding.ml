@@ -35,7 +35,7 @@ let () =
     ws;
   let base_report =
     Npra_sim.Machine.report
-      (Pipeline.simulate ~mem_image base.Pipeline.base_programs)
+      (Npra_sim.Machine.run ~mem_image base.Pipeline.base_programs)
   in
   let base_cycles = Pipeline.cycles_per_iteration base_report iters in
 
@@ -46,7 +46,8 @@ let () =
   Fmt.pr "@.balanced allocation:@.";
   Fmt.pr "%a" Npra_regalloc.Inter.pp inter;
   let bal_report =
-    Npra_sim.Machine.report (Pipeline.simulate ~mem_image bal.Pipeline.programs)
+    Npra_sim.Machine.report
+      (Npra_sim.Machine.run ~mem_image bal.Pipeline.programs)
   in
   let bal_cycles = Pipeline.cycles_per_iteration bal_report iters in
 

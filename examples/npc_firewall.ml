@@ -77,7 +77,7 @@ let () =
   Option.iter (Fmt.pr "%a" Npra_regalloc.Inter.pp) bal.Pipeline.inter;
   assert (bal.Pipeline.verify_errors = []);
 
-  let machine = Pipeline.simulate ~mem_image bal.Pipeline.programs in
+  let machine = Npra_sim.Machine.run ~mem_image bal.Pipeline.programs in
   let report = Npra_sim.Machine.report machine in
   Fmt.pr "@.%a@." Npra_sim.Machine.pp_report report;
 

@@ -52,7 +52,9 @@ let () =
   let spill_bases = List.map Workload.spill_base ws in
   let base = Pipeline.baseline ~nreg:128 ~spill_bases progs in
   let cycles programs =
-    let report = Npra_sim.Machine.report (Pipeline.simulate ~mem_image programs) in
+    let report =
+      Npra_sim.Machine.report (Npra_sim.Machine.run ~mem_image programs)
+    in
     Pipeline.cycles_per_iteration report iters
   in
   let base_cycles = cycles base.Pipeline.base_programs in

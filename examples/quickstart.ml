@@ -66,7 +66,7 @@ let () =
     bal.Pipeline.programs;
 
   (* Run both threads concurrently on the machine model. *)
-  let machine = Pipeline.simulate ~mem_image:[] bal.Pipeline.programs in
+  let machine = Npra_sim.Machine.run ~mem_image:[] bal.Pipeline.programs in
   Fmt.pr "== simulation ==@.%a" Npra_sim.Machine.pp_report
     (Npra_sim.Machine.report machine);
 

@@ -117,7 +117,7 @@ let fig14_row spec =
   let w = Registry.instantiate spec ~slot:0 in
   let prog = Webs.rename w.Workload.prog in
   let chaitin_colors = Chaitin.color_count prog in
-  match Inter.tighten_zero_cost ~nreg [ prog ] with
+  match Inter.balance ~nreg `Zero_cost [| Inter.init_thread prog |] with
   | Error (`Infeasible m) ->
     { f14_name = spec.Workload.id; f14_data = None; f14_note = Some m }
   | Ok inter ->
@@ -452,13 +452,13 @@ let table3_report rows =
 
 type portfolio_row = {
   p_kernel : string;
-  p_chain : (Pipeline.stage * Pipeline.score) option;
+  p_chain : (Pipeline.stage * Portfolio.score) option;
       (* what the fallback chain served; [None] if every stage failed *)
-  p_winner : (Pipeline.stage * Pipeline.score) option;
+  p_winner : (Pipeline.stage * Portfolio.score) option;
       (* the portfolio winner; [None] if the whole slate failed *)
   p_probed : int;  (* distinct candidates the throughput probe ran on *)
   p_never_loses : bool;  (* winner's static score <= the chain's *)
-  p_entrants : (Pipeline.stage * Pipeline.outcome) list;
+  p_entrants : (Pipeline.stage * Portfolio.outcome) list;
 }
 
 let default_probe_traffic =
@@ -466,53 +466,57 @@ let default_probe_traffic =
     queue_capacity = 8;
     per_packet_iters = 2 }
 
-(* Four engines of the same kernel on disjoint memory slots — symmetric
-   by construction, so the SRA entrant is admissible — sized for packet
-   service: each restart processes one packet's worth of iterations. *)
-let portfolio_system spec =
-  let tspec =
-    Option.value
-      (Registry.default_traffic spec.Workload.id)
-      ~default:default_probe_traffic
-  in
+(* One engine per kernel on disjoint memory slots, sized for packet
+   service: each restart processes one packet's worth of iterations of
+   the kernel's default traffic, which the probe replays for [horizon]
+   cycles. *)
+let portfolio_system ~horizon specs =
   let ws =
-    List.init nthd (fun slot ->
-        Registry.instantiate ~iters:tspec.Workload.per_packet_iters spec ~slot)
+    List.mapi
+      (fun slot spec ->
+        let t =
+          Option.value
+            (Registry.default_traffic spec.Workload.id)
+            ~default:default_probe_traffic
+        in
+        (Registry.instantiate ~iters:t.Workload.per_packet_iters spec ~slot, t))
+      specs
   in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-  let spill_bases = List.map Workload.spill_base ws in
-  (progs, mem_image, spill_bases, List.init nthd (fun _ -> tspec))
-
-let portfolio_row ?(pool = Npra_par.Pool.sequential) ~seed ~horizon spec =
-  let progs, mem_image, spill_bases, traffic = portfolio_system spec in
-  let chain = Pipeline.balanced ~nreg ~spill_bases progs in
-  let probe =
+  ( List.map (fun (w, _) -> w.Workload.prog) ws,
+    List.map (fun (w, _) -> Workload.spill_base w) ws,
     {
-      Pipeline.probe_mem_image = mem_image;
-      probe_traffic = traffic;
+      Portfolio.probe_mem_image =
+        List.concat_map (fun (w, _) -> w.Workload.mem_image) ws;
+      probe_traffic = List.map snd ws;
       probe_horizon = horizon;
-    }
+    } )
+
+(* Four engines of the same kernel — symmetric by construction, so the
+   SRA entrant is admissible. *)
+let portfolio_row ?(pool = Npra_par.Pool.sequential) ~seed ~horizon spec =
+  let progs, spill_bases, probe =
+    portfolio_system ~horizon (List.init nthd (fun _ -> spec))
   in
-  let port = Pipeline.portfolio ~pool ~nreg ~spill_bases ~seed ~probe progs in
+  let chain = Pipeline.balanced ~nreg ~spill_bases progs in
+  let port = Portfolio.race ~pool ~nreg ~spill_bases ~seed ~probe progs in
   let p_chain =
     match chain with
-    | Ok c -> Some (c.Pipeline.provenance, Pipeline.static_score c)
+    | Ok c -> Some (c.Pipeline.provenance, Portfolio.static_score c)
     | Error _ -> None
   in
   let p_winner, p_probed, p_entrants =
     match port with
     | Ok p ->
-      ( Some (p.Pipeline.winner.Pipeline.provenance, p.Pipeline.winner_score),
-        p.Pipeline.probed,
-        p.Pipeline.slate )
+      ( Some (p.Portfolio.winner.Pipeline.provenance, p.Portfolio.winner_score),
+        p.Portfolio.probed,
+        p.Portfolio.slate )
     | Error trail ->
       ( None,
         0,
         List.filter_map
           (function
             | Pipeline.Rejected { stage; reason } ->
-              Some (stage, Pipeline.Failed reason)
+              Some (stage, Portfolio.Failed reason)
             | Pipeline.Cache_hit _ -> None)
           trail )
   in
@@ -520,7 +524,7 @@ let portfolio_row ?(pool = Npra_par.Pool.sequential) ~seed ~horizon spec =
     match (p_chain, p_winner) with
     | None, _ -> true  (* nothing to lose to *)
     | Some _, None -> false  (* the chain found something; the slate didn't *)
-    | Some (_, csc), Some (_, wsc) -> Pipeline.compare_static wsc csc <= 0
+    | Some (_, csc), Some (_, wsc) -> Portfolio.compare_static wsc csc <= 0
   in
   {
     p_kernel = spec.Workload.id;
@@ -554,9 +558,9 @@ let portfolio_report rows =
     | Some (st, sc) ->
       [
         stage_name st;
-        string_of_int sc.Pipeline.sc_spills;
-        string_of_int sc.Pipeline.sc_moves;
-        string_of_int sc.Pipeline.sc_demand;
+        string_of_int sc.Portfolio.sc_spills;
+        string_of_int sc.Portfolio.sc_moves;
+        string_of_int sc.Portfolio.sc_demand;
       ]
   in
   Report.make ~title:"Portfolio: strategy race vs the fallback chain"
@@ -575,17 +579,17 @@ let portfolio_report rows =
 
 (* The score fields shared by BENCH_portfolio.json and
    [npra portfolio --json], so downstream tooling parses both. *)
-let score_fields (sc : Pipeline.score) =
-  [ ("unsafe", Json.Int sc.Pipeline.sc_unsafe); ("spilled", Int sc.Pipeline.sc_spills);
-    ("moves", Int sc.Pipeline.sc_moves); ("demand", Int sc.Pipeline.sc_demand);
-    ("probe", match sc.Pipeline.sc_probe with Some p -> Int p | None -> Null) ]
+let score_fields (sc : Portfolio.score) =
+  [ ("unsafe", Json.Int sc.Portfolio.sc_unsafe); ("spilled", Int sc.Portfolio.sc_spills);
+    ("moves", Int sc.Portfolio.sc_moves); ("demand", Int sc.Portfolio.sc_demand);
+    ("probe", match sc.Portfolio.sc_probe with Some p -> Int p | None -> Null) ]
 
 let entrant_json (st, oc) =
   let outcome =
     match oc with
-    | Pipeline.Won _ -> "won"
-    | Pipeline.Lost { reason; _ } -> "lost: " ^ reason
-    | Pipeline.Failed reason -> "failed: " ^ reason
+    | Portfolio.Won _ -> "won"
+    | Portfolio.Lost { reason; _ } -> "lost: " ^ reason
+    | Portfolio.Failed reason -> "failed: " ^ reason
   in
   Json.Obj [ ("stage", String (stage_name st)); ("outcome", String outcome) ]
 
@@ -599,9 +603,9 @@ let portfolio_json ~seed ~quick rows =
   let margin = function
     | Some (_, c), Some (_, w) ->
       Json.Obj
-        [ ("spilled", Int (c.Pipeline.sc_spills - w.Pipeline.sc_spills));
-          ("moves", Int (c.Pipeline.sc_moves - w.Pipeline.sc_moves));
-          ("demand", Int (c.Pipeline.sc_demand - w.Pipeline.sc_demand)) ]
+        [ ("spilled", Int (c.Portfolio.sc_spills - w.Portfolio.sc_spills));
+          ("moves", Int (c.Portfolio.sc_moves - w.Portfolio.sc_moves));
+          ("demand", Int (c.Portfolio.sc_demand - w.Portfolio.sc_demand)) ]
     | _ -> Null
   in
   let row r =
@@ -618,16 +622,16 @@ let portfolio_json ~seed ~quick rows =
 
 (* Canonical JSON for a single portfolio race — the payload of
    [npra portfolio --json]. *)
-let portfolio_race_json ~seed ~nreg (p : Pipeline.portfolio) =
-  let w = p.Pipeline.winner in
+let portfolio_race_json ~seed ~nreg (p : Portfolio.t) =
+  let w = p.Portfolio.winner in
   Json.Obj
-    [ ("seed", Int seed); ("nreg", Int nreg); ("probed", Int p.Pipeline.probed);
+    [ ("seed", Int seed); ("nreg", Int nreg); ("probed", Int p.Portfolio.probed);
       ( "winner",
         Obj
           [ ("stage", String (stage_name w.Pipeline.provenance));
-            ("score", Obj (score_fields p.Pipeline.winner_score));
+            ("score", Obj (score_fields p.Portfolio.winner_score));
             ("moves", Int w.Pipeline.moves);
             ( "spilled_ranges",
               List (List.map (fun r -> Json.Int r) w.Pipeline.spilled_ranges) );
             ("verified", Bool (w.Pipeline.verify_errors = [])) ] );
-      ("slate", List (List.map entrant_json p.Pipeline.slate)) ]
+      ("slate", List (List.map entrant_json p.Portfolio.slate)) ]

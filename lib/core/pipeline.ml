@@ -12,7 +12,7 @@
    stage it had to reject, so experiments and the CLI can report
    provenance instead of crashing. The chain's stages are the
    portfolio slate's own ({!run_balanced}, {!run_entrant}), tried in
-   order instead of raced.
+   order here and raced by {!Portfolio}.
 
    [baseline] is the conventional system the paper compares against:
    per-thread Chaitin colouring into a fixed [Nreg/Nthd] partition with
@@ -28,8 +28,8 @@ open Npra_sim
 
 (* [Balanced], [Balanced_relaxed] and [Chaitin_fallback] are the three
    stages of the sequential fallback chain. The remaining constructors
-   are further portfolio entrants ({!portfolio}), which races the chain's
-   stages and these in parallel instead of trying them one after
+   are further portfolio entrants ({!Portfolio.race}), which races the
+   chain's stages and these in parallel instead of trying them one after
    another. *)
 type stage =
   | Balanced
@@ -166,11 +166,10 @@ let rejected stage = function
 (* The balancer stages — [Balanced] at the default [budget],
    [Balanced_budget b], and [Balanced_relaxed] with no budget — differ
    only in the move count they accept a Figure-8 result under. So they
-   share one [Inter.allocate] and one materialisation, and each
-   requested stage, in order, gets that result or a rejection. A failed
-   run rejects every stage with the same reason. Programs must be in
-   web form. *)
-let run_balanced ?(weights = []) ~nreg ~budget ~wprogs stages =
+   share one balancer run and one materialisation, and each requested
+   stage, in order, gets that result or a rejection. A failed run
+   rejects every stage with the same reason. *)
+let run_balanced ?(weights = []) ~nreg ~budget ~threads stages =
   let limit = function
     | Balanced -> Some budget
     | Balanced_budget b -> Some b
@@ -182,7 +181,7 @@ let run_balanced ?(weights = []) ~nreg ~budget ~wprogs stages =
   let limits = List.map limit stages in
   let run =
     guarded (fun () ->
-        match Inter.allocate ~weights ~nreg wprogs with
+        match Inter.balance ~weights ~nreg `Fit threads with
         | Error (`Infeasible msg) -> Error msg
         | Ok inter -> Ok (finish_inter ~nreg ~provenance:Balanced inter))
   in
@@ -197,20 +196,22 @@ let run_balanced ?(weights = []) ~nreg ~budget ~wprogs stages =
                | _ -> Ok { b with provenance = stage })) ))
     stages limits
 
-(* Runs one slate stage on web-renamed programs; the balancer stages go
-   through {!run_balanced}. [weights] reach the chain's stages (the
-   balancer and the Chaitin split) only. Total: allocator
-   infeasibilities and materialisation failures come back as [Error]
-   trails naming the stage, never exceptions. *)
-let run_entrant ?(weights = []) ~nreg ~budget ~spill_bases ~wprogs stage =
+(* Runs one slate stage from the analysed [threads] (web renaming and
+   {!Inter.init_thread}, once per thread and call); the balancer stages
+   go through {!run_balanced}. The records are only read, so the
+   entrants of one race share them across domains. [weights] reach the
+   chain's stages (the balancer and the Chaitin split) only. Total:
+   allocator infeasibilities and materialisation failures come back as
+   [Error] trails naming the stage, never exceptions. *)
+let run_entrant ?(weights = []) ~nreg ~budget ~spill_bases ~threads stage =
   let finish inter = Ok (finish_inter ~nreg ~provenance:stage inter) in
   let solo run = rejected stage (guarded run) in
   match stage with
   | Balanced | Balanced_relaxed | Balanced_budget _ ->
-    List.assoc stage (run_balanced ~weights ~nreg ~budget ~wprogs [ stage ])
+    List.assoc stage (run_balanced ~weights ~nreg ~budget ~threads [ stage ])
   | Balanced_zero_cost ->
     solo (fun () ->
-        match Inter.tighten_zero_cost ~nreg wprogs with
+        match Inter.balance ~nreg `Zero_cost threads with
         | Error (`Infeasible msg) -> Error msg
         | Ok inter ->
           let d = Inter.demand inter.Inter.threads in
@@ -221,10 +222,10 @@ let run_entrant ?(weights = []) ~nreg ~budget ~spill_bases ~wprogs stage =
           else finish inter)
   | Balanced_shuffled s ->
     solo (fun () ->
-        let arr = Array.of_list wprogs in
-        let n = Array.length arr in
+        let n = Array.length threads in
         let perm = Rng.permutation ~seed:s n in
-        match Inter.allocate ~nreg (List.init n (fun j -> arr.(perm.(j)))) with
+        let permuted = Array.init n (fun j -> threads.(perm.(j))) in
+        match Inter.balance ~nreg `Fit permuted with
         | Error (`Infeasible msg) -> Error msg
         | Ok inter ->
           (* The balancer saw the threads in permuted order; put its
@@ -234,31 +235,21 @@ let run_entrant ?(weights = []) ~nreg ~budget ~spill_bases ~wprogs stage =
           finish { inter with Inter.threads = unperm })
   | Sra_exhaustive ->
     solo (fun () ->
-        let ths = List.map Inter.init_thread wprogs in
-        let b0 = (List.hd ths).Inter.bounds in
-        if not (List.for_all (fun t -> t.Inter.bounds = b0) ths) then
+        let rep = threads.(0) in
+        let same t = t.Inter.bounds = rep.Inter.bounds in
+        if not (Array.for_all same threads) then
           Error "mix is not symmetric: thread register-demand bounds differ"
         else
-          match Sra.allocate ~nreg ~nthd:(List.length ths) (List.hd wprogs) with
+          match Sra.allocate ~nreg ~nthd:(Array.length threads) rep with
           | Error (`Infeasible msg) -> Error msg
           | Ok sra ->
             let target_pr = sra.Sra.pr and target_sr = sra.Sra.sr in
             (* Drive every thread to the symmetric point the sweep chose;
                threads share bounds but not necessarily programs. *)
-            let reduce t =
-              let { Estimate.max_pr; max_r; _ } = t.Inter.bounds in
-              if target_pr = max_pr && target_sr = max_r - max_pr then
-                Some
-                  { Intra.ctx = t.Inter.ctx;
-                    cost = Context.move_count t.Inter.ctx }
-              else
-                Intra.reduce_to t.Inter.ctx ~pr:max_pr ~r:max_r ~target_pr
-                  ~target_sr
-            in
             let rec drive acc = function
               | [] -> Ok (Array.of_list (List.rev acc))
               | t :: rest -> (
-                match reduce t with
+                match Sra.reach t ~pr:target_pr ~sr:target_sr with
                 | Some red ->
                   drive
                     ({ t with Inter.ctx = red.Intra.ctx;
@@ -268,7 +259,7 @@ let run_entrant ?(weights = []) ~nreg ~budget ~spill_bases ~wprogs stage =
                     rest
                 | None -> Error t.Inter.name)
             in
-            (match drive [] ths with
+            (match drive [] (Array.to_list threads) with
             | Error name ->
               Error
                 (Fmt.str
@@ -277,6 +268,7 @@ let run_entrant ?(weights = []) ~nreg ~budget ~spill_bases ~wprogs stage =
             | Ok threads -> finish { Inter.threads; nreg; sgr = target_sr }))
   | Chaitin_fallback ->
     solo (fun () ->
+        let wprogs = Array.to_list (Array.map (fun t -> t.Inter.prog) threads) in
         match chaitin_partition ~weights ~nreg ~spill_bases wprogs with
         | layout, results, programs ->
           Ok
@@ -306,6 +298,7 @@ let run_entrant ?(weights = []) ~nreg ~budget ~spill_bases ~wprogs stage =
 let balanced_uncached ?(nreg = 128) ?(weights = []) ?move_budget ?spill_bases
     progs =
   let wprogs = List.map Webs.rename progs in
+  let threads = Array.of_list (List.map Inter.init_thread wprogs) in
   let budget =
     Option.value move_budget ~default:(default_move_budget wprogs)
   in
@@ -317,13 +310,13 @@ let balanced_uncached ?(nreg = 128) ?(weights = []) ?move_budget ?spill_bases
     | (_, Error rejects) :: rest -> serve (trail @ rejects) rest
     | [] -> (
       match
-        run_entrant ~weights ~nreg ~budget ~spill_bases ~wprogs Chaitin_fallback
+        run_entrant ~weights ~nreg ~budget ~spill_bases ~threads Chaitin_fallback
       with
       | Ok b -> Ok { b with trail }
       | Error rejects -> Error (trail @ rejects))
   in
   serve []
-    (run_balanced ~weights ~nreg ~budget ~wprogs [ Balanced; Balanced_relaxed ])
+    (run_balanced ~weights ~nreg ~budget ~threads [ Balanced; Balanced_relaxed ])
 
 (* ------------------------------------------------------------------ *)
 (* Content-addressed allocation cache.
@@ -406,404 +399,39 @@ let note_cache_hit key = function
     in
     Error (trail @ [ Cache_hit { stage; key } ])
 
-(* Look up [key], or compute outside the lock and publish. The shared
-   cached-entry discipline of [balanced] and every portfolio entrant. *)
-let cached ~key compute =
-  match Mutex.protect cache_lock (fun () -> Hashtbl.find_opt cache key) with
-  | Some result ->
-    Mutex.protect cache_lock (fun () -> incr cache_hits);
-    note_cache_hit key result
-  | None ->
-    let result = compute () in
-    Mutex.protect cache_lock (fun () ->
-        incr cache_misses;
-        if not (Hashtbl.mem cache key) then begin
-          if Hashtbl.length cache >= cache_capacity then Hashtbl.reset cache;
-          Hashtbl.add cache key result
-        end);
-    result
+(* The cached-entry discipline of [balanced] and every portfolio
+   entrant: [cache_find] counts and notes a hit, and a miss is computed
+   outside the lock and handed to [cache_store], which counts it and
+   publishes it. *)
+let cache_find key =
+  Mutex.protect cache_lock (fun () ->
+      let hit = Hashtbl.find_opt cache key in
+      if Option.is_some hit then incr cache_hits;
+      hit)
+  |> Option.map (note_cache_hit key)
+
+let cache_store key result =
+  Mutex.protect cache_lock (fun () ->
+      incr cache_misses;
+      if not (Hashtbl.mem cache key) then begin
+        if Hashtbl.length cache >= cache_capacity then Hashtbl.reset cache;
+        Hashtbl.add cache key result
+      end);
+  result
 
 let balanced ?(nreg = 128) ?(weights = []) ?move_budget ?spill_bases progs =
   let key = cache_key ~weights ~nreg ~move_budget ~spill_bases progs in
-  cached ~key (fun () ->
-      balanced_uncached ~nreg ~weights ?move_budget ?spill_bases progs)
+  match cache_find key with
+  | Some result -> result
+  | None ->
+    cache_store key
+      (balanced_uncached ~nreg ~weights ?move_budget ?spill_bases progs)
 
 let balanced_exn ?nreg ?weights ?move_budget ?spill_bases progs =
   match balanced ?nreg ?weights ?move_budget ?spill_bases progs with
   | Ok b -> b
   | Error trail ->
     Fmt.failwith "Pipeline.balanced: every stage failed:@ %a"
-      (Fmt.list ~sep:Fmt.sp pp_diagnostic)
-      trail
-
-(* ------------------------------------------------------------------ *)
-(* Portfolio allocation: race the contenders, keep the best.
-
-   The fallback chain above is pessimistic — it tries one strategy at a
-   time and settles for the first that works, so a kernel that barely
-   misses the first stage pays full latency and may accept a strictly
-   worse colouring. [portfolio] instead builds a deterministic slate of
-   strategies, fans them out over an [Npra_par.Pool], and scores every
-   survivor:
-
-     1. verified pressure bound, lexicographically —
-        (verify errors, spilled ranges, moves, register demand), all
-        ascending;
-     2. among survivors tied on the static score, an optional bounded
-        simulated-throughput probe (packets served under the workload's
-        traffic spec within a fixed horizon, higher wins);
-     3. remaining ties go to the earlier slate position.
-
-   The slate always contains the exact stages of the fallback chain
-   (balanced at the default move budget, balanced-relaxed, Chaitin),
-   run by the same code, so the winner can never score worse than
-   whatever the chain would have served — the never-loses property the
-   test suite and CI enforce.
-   Every pool result is task-indexed and every entrant is deterministic,
-   so the portfolio result is byte-identical at any job count. *)
-
-module Workload = Npra_workloads.Workload
-
-(* Lexicographic quality of one allocation; lower is better on every
-   static component. [sc_probe] is packets served by the throughput
-   probe — higher is better — and only set on tied survivors. *)
-type score = {
-  sc_unsafe : int;  (* verification errors; 0 for any survivor *)
-  sc_spills : int;  (* total spilled live ranges across threads *)
-  sc_moves : int;  (* move instructions materialised *)
-  sc_demand : int;  (* Σ private block sizes + shared block *)
-  sc_probe : int option;  (* packets served by the probe, if probed *)
-}
-
-let static_score b =
-  {
-    sc_unsafe = List.length b.verify_errors;
-    sc_spills = List.fold_left ( + ) 0 b.spilled_ranges;
-    sc_moves = b.moves;
-    sc_demand =
-      Array.fold_left ( + ) 0 b.layout.Assign.private_size + b.layout.Assign.sgr;
-    sc_probe = None;
-  }
-
-let compare_static a b =
-  let c = compare a.sc_unsafe b.sc_unsafe in
-  if c <> 0 then c
-  else
-    let c = compare a.sc_spills b.sc_spills in
-    if c <> 0 then c
-    else
-      let c = compare a.sc_moves b.sc_moves in
-      if c <> 0 then c else compare a.sc_demand b.sc_demand
-
-let pp_score ppf s =
-  Fmt.pf ppf "unsafe=%d spills=%d moves=%d demand=%d" s.sc_unsafe s.sc_spills
-    s.sc_moves s.sc_demand;
-  match s.sc_probe with
-  | Some p -> Fmt.pf ppf " probe=%d" p
-  | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Bounded throughput probe.
-
-   Replays the packet-traffic dispatcher in miniature: threads start
-   parked, packets arrive on each thread's deterministic effective
-   period, a completed thread with backlog is restarted, and the run is
-   sliced with {!Machine.run_until} up to [probe_horizon] cycles. The
-   figure of merit is packets fully served. A machine fault (register
-   clash, corruption trap) scores [None] — strictly worse than any
-   completed probe. *)
-
-type probe = {
-  probe_mem_image : (int * int) list;
-  probe_traffic : Workload.traffic_spec list;  (* one spec per thread *)
-  probe_horizon : int;
-}
-
-(* Deterministic effective arrival period of a traffic spec: the mean
-   inter-arrival gap, so the probe offers the same load the dispatcher
-   would on average without needing its seeded stream. *)
-let probe_arrival_period (spec : Workload.traffic_spec) =
-  let rec period_of = function
-    | Workload.Uniform { period } -> max 1 period
-    | Workload.Poisson { mean_period } -> max 1 mean_period
-    | Workload.Bursty { on_cycles; off_cycles; period } ->
-      max 1 (period * (on_cycles + off_cycles) / max 1 on_cycles)
-    | Workload.Windowed { inner; _ } -> period_of inner
-  in
-  period_of spec.Workload.arrival
-
-let probe_served probe programs =
-  let nthd = List.length programs in
-  if List.length probe.probe_traffic <> nthd then
-    Fmt.invalid_arg "Pipeline.probe_served: %d traffic specs for %d threads"
-      (List.length probe.probe_traffic)
-      nthd;
-  match
-    let m =
-      Machine.create ~mem_image:probe.probe_mem_image programs
-    in
-    for i = 0 to nthd - 1 do
-      Machine.park_thread m i
-    done;
-    let period =
-      Array.of_list (List.map probe_arrival_period probe.probe_traffic)
-    in
-    let cap =
-      Array.of_list
-        (List.map (fun t -> t.Workload.queue_capacity) probe.probe_traffic)
-    in
-    let next = Array.init nthd (fun i -> period.(i)) in
-    let queue = Array.make nthd 0 in
-    let served = ref 0 in
-    let horizon = probe.probe_horizon in
-    let rec loop () =
-      let now = Machine.cycle m in
-      if now >= horizon then !served
-      else begin
-        for i = 0 to nthd - 1 do
-          while next.(i) <= now do
-            if queue.(i) < cap.(i) then queue.(i) <- queue.(i) + 1;
-            next.(i) <- next.(i) + period.(i)
-          done
-        done;
-        for i = 0 to nthd - 1 do
-          match Machine.thread_state m i with
-          | Machine.Completed _ when queue.(i) > 0 ->
-            queue.(i) <- queue.(i) - 1;
-            Machine.restart_thread m i
-          | _ -> ()
-        done;
-        let next_event = Array.fold_left min max_int next in
-        let hz = max (now + 1) (min horizon next_event) in
-        (match Machine.run_until ~stop_on_halt:true m ~horizon:hz with
-        | `Halted _ -> incr served
-        | `Idle | `Horizon -> ());
-        loop ()
-      end
-    in
-    loop ()
-  with
-  | n -> Some n
-  | exception Machine.Stuck _ -> None
-  | exception Machine.Corruption _ -> None
-
-(* What happened to each slate entrant, in slate order. *)
-type outcome =
-  | Won of score
-  | Lost of { score : score; reason : string }
-  | Failed of string  (* produced no safe allocation *)
-
-let pp_outcome ppf = function
-  | Won sc -> Fmt.pf ppf "won (%a)" pp_score sc
-  | Lost { score; reason } -> Fmt.pf ppf "lost (%a): %s" pp_score score reason
-  | Failed reason -> Fmt.pf ppf "failed: %s" reason
-
-type portfolio = {
-  winner : balanced;
-      (* trail lists every losing entrant as [Rejected], then the
-         winner's own notes (e.g. its [Cache_hit]) *)
-  winner_score : score;
-  slate : (stage * outcome) list;  (* every entrant, slate order *)
-  probed : int;  (* distinct candidates the throughput probe ran on *)
-}
-
-let lose_reason ~winner wsc lsc =
-  let why =
-    if lsc.sc_unsafe > wsc.sc_unsafe then
-      Fmt.str "%d verify errors vs %d" lsc.sc_unsafe wsc.sc_unsafe
-    else if lsc.sc_spills > wsc.sc_spills then
-      Fmt.str "%d spilled ranges vs %d" lsc.sc_spills wsc.sc_spills
-    else if lsc.sc_moves > wsc.sc_moves then
-      Fmt.str "%d moves vs %d" lsc.sc_moves wsc.sc_moves
-    else if lsc.sc_demand > wsc.sc_demand then
-      Fmt.str "register demand %d vs %d" lsc.sc_demand wsc.sc_demand
-    else
-      match (lsc.sc_probe, wsc.sc_probe) with
-      | Some l, Some w when l < w ->
-        Fmt.str "probe served %d packets vs %d" l w
-      | _ -> "tied on every criterion; earlier slate position wins"
-  in
-  Fmt.str "lost to %a: %s" pp_stage winner why
-
-let portfolio ?(pool = Npra_par.Pool.sequential) ?(nreg = 128) ?move_budget
-    ?spill_bases ?(seed = 1) ?probe progs =
-  let wprogs = List.map Webs.rename progs in
-  let spill_bases =
-    Option.value spill_bases ~default:(default_spill_bases progs)
-  in
-  let budget =
-    Option.value move_budget ~default:(default_move_budget wprogs)
-  in
-  let nthd = List.length progs in
-  let s1 = Rng.step (seed + 1) in
-  let s2 =
-    let s = Rng.step s1 in
-    if s = s1 then Rng.step (s1 + 1) else s
-  in
-  (* Deterministic slate, most-constrained first; [sort_uniq] collapses
-     coinciding budgets so every stage (hence every cache key) is
-     distinct — two entrants racing the same key at different job
-     counts would otherwise make the trail depend on scheduling. The
-     budgeted entrants lead the slate and form one pool task. *)
-  let budgeted =
-    List.map
-      (fun b -> Balanced_budget b)
-      (List.sort_uniq
-         (fun a b -> compare b a)
-         [ budget; max 1 (budget / 2); max 1 (budget / 4) ])
-    @ [ Balanced_relaxed ]
-  in
-  let others =
-    (Balanced_zero_cost
-    :: (if nthd >= 2 then
-          [ Balanced_shuffled s1; Balanced_shuffled s2; Sra_exhaustive ]
-        else []))
-    @ [ Chaitin_fallback ]
-  in
-  (* Every entrant keeps its own cache entry, so hit counts and
-     [Cache_hit] notes are per entrant even where the work is shared. *)
-  let entrant stage compute =
-    let key =
-      cache_key ~tag:(Fmt.str "%a" pp_stage stage) ~nreg ~move_budget
-        ~spill_bases:(Some spill_bases) progs
-    in
-    (stage, cached ~key compute)
-  in
-  let results =
-    Npra_par.Pool.map_list pool
-      (function
-        | `Shared stages ->
-          (* one balancer run for every budgeted entrant, forced only
-             inside this task: OCaml 5 raises if two domains force the
-             same lazy value *)
-          let run = lazy (run_balanced ~nreg ~budget ~wprogs stages) in
-          List.map
-            (fun stage ->
-              entrant stage (fun () -> List.assoc stage (Lazy.force run)))
-            stages
-        | `Solo stage ->
-          [
-            entrant stage (fun () ->
-                run_entrant ~nreg ~budget ~spill_bases ~wprogs stage);
-          ])
-      (`Shared budgeted :: List.map (fun s -> `Solo s) others)
-    |> List.concat
-  in
-  let classified =
-    List.map
-      (fun (stage, res) ->
-        match res with
-        | Ok b when b.verify_errors = [] -> `Survivor (stage, b, static_score b)
-        | Ok b ->
-          `Dead
-            ( stage,
-              Fmt.str "verification failed (%d errors)"
-                (List.length b.verify_errors) )
-        | Error trail ->
-          let reason =
-            match rejections trail with
-            | Rejected { reason; _ } :: _ -> reason
-            | _ -> "failed with no recorded reason"
-          in
-          `Dead (stage, reason))
-      results
-  in
-  let survivors =
-    List.filter_map (function `Survivor s -> Some s | `Dead _ -> None) classified
-  in
-  match survivors with
-  | [] ->
-    Error
-      (List.concat_map
-         (function
-           | `Survivor _ -> []
-           | `Dead (stage, reason) -> [ Rejected { stage; reason } ])
-         classified)
-  | (_, _, sc0) :: _ ->
-    let best_static =
-      List.fold_left
-        (fun acc (_, _, sc) -> if compare_static sc acc < 0 then sc else acc)
-        sc0 survivors
-    in
-    let tied, rest =
-      List.partition
-        (fun (_, _, sc) -> compare_static sc best_static = 0)
-        survivors
-    in
-    (* Probe only distinct programs among the tied survivors: entrants
-       that converged on the same allocation share one probe run. *)
-    let tied_scored, probed =
-      match probe with
-      | Some p when List.length tied > 1 ->
-        let fp (_, b, _) = String.concat "\000" (List.map Prog.to_string b.programs) in
-        let fps = List.map fp tied in
-        let distinct = List.sort_uniq String.compare fps in
-        if List.length distinct < 2 then (tied, 0)
-          (* every tied entrant converged on the same allocation; a
-             probe could not separate them *)
-        else
-        let reps =
-          List.map
-            (fun f ->
-              let _, b, _ = List.find (fun t -> fp t = f) tied in
-              (f, b.programs))
-            distinct
-        in
-        let served =
-          Npra_par.Pool.map_list pool
-            (fun (f, programs) -> (f, probe_served p programs))
-            reps
-        in
-        ( List.map2
-            (fun (stage, b, sc) f ->
-              let pr =
-                match List.assoc f served with Some n -> n | None -> -1
-              in
-              (stage, b, { sc with sc_probe = Some pr }))
-            tied fps,
-          List.length distinct )
-      | _ -> (tied, 0)
-    in
-    let better (s1, b1, sc1) (s2, b2, sc2) =
-      (* strictly more packets wins; otherwise keep the earlier entrant *)
-      match (sc1.sc_probe, sc2.sc_probe) with
-      | Some a, Some b when b > a -> (s2, b2, sc2)
-      | _ -> (s1, b1, sc1)
-    in
-    let win_stage, win_b, win_sc =
-      List.fold_left better (List.hd tied_scored) (List.tl tied_scored)
-    in
-    let score_of_stage =
-      List.map (fun (st, _, sc) -> (st, sc)) (tied_scored @ rest)
-    in
-    let slate =
-      List.map
-        (function
-          | `Dead (stage, reason) -> (stage, Failed reason)
-          | `Survivor (stage, _, _) ->
-            let sc = List.assoc stage score_of_stage in
-            if stage = win_stage then (stage, Won sc)
-            else
-              (stage, Lost { score = sc; reason = lose_reason ~winner:win_stage win_sc sc }))
-        classified
-    in
-    let losing_notes =
-      List.filter_map
-        (fun (stage, oc) ->
-          match oc with
-          | Won _ -> None
-          | Lost { reason; _ } -> Some (Rejected { stage; reason })
-          | Failed reason -> Some (Rejected { stage; reason }))
-        slate
-    in
-    let winner = { win_b with trail = losing_notes @ win_b.trail } in
-    Ok { winner; winner_score = win_sc; slate; probed }
-
-let portfolio_exn ?pool ?nreg ?move_budget ?spill_bases ?seed ?probe progs =
-  match portfolio ?pool ?nreg ?move_budget ?spill_bases ?seed ?probe progs with
-  | Ok p -> p
-  | Error trail ->
-    Fmt.failwith "Pipeline.portfolio: every entrant failed:@ %a"
       (Fmt.list ~sep:Fmt.sp pp_diagnostic)
       trail
 
@@ -868,8 +496,11 @@ let pp_source_error ?src ppf = function
       Fmt.(list ~sep:(any "@.") pp_diagnostic)
       trail
 
-let frontend_guard progs =
-  if progs = [] then
+(* A frontend's result, cleaned up when [optimize] is set, through the
+   chain. *)
+let allocate_frontend ?nreg ?move_budget ?spill_bases ~optimize = function
+  | Error ds -> Error (Frontend ds)
+  | Ok [] ->
     Error
       (Frontend
          [
@@ -877,32 +508,21 @@ let frontend_guard progs =
              (Npra_diag.Diag.point (Npra_diag.Diag.pos ~line:1 ~col:1))
              "source contains no thread sections";
          ])
-  else Ok progs
-
-let allocate_frontend ?nreg ?move_budget ?spill_bases ~optimize progs =
-  match frontend_guard progs with
-  | Error e -> Error e
   | Ok progs ->
     let progs =
       if optimize then List.map Npra_opt.Opt.clean progs else progs
     in
-    (match balanced ?nreg ?move_budget ?spill_bases progs with
-    | Ok bal -> Ok bal
-    | Error trail -> Error (Alloc trail))
+    Result.map_error
+      (fun trail -> Alloc trail)
+      (balanced ?nreg ?move_budget ?spill_bases progs)
 
 let run_asm ?nreg ?move_budget ?spill_bases ?limit ?(optimize = false) src =
-  match Npra_asm.Parser.parse ?limit src with
-  | Error ds -> Error (Frontend ds)
-  | Ok progs ->
-    allocate_frontend ?nreg ?move_budget ?spill_bases ~optimize progs
+  allocate_frontend ?nreg ?move_budget ?spill_bases ~optimize
+    (Npra_asm.Parser.parse ?limit src)
 
 let run_npc ?nreg ?move_budget ?spill_bases ?limit ?(optimize = false) src =
-  match Npra_npc.Npc.compile ?limit src with
-  | Error ds -> Error (Frontend ds)
-  | Ok progs ->
-    allocate_frontend ?nreg ?move_budget ?spill_bases ~optimize progs
-
-let simulate ?config ~mem_image progs = Machine.run ?config ~mem_image progs
+  allocate_frontend ?nreg ?move_budget ?spill_bases ~optimize
+    (Npra_npc.Npc.compile ?limit src)
 
 (* The throughput experiment's two contenders from one entry point: the
    spilling fixed-partition baseline and the balanced degradation chain,

@@ -27,10 +27,10 @@ type t = {
   sgr : int;  (* = max SR *)
 }
 
+let max_sr threads = Array.fold_left (fun acc t -> max acc t.sr) 0 threads
+
 let demand threads =
-  let total_pr = Array.fold_left (fun acc t -> acc + t.pr) 0 threads in
-  let max_sr = Array.fold_left (fun acc t -> max acc t.sr) 0 threads in
-  total_pr + max_sr
+  Array.fold_left (fun acc t -> acc + t.pr) 0 threads + max_sr threads
 
 let total_moves t =
   Array.fold_left (fun acc th -> acc + cost_of th) 0 t.threads
@@ -109,8 +109,7 @@ let demote_candidate ~w memo threads i =
   (* Weak PR-step: only profitable when this thread's SR is below the
      pooled maximum, so growing it by one does not grow SGR. *)
   let th = threads.(i) in
-  let max_sr = Array.fold_left (fun acc t -> max acc t.sr) 0 threads in
-  if th.sr >= max_sr || th.pr - 1 < th.bounds.Estimate.min_pr then None
+  if th.sr >= max_sr threads || th.pr - 1 < th.bounds.Estimate.min_pr then None
   else
     match Lazy.force memo.(i).demote_step with
     | None -> None
@@ -119,15 +118,15 @@ let demote_candidate ~w memo threads i =
       Some { delta = step_delta ~w memo i red; updates = [ (i, th') ] }
 
 let sr_candidate ~w memo threads =
-  let max_sr = Array.fold_left (fun acc t -> max acc t.sr) 0 threads in
-  if max_sr = 0 then None
+  let top = max_sr threads in
+  if top = 0 then None
   else begin
     let delta = ref 0 in
     let updates = ref [] in
     let ok = ref true in
     Array.iteri
       (fun j th ->
-        if !ok && th.sr = max_sr then begin
+        if !ok && th.sr = top then begin
           if r_of th - 1 < th.bounds.Estimate.min_r then ok := false
           else
             match Lazy.force memo.(j).sr_step with
@@ -153,16 +152,16 @@ let pick_min = function
   | c :: cs ->
     Some (List.fold_left (fun best c -> if c.delta < best.delta then c else best) c cs)
 
-(* Stop conditions: [`Fit nreg] stops once the pooled demand fits;
+(* Stop conditions: [`Fit] stops once the pooled demand fits [nreg];
    [`Zero_cost] keeps reducing while some reduction is free (used for the
    paper's Figure 14 experiment). The memo lives only inside this call,
    so no two domains ever share it. *)
-let reduce_loop ~w threads stop =
+let reduce_loop ~w ~nreg threads stop =
   let memo = Array.map steps_of threads in
   let rec go threads =
     match stop with
-    | `Fit nreg when demand threads <= nreg -> Ok threads
-    | `Fit nreg -> (
+    | `Fit when demand threads <= nreg -> Ok threads
+    | `Fit -> (
       match pick_min (candidates ~w memo threads) with
       | Some c -> go (apply threads c)
       | None ->
@@ -179,10 +178,6 @@ let reduce_loop ~w threads stop =
   in
   go threads
 
-let finish threads nreg =
-  let sgr = Array.fold_left (fun acc t -> max acc t.sr) 0 threads in
-  { threads; nreg; sgr }
-
 (* Per-thread move-cost weights: missing entries default to 1, negative
    entries clamp to 0 (a zero weight marks a thread whose moves are
    considered free — a sacrificial co-resident). *)
@@ -191,19 +186,14 @@ let weight_fn weights n =
   List.iteri (fun i v -> if i < n then a.(i) <- max 0 v) weights;
   fun i -> a.(i)
 
-let allocate ?(weights = []) ~nreg progs =
-  let threads = Array.of_list (List.map init_thread progs) in
+let balance ?(weights = []) ~nreg stop threads =
   let w = weight_fn weights (Array.length threads) in
-  match reduce_loop ~w threads (`Fit nreg) with
-  | Ok threads -> Ok (finish threads nreg)
-  | Error e -> Error e
+  Result.map
+    (fun threads -> { threads; nreg; sgr = max_sr threads })
+    (reduce_loop ~w ~nreg threads stop)
 
-let tighten_zero_cost ~nreg progs =
-  let threads = Array.of_list (List.map init_thread progs) in
-  let w = weight_fn [] (Array.length threads) in
-  match reduce_loop ~w threads `Zero_cost with
-  | Ok threads -> Ok (finish threads nreg)
-  | Error e -> Error e
+let allocate ?weights ~nreg progs =
+  balance ?weights ~nreg `Fit (Array.of_list (List.map init_thread progs))
 
 let pp ppf t =
   Fmt.pf ppf "Nreg=%d SGR=%d demand=%d@." t.nreg t.sgr (demand t.threads);

@@ -37,8 +37,20 @@ val init_thread : Prog.t -> thread_alloc
 (** Estimation only: the thread at its upper bounds, zero moves. The
     program must be in web form ({!Npra_cfg.Webs.rename}). *)
 
-val allocate : ?weights:int list -> nreg:int -> Prog.t list -> (t, error) result
-(** The paper's Figure-8 algorithm. Programs must be in web form.
+val balance :
+  ?weights:int list ->
+  nreg:int ->
+  [ `Fit | `Zero_cost ] ->
+  thread_alloc array ->
+  (t, error) result
+(** The paper's Figure-8 greedy loop, started from analysed threads
+    ({!init_thread}) and returning its threads in the same order. The
+    records are only read, so one analysis can seed any number of
+    calls, from any domain.
+
+    [`Fit] reduces until the pooled demand fits [nreg]. [`Zero_cost]
+    keeps reducing while some reduction is free of move insertions —
+    the setting of the paper's Figure 14 experiment — and never fails.
 
     [weights] biases the greedy loop for adaptive re-balancing: thread
     [i]'s move-cost increase is multiplied by [List.nth weights i]
@@ -47,8 +59,8 @@ val allocate : ?weights:int list -> nreg:int -> Prog.t list -> (t, error) result
     entries default to 1; [weights = []] (the default) is byte-identical
     to the unweighted algorithm. *)
 
-val tighten_zero_cost : nreg:int -> Prog.t list -> (t, error) result
-(** Keeps reducing while some reduction is free of move insertions — the
-    setting of the paper's Figure 14 experiment. *)
+val allocate : ?weights:int list -> nreg:int -> Prog.t list -> (t, error) result
+(** [balance `Fit] on freshly analysed programs, which must be in web
+    form. *)
 
 val pp : t Fmt.t

@@ -3,9 +3,9 @@
    All threads run the same program, so PR and SR are equal across
    threads and the pooled constraint collapses to
    [Nthd * PR + SR <= Nreg]. The solution space is small enough to
-   traverse exhaustively: for every feasible (PR, SR) pair we drive one
-   context there with the intra-thread allocator and keep the cheapest
-   allocation. *)
+   traverse exhaustively: for every feasible (PR, SR) pair we drive the
+   representative thread's estimated context there with the
+   intra-thread allocator and keep the cheapest allocation. *)
 
 open Npra_ir
 
@@ -24,9 +24,14 @@ type error = [ `Infeasible of string ]
 
 let demand t = (t.nthd * t.pr) + t.sr
 
-let allocate ~nreg ~nthd prog =
-  let ctx0 = Context.create prog in
-  let ctx0, bounds = Estimate.run ctx0 in
+let reach (th : Inter.thread_alloc) ~pr ~sr =
+  let { Estimate.max_pr; max_r; _ } = th.bounds in
+  if pr = max_pr && sr = max_r - max_pr then
+    Some { Intra.ctx = th.ctx; cost = Context.move_count th.ctx }
+  else Intra.reduce_to th.ctx ~pr:max_pr ~r:max_r ~target_pr:pr ~target_sr:sr
+
+let allocate ~nreg ~nthd (th : Inter.thread_alloc) =
+  let { Inter.name; prog; bounds; _ } = th in
   let { Estimate.min_pr; min_r; max_pr; max_r } = bounds in
   let max_sr = max_r - max_pr in
   let best = ref None in
@@ -37,19 +42,12 @@ let allocate ~nreg ~nthd prog =
        both fits the budget and is reachable from the estimate. *)
     let sr = min max_sr sr_budget in
     if sr >= sr_floor && sr_budget >= sr_floor then begin
-      let result =
-        if pr = max_pr && sr = max_sr then
-          Some { Intra.ctx = ctx0; cost = Context.move_count ctx0 }
-        else
-          Intra.reduce_to ctx0 ~pr:max_pr ~r:max_r ~target_pr:pr
-            ~target_sr:sr
-      in
-      match result with
+      match reach th ~pr ~sr with
       | None -> ()
       | Some red ->
         let cand =
           {
-            name = prog.Prog.name;
+            name;
             prog;
             ctx = red.Intra.ctx;
             bounds;

@@ -22,7 +22,13 @@ type error = [ `Infeasible of string ]
 val demand : t -> int
 (** [Nthd * PR + SR]. *)
 
-val allocate : nreg:int -> nthd:int -> Prog.t -> (t, error) result
-(** The program must be in web form ({!Npra_cfg.Webs.rename}). *)
+val allocate : nreg:int -> nthd:int -> Inter.thread_alloc -> (t, error) result
+(** Sweeps from the representative's analysis ({!Inter.init_thread}):
+    its estimated context and bounds, which every thread shares. *)
+
+val reach : Inter.thread_alloc -> pr:int -> sr:int -> Intra.reduction option
+(** Drives an analysed thread from its estimate to [(pr, sr)]: the
+    estimated colouring itself at the estimate's own point, otherwise
+    {!Intra.reduce_to}. [None] when the point is unreachable. *)
 
 val pp : t Fmt.t

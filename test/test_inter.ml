@@ -8,6 +8,8 @@ let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
 
 let web p = Webs.rename p
+let analyse progs = Array.of_list (List.map Inter.init_thread progs)
+let analysed p = Inter.init_thread (web p)
 
 let inter_tests =
   [
@@ -50,7 +52,7 @@ let inter_tests =
           check Alcotest.int "demand" 1 (Inter.demand r.Inter.threads));
     test "zero-cost tightening never inserts moves" (fun () ->
         let progs = [ web (Fixtures.fig4_frag ()) ] in
-        match Inter.tighten_zero_cost ~nreg:128 progs with
+        match Inter.balance ~nreg:128 `Zero_cost (analyse progs) with
         | Error (`Infeasible m) -> Alcotest.fail m
         | Ok r -> check Alcotest.int "no moves" 0 (Inter.total_moves r));
     test "allocation at large nreg keeps the estimate" (fun () ->
@@ -79,23 +81,23 @@ let inter_tests =
 let sra_tests =
   [
     test "SRA on fig3 thread2: zero private, one shared" (fun () ->
-        match Sra.allocate ~nreg:8 ~nthd:4 (web (Fixtures.fig3_thread2 ())) with
+        match Sra.allocate ~nreg:8 ~nthd:4 (analysed (Fixtures.fig3_thread2 ())) with
         | Error (`Infeasible m) -> Alcotest.fail m
         | Ok r ->
           check Alcotest.int "pr" 0 r.Sra.pr;
           check Alcotest.int "sr" 1 r.Sra.sr;
           check Alcotest.int "demand" 1 (Sra.demand r));
     test "SRA demand respects the budget" (fun () ->
-        match Sra.allocate ~nreg:16 ~nthd:4 (web (Fixtures.fig4_frag ())) with
+        match Sra.allocate ~nreg:16 ~nthd:4 (analysed (Fixtures.fig4_frag ())) with
         | Error (`Infeasible m) -> Alcotest.fail m
         | Ok r -> check Alcotest.bool "fits" true (Sra.demand r <= 16));
     test "SRA prefers zero-move solutions when the budget is loose"
       (fun () ->
-        match Sra.allocate ~nreg:128 ~nthd:4 (web (Fixtures.fig4_frag ())) with
+        match Sra.allocate ~nreg:128 ~nthd:4 (analysed (Fixtures.fig4_frag ())) with
         | Error (`Infeasible m) -> Alcotest.fail m
         | Ok r -> check Alcotest.int "cost" 0 r.Sra.cost);
     test "SRA reports infeasibility under MinR" (fun () ->
-        match Sra.allocate ~nreg:4 ~nthd:4 (web (Fixtures.fig3_thread1 ())) with
+        match Sra.allocate ~nreg:4 ~nthd:4 (analysed (Fixtures.fig3_thread1 ())) with
         | Error (`Infeasible _) -> ()
         | Ok r ->
           Alcotest.failf "expected infeasible, got PR=%d SR=%d" r.Sra.pr
@@ -161,7 +163,7 @@ let chaitin_tests =
    thread's strong PR step, then each thread's demotion) and the same
    strict-minimum pick as [Inter], so the two must agree exactly. *)
 let reference_loop ?(weights = []) stop progs =
-  let threads = Array.of_list (List.map Inter.init_thread progs) in
+  let threads = analyse progs in
   let n = Array.length threads in
   let w i = match List.nth_opt weights i with Some v -> max 0 v | None -> 1 in
   let r_of t = t.Inter.pr + t.Inter.sr in
@@ -260,7 +262,7 @@ let squeeze_mix seed =
       ids )
 
 let memo_tests =
-  let start progs = Inter.demand (Array.of_list (List.map Inter.init_thread progs)) in
+  let start progs = Inter.demand (analyse progs) in
   let agree ~name ~nreg ours reference =
     match ours, reference with
     | Ok t, Some ts ->
@@ -295,9 +297,9 @@ let memo_tests =
         test (Fmt.str "seed %d: weighted, memo = reference" seed) (fun () ->
             fit 2 weights ();
             fit 5 weights ());
-        test (Fmt.str "seed %d: tighten_zero_cost, memo = reference" seed) (fun () ->
+        test (Fmt.str "seed %d: zero-cost balance, memo = reference" seed) (fun () ->
             agree ~name:(name ^ " zero-cost") ~nreg:128
-              (Inter.tighten_zero_cost ~nreg:128 progs)
+              (Inter.balance ~nreg:128 `Zero_cost (analyse progs))
               (reference_loop `Zero_cost progs));
       ])
     [ 1; 2 ]
