@@ -98,12 +98,11 @@ let ablation_sharing () =
 let ablation_nreg () =
   Fmt.pr
     "@.== Ablation: register-file size sweep (drr + l2l3fwd rx/tx + url) ==@.";
-  let ws =
-    List.mapi
-      (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i)
-      [ "drr"; "l2l3fwd_rx"; "l2l3fwd_tx"; "url" ]
+  let sys =
+    Registry.system
+      (List.map Registry.find_exn [ "drr"; "l2l3fwd_rx"; "l2l3fwd_tx"; "url" ])
   in
-  let progs = List.map (fun w -> Webs.rename w.Workload.prog) ws in
+  let progs = List.map Webs.rename sys.progs in
   Fmt.pr "%6s  %8s  %8s@." "nreg" "fits" "moves";
   List.iter
     (fun nreg ->
@@ -142,15 +141,11 @@ let ablation_cost () =
    grow with it (SRAM ~20 cycles on the IXP1200; SDRAM ~40). *)
 let ablation_latency () =
   Fmt.pr "@.== Ablation: memory latency sweep (md5 x2 + fir2dim x2) ==@.";
-  let ws =
-    List.mapi
-      (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i)
-      [ "md5"; "md5"; "fir2dim"; "fir2dim" ]
+  let { Registry.workloads; progs; mem_image; spill_bases } =
+    Registry.system
+      (List.map Registry.find_exn [ "md5"; "md5"; "fir2dim"; "fir2dim" ])
   in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
-  let iters = List.map (fun w -> w.Workload.iters) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-  let spill_bases = List.map Workload.spill_base ws in
+  let iters = List.map (fun w -> w.Workload.iters) workloads in
   let base = Pipeline.baseline ~nreg:128 ~spill_bases progs in
   let bal = Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
   Fmt.pr "%8s  %12s  %12s  %9s@." "latency" "md5(spill)" "md5(share)"
@@ -209,14 +204,10 @@ let bechamel_tests () =
               ~target_sr:(max 0 (b.Estimate.min_r - b.Estimate.min_pr))));
     Test.make ~name:"table3:balanced-pipeline(md5+fir2dim)"
       (staged
-         (let progs =
-            List.mapi
-              (fun i id ->
-                (Registry.instantiate (Registry.find_exn id) ~slot:i)
-                  .Workload.prog)
-              [ "md5"; "fir2dim" ]
+         (let sys =
+            Registry.system (List.map Registry.find_exn [ "md5"; "fir2dim" ])
           in
-          fun () -> Pipeline.balanced ~nreg:128 progs));
+          fun () -> Pipeline.balanced ~nreg:128 sys.progs));
     Test.make ~name:"phase:liveness(md5)"
       (staged (fun () -> Liveness.compute md5_prog));
     Test.make ~name:"phase:points(md5)"
@@ -468,23 +459,12 @@ let service_speedup_pct fixed bal i =
 
 let run_throughput_mix ~pool ~quick ~seed ~engines mix =
   let open Npra_traffic in
-  let ws =
-    List.mapi
-      (fun i id ->
-        let tspec =
-          match Registry.default_traffic id with
-          | Some t -> t
-          | None -> Fmt.failwith "no traffic model for workload %S" id
-        in
-        ( Registry.instantiate (Registry.find_exn id) ~slot:i
-            ~iters:tspec.Workload.per_packet_iters,
-          tspec ))
-      mix.mix_ids
+  let sys, traffic =
+    Registry.traffic_system (List.map Registry.find_exn mix.mix_ids)
   in
-  let progs = List.map (fun (w, _) -> w.Workload.prog) ws in
-  let mem_image = List.concat_map (fun (w, _) -> w.Workload.mem_image) ws in
-  let spill_bases = List.map (fun (w, _) -> Workload.spill_base w) ws in
-  let base, bal = Pipeline.contenders ~pool ~nreg:128 ~spill_bases progs in
+  let base, bal =
+    Pipeline.contenders ~pool ~nreg:128 ~spill_bases:sys.spill_bases sys.progs
+  in
   let bal =
     match bal with
     | Ok b -> b
@@ -498,33 +478,12 @@ let run_throughput_mix ~pool ~quick ~seed ~engines mix =
   (* Solo per-packet service time of each baseline program calibrates
      the saturation regime and the run length — both therefore
      deterministic. *)
-  let solo =
-    List.map2
-      (fun prog (w, _) ->
-        let m = Npra_sim.Machine.run ~mem_image:w.Workload.mem_image [ prog ] in
-        match
-          (List.hd (Npra_sim.Machine.report m).Npra_sim.Machine.thread_reports)
-            .Npra_sim.Machine.completion
-        with
-        | Some c -> max 1 c
-        | None -> 1)
-      base.Pipeline.base_programs ws
-  in
+  let solo = Arrival.solo_service sys base.Pipeline.base_programs in
   let max_solo = List.fold_left max 1 solo in
   let duration = (if quick then 25 else 120) * max_solo in
-  (* Fresh packet words poked into the thread's input buffer at every
-     service start: a pure function of (seed, engine, thread, seq). *)
-  let refresh ~engine ~thread ~seq =
-    let w, _ = List.nth ws thread in
-    List.mapi
-      (fun j v -> (Workload.input_base w + j, v))
-      (Workload.random_words
-         ~seed:(seed + (engine * 65537) + (thread * 257) + (seq * 13) + 1)
-         8)
-  in
   let run (progs, specs) =
-    Dispatch.run ~engines ~sentinel:`Trap ~refresh ~seed ~duration ~specs
-      ~mem_image progs
+    Dispatch.run ~engines ~sentinel:`Trap ~refresh:(Registry.refresh sys ~seed)
+      ~seed ~duration ~specs ~mem_image:sys.mem_image progs
   in
   (* Saturation: uniform arrivals at twice each thread's solo service
      rate, so queues never run dry and served packets measure service
@@ -532,19 +491,18 @@ let run_throughput_mix ~pool ~quick ~seed ~engines mix =
      bursty), the realistic regime for drops and latency tails. *)
   let pressure_specs =
     List.map2
-      (fun s (_, t) ->
+      (fun s t ->
         { t with Workload.arrival = Workload.Uniform { period = max 1 (s / 2) } })
-      solo ws
+      solo traffic
   in
-  let offered_specs = List.map snd ws in
   (* the four runs are independent whole runs: one pool task each *)
   let runs =
     Array.of_list
       (Npra_par.Pool.map_list pool run
          [ (base.Pipeline.base_programs, pressure_specs);
            (bal.Pipeline.programs, pressure_specs);
-           (base.Pipeline.base_programs, offered_specs);
-           (bal.Pipeline.programs, offered_specs) ])
+           (base.Pipeline.base_programs, traffic);
+           (bal.Pipeline.programs, traffic) ])
   in
   {
     r_mix = mix;

@@ -37,12 +37,11 @@ type kernel_speed = {
 }
 
 let kernel_system spec =
-  let ws = List.init 4 (fun slot -> Registry.instantiate spec ~slot) in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-  let spill_bases = List.map Workload.spill_base ws in
-  let bal = Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
-  (bal.Pipeline.programs, mem_image)
+  let sys = Registry.system (List.init 4 (fun _ -> spec)) in
+  let bal =
+    Pipeline.balanced_exn ~nreg:128 ~spill_bases:sys.spill_bases sys.progs
+  in
+  (bal.Pipeline.programs, sys.mem_image)
 
 (* Repeat [run] — which returns the seconds its timed region took —
    until [min_s] of measured time accumulates, then report the
@@ -128,15 +127,12 @@ let cells ~quick =
     ]
 
 let shard_system () =
-  let ws =
-    List.mapi
-      (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i ~iters:2)
-      [ "crc32"; "frag" ]
+  let sys =
+    Registry.system ~iters:2 (List.map Registry.find_exn [ "crc32"; "frag" ])
   in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-  let spill_bases = List.map Workload.spill_base ws in
-  let bal = Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
+  let bal =
+    Pipeline.balanced_exn ~nreg:128 ~spill_bases:sys.spill_bases sys.progs
+  in
   let specs =
     List.init 2 (fun _ ->
         {
@@ -145,7 +141,7 @@ let shard_system () =
           per_packet_iters = 2;
         })
   in
-  (bal.Pipeline.programs, mem_image, specs)
+  (bal.Pipeline.programs, sys.mem_image, specs)
 
 let run_matrix ~pool ~seed ~cells (progs, mem_image, specs) =
   List.map

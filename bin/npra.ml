@@ -56,23 +56,8 @@ let lookup id =
       (String.concat ", " (Registry.ids ()));
     exit 2
 
-let instantiate_all ?iters ids =
-  List.mapi (fun i id -> Registry.instantiate ?iters (lookup id) ~slot:i) ids
-
-(* Instantiates each kernel at its default traffic model's per-packet
-   iteration count, paired with that model. Exits 2 on a kernel with no
-   traffic model. *)
-let instantiate_with_traffic ids =
-  List.mapi
-    (fun i id ->
-      let spec = lookup id in
-      match Registry.default_traffic id with
-      | Some t ->
-        (Registry.instantiate spec ~slot:i ~iters:t.Workload.per_packet_iters, t)
-      | None ->
-        Fmt.epr "kernel %S has no default traffic model@." id;
-        exit 2)
-    ids
+(* The system of [ids], kernel [i] at slot [i]; an unknown id exits 2. *)
+let system_of ?iters ids = Registry.system ?iters (List.map lookup ids)
 
 (* ---- list ---- *)
 
@@ -193,12 +178,9 @@ let print_balanced (bal : Pipeline.balanced) =
 
 let allocate_cmd =
   let run nreg iters ids =
-    let ws = instantiate_all ?iters ids in
-    let spill_bases = List.map Workload.spill_base ws in
-    let bal =
-      balanced_or_die ~spill_bases ~nreg (List.map (fun w -> w.Workload.prog) ws)
-    in
-    print_balanced bal
+    let sys = system_of ?iters ids in
+    print_balanced
+      (balanced_or_die ~spill_bases:sys.spill_bases ~nreg sys.progs)
   in
   Cmd.v
     (Cmd.info "allocate" ~doc:"Balance registers across kernels (up to 4)")
@@ -208,11 +190,10 @@ let allocate_cmd =
 
 let simulate_cmd =
   let run nreg iters baseline_too show_timeline ids =
-    let ws = instantiate_all ?iters ids in
-    let progs = List.map (fun w -> w.Workload.prog) ws in
-    let iters_l = List.map (fun w -> w.Workload.iters) ws in
-    let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-    let spill_bases = List.map Workload.spill_base ws in
+    let { Registry.workloads; progs; mem_image; spill_bases } =
+      system_of ?iters ids
+    in
+    let iters_l = List.map (fun w -> w.Workload.iters) workloads in
     let bal = balanced_or_die ~spill_bases ~nreg progs in
     List.iter
       (fun d -> Fmt.pr "degraded: %a@." Pipeline.pp_diagnostic d)
@@ -240,7 +221,6 @@ let simulate_cmd =
       report.Npra_sim.Machine.thread_reports
       (Pipeline.cycles_per_iteration report iters_l);
     if baseline_too then begin
-      let spill_bases = List.map Workload.spill_base ws in
       let base = Pipeline.baseline ~nreg ~spill_bases progs in
       let report =
         Npra_sim.Machine.report
@@ -271,11 +251,9 @@ let simulate_cmd =
 
 let throughput_cmd =
   let run nreg engines duration seed use_baseline json ids =
-    let ws = instantiate_with_traffic ids in
-    let progs = List.map (fun (w, _) -> w.Workload.prog) ws in
-    let specs = List.map snd ws in
-    let mem_image = List.concat_map (fun (w, _) -> w.Workload.mem_image) ws in
-    let spill_bases = List.map (fun (w, _) -> Workload.spill_base w) ws in
+    let { Registry.workloads; progs; mem_image; spill_bases }, specs =
+      Registry.traffic_system (List.map lookup ids)
+    in
     let progs =
       if use_baseline then begin
         if not json then
@@ -296,9 +274,9 @@ let throughput_cmd =
     in
     if not json then
       List.iter2
-        (fun (w, _) s ->
+        (fun w s ->
           Fmt.pr "  %-12s %a@." w.Workload.name Workload.pp_traffic_spec s)
-        ws specs;
+        workloads specs;
     let m =
       Npra_traffic.Dispatch.run ~engines ~sentinel:`Trap ~seed
         ~duration ~specs ~mem_image progs
@@ -354,12 +332,8 @@ let throughput_cmd =
 let chaos_cmd =
   let run nreg engines duration seed crashes hangs transient_hangs storms floods
       shed json ids =
-    let ws = instantiate_with_traffic ids in
-    let progs = List.map (fun (w, _) -> w.Workload.prog) ws in
-    let specs = List.map snd ws in
-    let mem_image = List.concat_map (fun (w, _) -> w.Workload.mem_image) ws in
-    let spill_bases = List.map (fun (w, _) -> Workload.spill_base w) ws in
-    let bal = balanced_or_die ~spill_bases ~nreg progs in
+    let sys, specs = Registry.traffic_system (List.map lookup ids) in
+    let bal = balanced_or_die ~spill_bases:sys.spill_bases ~nreg sys.progs in
     let progs = bal.Pipeline.programs in
     let open Npra_traffic in
     let chaos =
@@ -380,8 +354,8 @@ let chaos_cmd =
     let m =
       Dispatch.run ~engines ~sentinel:`Trap ~chaos
         ~watchdog:Dispatch.default_watchdog
-        ?shed:(if shed then Some { Dispatch.quantum = 4; burst = 12 } else None)
-        ~seed ~duration ~specs ~mem_image progs
+        ?shed:(if shed then Some Dispatch.default_shed else None)
+        ~seed ~duration ~specs ~mem_image:sys.mem_image progs
     in
     if json then print_string (Metrics.to_json m)
     else begin

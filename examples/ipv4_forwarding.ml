@@ -14,18 +14,15 @@ open Npra_core
 
 let () =
   let ids = [ "l2l3fwd_rx"; "l2l3fwd_tx"; "md5"; "md5" ] in
-  let ws =
-    List.mapi (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i) ids
+  let { Registry.workloads = ws; progs; mem_image; spill_bases } =
+    Registry.system (List.map Registry.find_exn ids)
   in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
   let iters = List.map (fun w -> w.Workload.iters) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
 
   Fmt.pr "IPv4 forwarding module: %s@.@."
     (String.concat " + " (List.map (fun w -> w.Workload.name) ws));
 
   (* Conventional allocation: each thread gets 32 registers, spills. *)
-  let spill_bases = List.map Workload.spill_base ws in
   let base = Pipeline.baseline ~nreg:128 ~spill_bases progs in
   List.iteri
     (fun i w ->

@@ -15,12 +15,10 @@ open Npra_core
 
 let () =
   let ids = [ "wraps_rx"; "wraps_tx"; "fir2dim"; "frag" ] in
-  let ws =
-    List.mapi (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i) ids
+  let { Registry.workloads = ws; progs; mem_image; spill_bases } =
+    Registry.system (List.map Registry.find_exn ids)
   in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
   let iters = List.map (fun w -> w.Workload.iters) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
 
   (* Show each thread's register appetite first. *)
   Fmt.pr "per-thread register demand (MinPR / MinR .. MaxPR / MaxR):@.";
@@ -32,7 +30,7 @@ let () =
       Fmt.pr "  %-10s %a@." w.Workload.name Estimate.pp_bounds b)
     ws;
 
-  let bal = Pipeline.balanced_exn ~nreg:128 progs in
+  let bal = Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
   assert (bal.Pipeline.verify_errors = []);
   let inter = Option.get bal.Pipeline.inter in
   Fmt.pr "@.balanced allocation over 128 GPRs:@.%a" Inter.pp inter;
@@ -49,7 +47,6 @@ let () =
     inter.Inter.threads;
 
   (* Measure both systems. *)
-  let spill_bases = List.map Workload.spill_base ws in
   let base = Pipeline.baseline ~nreg:128 ~spill_bases progs in
   let cycles programs =
     let report =

@@ -186,8 +186,7 @@ let run ?machine_config ~seed ~duration cf =
   if cf.cf_stages = [] then Fmt.invalid_arg "Chain.run: no stages";
   if cf.cf_sources < 1 then Fmt.invalid_arg "Chain.run: no sources";
   let machine_config =
-    Option.value machine_config
-      ~default:{ Machine.default_config with max_cycles = max_int }
+    Option.value machine_config ~default:Dispatch.default_machine_config
   in
   let nstages = List.length cf.cf_stages in
   let stages = Array.of_list cf.cf_stages in
@@ -197,23 +196,17 @@ let run ?machine_config ~seed ~duration cf =
   let stage_build =
     Array.map
       (fun st ->
-        let ws =
-          Array.init st.st_threads (fun slot ->
-              Registry.instantiate st.st_kernel ~slot ~iters:st.st_iters)
+        let sys =
+          Registry.system ~iters:st.st_iters
+            (List.init st.st_threads (fun _ -> st.st_kernel))
         in
-        let progs =
-          Array.to_list (Array.map (fun w -> w.Workload.prog) ws)
+        let bal =
+          Npra_core.Pipeline.balanced_exn ~nreg:128 ~spill_bases:sys.spill_bases
+            sys.progs
         in
-        let spill_bases =
-          Array.to_list (Array.map Workload.spill_base ws)
-        in
-        let mem_image =
-          List.concat_map
-            (fun w -> w.Workload.mem_image)
-            (Array.to_list ws)
-        in
-        let bal = Npra_core.Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
-        (ws, bal.Npra_core.Pipeline.programs, mem_image))
+        ( Array.of_list sys.workloads,
+          bal.Npra_core.Pipeline.programs,
+          sys.mem_image ))
       stages
   in
   let engines =

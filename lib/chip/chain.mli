@@ -84,8 +84,9 @@ val run :
     remains is [ch_residual]. [machine_config] (typically carrying a
     {!Npra_sim.Memory.hierarchy}) applies to every stage engine.
     Barriers fall every 256 cycles. Stage machines run on the default
-    {!Machine.engine} with the sentinel armed, so they step one
-    instruction at a time. Deterministic in every argument. *)
+    {!Machine.engine} with the sentinel armed: each dispatched thread
+    runs in a burst, and the burst checks the register accesses of its
+    flagged quads. Deterministic in every argument. *)
 
 val json : t -> Npra_core.Json.t
 

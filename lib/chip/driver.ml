@@ -34,11 +34,7 @@ let chip_tiers =
     ~scratch_latency:6 ~sram_latency:20 ~sdram_latency:45
 
 let chip_machine_config =
-  {
-    Machine.default_config with
-    max_cycles = max_int;
-    tiers = Some chip_tiers;
-  }
+  { Dispatch.default_machine_config with tiers = Some chip_tiers }
 
 (* ---- the shard mix ---- *)
 
@@ -49,16 +45,10 @@ let shard_mix = [ "md5"; "crc32"; "url"; "route" ]
 let shard_critical = 0
 
 let build_contenders ids =
-  let ws =
-    List.mapi
-      (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i ~iters:1)
-      ids
-  in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-  let spill_bases = List.map Workload.spill_base ws in
+  let sys = Registry.system ~iters:1 (List.map Registry.find_exn ids) in
   let base, bal =
-    Npra_core.Pipeline.contenders ~nreg:128 ~spill_bases progs
+    Npra_core.Pipeline.contenders ~nreg:128 ~spill_bases:sys.spill_bases
+      sys.progs
   in
   let bal =
     match bal with
@@ -68,26 +58,7 @@ let build_contenders ids =
         Fmt.(list ~sep:(any "@.") Npra_core.Pipeline.pp_diagnostic)
         trail
   in
-  (ws, base.Npra_core.Pipeline.base_programs, bal.Npra_core.Pipeline.programs,
-   mem_image)
-
-(* Solo per-packet service time of each baseline program under the chip
-   hierarchy — the deterministic calibration for the saturating arrival
-   periods. *)
-let solo_times base_programs ws =
-  List.map2
-    (fun prog w ->
-      let m =
-        Machine.run
-          ~config:{ chip_machine_config with max_cycles = 100_000_000 }
-          ~mem_image:w.Workload.mem_image [ prog ]
-      in
-      match
-        (List.hd (Machine.report m).Machine.thread_reports).Machine.completion
-      with
-      | Some c -> max 1 c
-      | None -> 1)
-    base_programs ws
+  (sys, base.Npra_core.Pipeline.base_programs, bal.Npra_core.Pipeline.programs)
 
 (* Overload x2 past saturation: offered measures the stream, served
    measures service speed, and queue-full drops absorb the difference
@@ -130,22 +101,14 @@ let cell_ok = function
   | Chaos_cell c -> c.cc_ok
   | Chain_cell c -> c.nc_ok
 
-let refresh_of ws ~seed =
-  let ws = Array.of_list ws in
-  fun ~engine ~thread ~seq ->
-    let w = ws.(thread) in
-    List.mapi
-      (fun j v -> (Workload.input_base w + j, v))
-      (Workload.random_words
-         ~seed:(seed + (engine * 65537) + (thread * 257) + (seq * 13) + 1)
-         8)
-
 let run_shard_cell ~pool ~seed ~quick =
   let engines = if quick then 16 else 64 in
   let shards = if quick then 4 else 8 in
   let min_offered = if quick then 50_000 else 1_000_000 in
-  let ws, fixed_progs, bal_progs, mem_image = build_contenders shard_mix in
-  let solo = solo_times fixed_progs ws in
+  let sys, fixed_progs, bal_progs = build_contenders shard_mix in
+  (* the solo service times under the chip hierarchy calibrate the
+     saturating arrival periods *)
+  let solo = Arrival.solo_service ~config:chip_machine_config sys fixed_progs in
   let specs = pressure_specs solo in
   (* Duration sized from the offered rate (packets per million cycles
      on one engine) so the run clears [min_offered] with ~15% headroom. *)
@@ -161,10 +124,10 @@ let run_shard_cell ~pool ~seed ~quick =
     max 20_000
       (min_offered * 115 / 100 * 1_000_000 / (max 1 (engines * per_engine_rate)))
   in
-  let refresh = refresh_of ws ~seed in
+  let refresh = Registry.refresh sys ~seed in
   let run progs =
     Shard.run ~pool ~sentinel:`Off ~machine_config:chip_machine_config ~refresh
-      ~seed ~engines ~shards ~duration ~specs ~mem_image progs
+      ~seed ~engines ~shards ~duration ~specs ~mem_image:sys.mem_image progs
   in
   let fixed = run fixed_progs in
   let balanced = run bal_progs in
@@ -190,26 +153,16 @@ let run_chaos_cell ~pool ~seed ~quick =
   let engines = if quick then 8 else 16 in
   let shards = 4 in
   let duration = if quick then 30_000 else 60_000 in
-  let ws, _fixed_progs, bal_progs, mem_image = build_contenders shard_mix in
-  let specs =
-    List.mapi
-      (fun i _ ->
-        {
-          Workload.arrival = Workload.Uniform { period = 1500 + (137 * i) };
-          queue_capacity = 8;
-          per_packet_iters = 1;
-        })
-      ws
-  in
+  let sys, _fixed_progs, bal_progs = build_contenders shard_mix in
   let chaos_spec =
     { Chaos.quiet with Chaos.crashes = 1; transient_hangs = 1; floods = 1 }
   in
-  let refresh = refresh_of ws ~seed in
   let run =
     Shard.run ~pool ~sentinel:`Trap ~machine_config:chip_machine_config
-      ~refresh ~chaos_spec
-      ~shed:{ Dispatch.quantum = 4; burst = 12 }
-      ~seed ~engines ~shards ~duration ~specs ~mem_image bal_progs
+      ~refresh:(Registry.refresh sys ~seed) ~chaos_spec
+      ~shed:Dispatch.default_shed ~seed ~engines ~shards ~duration
+      ~specs:(Chaos.headroom_specs (List.length bal_progs))
+      ~mem_image:sys.mem_image bal_progs
   in
   Chaos_cell
     { cc_name = "shard-chaos"; cc_run = run; cc_ok = Shard.conservation_ok run }
@@ -223,22 +176,13 @@ let run_chaos_cell ~pool ~seed ~quick =
    time) detects starvation rather than tripping on the unbounded
    sojourns of a hopelessly oversubscribed queue. *)
 let solo_of spec =
-  let w = Registry.instantiate spec ~slot:0 ~iters:1 in
+  let sys = Registry.system ~iters:1 [ spec ] in
   let base =
-    Npra_core.Pipeline.baseline ~nreg:128
-      ~spill_bases:[ Workload.spill_base w ]
-      [ w.Workload.prog ]
+    Npra_core.Pipeline.baseline ~nreg:128 ~spill_bases:sys.spill_bases sys.progs
   in
-  let m =
-    Machine.run
-      ~config:{ chip_machine_config with max_cycles = 100_000_000 }
-      ~mem_image:w.Workload.mem_image base.Npra_core.Pipeline.base_programs
-  in
-  match
-    (List.hd (Machine.report m).Machine.thread_reports).Machine.completion
-  with
-  | Some c -> max 1 c
-  | None -> 1
+  List.hd
+    (Arrival.solo_service ~config:chip_machine_config sys
+       base.Npra_core.Pipeline.base_programs)
 
 let chain_configs ~quick =
   let classify = Registry.by_role Workload.Classify in

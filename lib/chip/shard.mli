@@ -56,9 +56,10 @@ val run :
     to each shard's dispatcher. [chaos_spec], when given, draws an
     independent fault schedule per shard from the shard seed, which
     turns on the dispatcher's default watchdog. An empty shard (the
-    hash left it no engines) yields empty metrics. Machines run on the default
-    {!Machine.engine}: with [sentinel] (default [`Trap]) armed they step
-    one instruction at a time, with [`Off] they burst. *)
+    hash left it no engines) yields empty metrics. Machines run on the
+    default {!Machine.engine}, which bursts every dispatched thread
+    whether or not [sentinel] (default [`Trap]) is armed; armed, the
+    burst checks the register accesses of its flagged quads. *)
 
 type totals = {
   t_offered : int;

@@ -30,32 +30,34 @@ type table1_row = {
   nsr_avg_size : float;
 }
 
-let single_thread_cycles (w : Workload.t) =
-  (* Allocate the lone thread against the whole register file — no
-     spills, no sharing — and measure cycles per main-loop iteration. *)
-  let prog = Webs.rename w.Workload.prog in
-  let result = Chaitin.allocate ~k:nreg ~spill_base:(Workload.spill_base w) prog in
+let single_thread_cycles (sys : Registry.system) prog =
+  (* Allocate the lone thread (its renamed [prog]) against the whole
+     register file — no spills, no sharing — and measure cycles per
+     main-loop iteration. *)
+  let result =
+    Chaitin.allocate ~k:nreg ~spill_base:(List.hd sys.spill_bases) prog
+  in
   let layout = Assign.fixed_partition ~nreg ~nthd:1 in
   let physical =
     Rewrite.apply_map result.Chaitin.prog result.Chaitin.coloring
       ~reg_of_color:(Assign.reg_of_color layout ~thread:0)
   in
-  let machine = Machine.run ~mem_image:w.Workload.mem_image [ physical ] in
+  let machine = Machine.run ~mem_image:sys.mem_image [ physical ] in
   let report = Machine.report machine in
   match (List.hd report.Machine.thread_reports).Machine.completion with
-  | Some c -> float_of_int c /. float_of_int w.Workload.iters
+  | Some c -> float_of_int c /. float_of_int (List.hd sys.workloads).iters
   | None -> Float.nan
 
 let table1_row spec =
-  let w = Registry.instantiate spec ~slot:0 in
-  let prog = Webs.rename w.Workload.prog in
+  let sys = Registry.system [ spec ] in
+  let prog = Webs.rename (List.hd sys.progs) in
   let ctx = Context.create prog in
   let _colored, bounds = Estimate.run ctx in
   let regions = Nsr.compute prog in
   {
     t1_name = spec.Workload.id;
     code_size = Prog.length prog;
-    cycles_per_iter = single_thread_cycles w;
+    cycles_per_iter = single_thread_cycles sys prog;
     ctx_instrs = Prog.count_ctx_switches prog;
     live_ranges = Context.num_nodes ctx;
     regp_max = bounds.Estimate.min_r;
@@ -308,16 +310,11 @@ type table3_row = {
 }
 
 let table3_scenario sc =
-  let workloads =
-    List.mapi
-      (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i)
-      sc.thread_ids
+  let { Registry.workloads; progs; mem_image; spill_bases } =
+    Registry.system (List.map Registry.find_exn sc.thread_ids)
   in
-  let progs = List.map (fun w -> w.Workload.prog) workloads in
   let iters = List.map (fun w -> w.Workload.iters) workloads in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) workloads in
   (* Baseline: per-thread Chaitin into the fixed 32-register partition. *)
-  let spill_bases = List.map Workload.spill_base workloads in
   let base = Pipeline.baseline ~nreg ~spill_bases progs in
   let base_report =
     Machine.report (Machine.run ~mem_image base.Pipeline.base_programs)
@@ -461,33 +458,17 @@ type portfolio_row = {
   p_entrants : (Pipeline.stage * Portfolio.outcome) list;
 }
 
-let default_probe_traffic =
-  { Workload.arrival = Workload.Uniform { period = 1000 };
-    queue_capacity = 8;
-    per_packet_iters = 2 }
-
 (* One engine per kernel on disjoint memory slots, sized for packet
    service: each restart processes one packet's worth of iterations of
    the kernel's default traffic, which the probe replays for [horizon]
    cycles. *)
 let portfolio_system ~horizon specs =
-  let ws =
-    List.mapi
-      (fun slot spec ->
-        let t =
-          Option.value
-            (Registry.default_traffic spec.Workload.id)
-            ~default:default_probe_traffic
-        in
-        (Registry.instantiate ~iters:t.Workload.per_packet_iters spec ~slot, t))
-      specs
-  in
-  ( List.map (fun (w, _) -> w.Workload.prog) ws,
-    List.map (fun (w, _) -> Workload.spill_base w) ws,
+  let sys, traffic = Registry.traffic_system specs in
+  ( sys.Registry.progs,
+    sys.spill_bases,
     {
-      Portfolio.probe_mem_image =
-        List.concat_map (fun (w, _) -> w.Workload.mem_image) ws;
-      probe_traffic = List.map snd ws;
+      Portfolio.probe_mem_image = sys.mem_image;
+      probe_traffic = traffic;
       probe_horizon = horizon;
     } )
 

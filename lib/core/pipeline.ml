@@ -110,11 +110,12 @@ let chaitin_partition ?(weights = []) ~nreg ~spill_bases progs =
   in
   (layout, results, programs)
 
-(* Spill areas for threads the caller told us nothing about: the
-   registry's memory map gives each slot a 1 KiB instance with the spill
-   area at its tail (see {!Npra_workloads.Workload}). *)
+(* Spill areas for threads the caller told us nothing about: thread [i]
+   takes the spill area of registry slot [i] (see
+   {!Npra_workloads.Workload}'s memory map). *)
 let default_spill_bases progs =
-  List.mapi (fun i _ -> (i * 1024) + 768) progs
+  let open Npra_workloads.Workload in
+  List.mapi (fun i _ -> (i * instance_size) + spill_offset) progs
 
 let default_move_budget progs =
   let code = List.fold_left (fun a p -> a + Prog.length p) 0 progs in

@@ -229,8 +229,8 @@ let race ?(pool = Npra_par.Pool.sequential) ?(nreg = 128) ?move_budget
      [Cache_hit] notes are per entrant even where the work is shared.
      The lookups happen here, before the fan-out, so the analysis every
      computing entrant starts from is forced in this domain, once, and
-     only when some entrant misses; the pool tasks only read the forced
-     value. *)
+     only when some entrant misses — its threads analysed as pool
+     tasks; the entrant tasks only read the forced value. *)
   let lookup stage =
     let key =
       cache_key ~tag:(Fmt.str "%a" pp_stage stage) ~nreg ~move_budget
@@ -240,7 +240,9 @@ let race ?(pool = Npra_par.Pool.sequential) ?(nreg = 128) ?move_budget
   in
   let shared = List.map lookup budgeted and solos = List.map lookup others in
   let threads =
-    lazy (Array.of_list (List.map Npra_regalloc.Inter.init_thread wprogs))
+    lazy
+      (Array.of_list
+         (Npra_par.Pool.map_list pool Npra_regalloc.Inter.init_thread wprogs))
   in
   if List.exists (fun (_, _, hit) -> Option.is_none hit) (shared @ solos) then
     ignore (Lazy.force threads);

@@ -218,17 +218,6 @@ type matrix = {
   m_cells : cell list;
 }
 
-let build_system ids =
-  let ws =
-    List.mapi
-      (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i ~iters:1)
-      ids
-  in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-  let spill_bases = List.map Workload.spill_base ws in
-  (progs, mem_image, spill_bases)
-
 let result_of sc (m : Metrics.run_metrics) =
   let summaries = Metrics.thread_summaries m in
   let nthd = List.length summaries in
@@ -259,18 +248,20 @@ let adapt_config ~quick ~spill_bases =
   }
 
 let run_cell ~seed ~duration ~quick sc =
-  let progs, mem_image, spill_bases = build_system sc.sc_ids in
-  let bal = Pipeline.balanced_exn ~nreg ~spill_bases progs in
+  let sys = Registry.system ~iters:1 (List.map Registry.find_exn sc.sc_ids) in
+  let bal =
+    Pipeline.balanced_exn ~nreg ~spill_bases:sys.spill_bases sys.progs
+  in
   let specs = sc.sc_specs ~duration in
   let chaos = sc.sc_chaos ~duration ~seed:(seed + 17) in
   let run ?controller () =
     Dispatch.run ~engines ~sentinel:`Trap ?chaos
       ~watchdog:Dispatch.default_watchdog ?controller ~seed ~duration ~specs
-      ~mem_image bal.Pipeline.programs
+      ~mem_image:sys.mem_image bal.Pipeline.programs
   in
   let m_static = run () in
-  let cfg = adapt_config ~quick ~spill_bases in
-  let adapt = Adapt.create ~config:cfg progs in
+  let cfg = adapt_config ~quick ~spill_bases:sys.spill_bases in
+  let adapt = Adapt.create ~config:cfg sys.progs in
   let m_adaptive = run ~controller:(Adapt.controller adapt) () in
   let slices = duration / 1024 in
   let bound = Adapt.max_rebalances ~slices ~min_dwell:cfg.Adapt.min_dwell in

@@ -66,44 +66,23 @@ let mixes =
     ("deep-mix", [ "route"; "drr"; "url"; "crc32" ]);
   ]
 
-(* One spec per thread: uniform arrivals far below saturation, a small
-   bounded queue — enough headroom that re-dispatched packets from a
-   failed engine fit on the survivors. *)
-let cell_specs n =
-  List.init n (fun i ->
-      {
-        Workload.arrival = Workload.Uniform { period = 1500 + (137 * i) };
-        queue_capacity = 8;
-        per_packet_iters = 1;
-      })
-
-let build_system ids =
-  let ws =
-    List.mapi
-      (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i ~iters:1)
-      ids
-  in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-  let spill_bases = List.map Workload.spill_base ws in
-  let bal = Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
-  (bal.Pipeline.programs, mem_image)
-
 let run_cell ~seed ~duration ~mix_index (mix_name, ids) sc =
-  let progs, mem_image = build_system ids in
+  let sys = Registry.system ~iters:1 (List.map Registry.find_exn ids) in
+  let progs =
+    (Pipeline.balanced_exn ~nreg:128 ~spill_bases:sys.spill_bases sys.progs)
+      .Pipeline.programs
+  in
   let nthreads = List.length progs in
   let cell_seed = seed + (mix_index * 7919) in
   let chaos =
     Chaos.schedule ~seed:(cell_seed + 131) ~engines ~threads:nthreads ~duration
       sc.sc_spec
   in
-  let shed =
-    if sc.sc_shed then Some { Dispatch.quantum = 4; burst = 12 } else None
-  in
+  let shed = if sc.sc_shed then Some Dispatch.default_shed else None in
   let m =
     Dispatch.run ~engines ~sentinel:`Trap ~chaos
       ~watchdog:Dispatch.default_watchdog ?shed ~seed:cell_seed ~duration
-      ~specs:(cell_specs nthreads) ~mem_image progs
+      ~specs:(Chaos.headroom_specs nthreads) ~mem_image:sys.mem_image progs
   in
   let surviving = Metrics.surviving_engines m in
   let delivered = Metrics.delivered_fraction m in

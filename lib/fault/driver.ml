@@ -51,28 +51,27 @@ let nthd = 4
 let nreg = 128
 
 let kernel_report ?seed spec =
-  let ws = List.init nthd (fun slot -> Registry.instantiate spec ~slot) in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
+  let sys = Registry.system (List.init nthd (fun _ -> spec)) in
   (* An explicit seed overlays fresh packet words on every thread's
      input buffer (later image entries win), so the matrix can be
      replayed over different packet contents; without one the committed
      baseline images stay byte-identical. *)
   let mem_image =
     match seed with
-    | None -> mem_image
+    | None -> sys.mem_image
     | Some seed ->
-      mem_image
+      sys.mem_image
       @ List.concat
           (List.mapi
              (fun slot w ->
                List.mapi
                  (fun j v -> (Workload.input_base w + j, v))
                  (Workload.random_words ~seed:(seed + (slot * 7919)) 16))
-             ws)
+             sys.workloads)
   in
-  let spill_bases = List.map Workload.spill_base ws in
-  let bal = Pipeline.balanced_exn ~nreg ~spill_bases progs in
+  let bal =
+    Pipeline.balanced_exn ~nreg ~spill_bases:sys.spill_bases sys.progs
+  in
   let layout = bal.Pipeline.layout in
   (* Clean run, sentinel armed: must complete without any trap. *)
   let clean_fault, clean_cycles =

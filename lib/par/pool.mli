@@ -2,7 +2,8 @@
 
     The pool exists to parallelise the repo's embarrassingly parallel
     hot loops — chip shards, fuzz inputs, fault-matrix kernels, the
-    allocation contenders and portfolio entrants, whole traffic runs —
+    allocation contenders, the portfolio race's per-thread analysis and
+    its entrants, whole traffic runs —
     without ever letting scheduling nondeterminism leak into results.
 
     Callers give the pool whole runs, never a slice of one: each

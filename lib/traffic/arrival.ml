@@ -99,3 +99,20 @@ let advance t =
 let take ~seed model n =
   let t = create ~seed model in
   List.init n (fun _ -> advance t)
+
+let solo_service ?(config = Npra_sim.Machine.default_config)
+    (sys : Registry.system) progs =
+  let open Npra_sim in
+  List.map2
+    (fun prog w ->
+      let m =
+        Machine.run
+          ~config:{ config with max_cycles = 100_000_000 }
+          ~mem_image:w.Workload.mem_image [ prog ]
+      in
+      match
+        (List.hd (Machine.report m).Machine.thread_reports).Machine.completion
+      with
+      | Some c -> max 1 c
+      | None -> 1)
+    progs sys.Registry.workloads

@@ -28,3 +28,16 @@ val take : seed:int -> Workload.arrival -> int -> int list
 val exp_table : int array
 (** The 256-entry fixed-point quantile table behind the Poisson model:
     entry [i] is [round(-ln((i+0.5)/256) * 1024)]. Exposed for tests. *)
+
+val solo_service :
+  ?config:Npra_sim.Machine.config ->
+  Registry.system ->
+  Npra_ir.Prog.t list ->
+  int list
+(** [solo_service sys progs] is the per-packet service time of each
+    physical program of [progs], run alone on the memory image of the
+    kernel in the same slot of [sys] under [config] (default
+    {!Npra_sim.Machine.default_config}; its cycle budget is replaced by
+    a hundred million). A thread that never completes counts as 1. This
+    is the one calibration of saturating arrival periods; a chip run
+    passes its tiered [config]. *)

@@ -70,6 +70,15 @@ let pp_spec ppf s =
   Fmt.pf ppf "crashes=%d hangs=%d+%dT storms=%d floods=%d" s.crashes
     s.permanent_hangs s.transient_hangs s.storms s.floods
 
+let headroom_specs n =
+  List.init n (fun i ->
+      {
+        Npra_workloads.Workload.arrival =
+          Npra_workloads.Workload.Uniform { period = 1500 + (137 * i) };
+        queue_capacity = 8;
+        per_packet_iters = 1;
+      })
+
 (* The repo-wide 30-bit xorshift, seeded per schedule. *)
 let schedule ~seed ~engines ~threads ~duration spec =
   let rng = Npra_core.Rng.create ~seed in

@@ -65,6 +65,13 @@ val quiet : spec
 
 val pp_spec : spec Fmt.t
 
+val headroom_specs : int -> Npra_workloads.Workload.traffic_spec list
+(** The traffic of a chaos fabric of [n] threads: thread [i] gets
+    uniform arrivals every [1500 + 137 i] cycles (far below saturation,
+    so a healthy run delivers essentially everything), an 8-deep queue
+    and one iteration per packet — headroom for the packets a failed
+    engine re-dispatches. *)
+
 val schedule :
   seed:int -> engines:int -> threads:int -> duration:int -> spec -> t
 (** Draws a schedule from [spec] with a xorshift generator: engines and

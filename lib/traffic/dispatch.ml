@@ -25,6 +25,11 @@ let default_watchdog = { stall_slices = 3; retries = 2; backoff_slices = 2 }
 
 type shed = { quantum : int; burst : int }
 
+let default_shed = { quantum = 4; burst = 12 }
+
+let default_machine_config =
+  { Machine.default_config with Machine.max_cycles = max_int }
+
 type port = {
   spec : Workload.traffic_spec;
   stream : Arrival.t;
@@ -480,9 +485,7 @@ let run ?(engines = 1) ?(sentinel = `Off) ?machine_config ?refresh
     invalid_arg "Dispatch.run: one traffic spec per thread program";
   if progs = [] then invalid_arg "Dispatch.run: no thread programs";
   let machine_config =
-    match machine_config with
-    | Some c -> c
-    | None -> { Machine.default_config with Machine.max_cycles = max_int }
+    Option.value machine_config ~default:default_machine_config
   in
   let deadline =
     duration + Option.value drain_budget ~default:(max duration 10_000)

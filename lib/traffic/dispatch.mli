@@ -47,6 +47,15 @@ val default_watchdog : watchdog
     queue collapse. Re-dispatched packets bypass credits. *)
 type shed = { quantum : int; burst : int }
 
+val default_shed : shed
+(** 4 credits per slice, capped at 12 — the policy every shedding run
+    uses. *)
+
+val default_machine_config : Machine.config
+(** {!Machine.default_config} with [max_cycles] lifted to [max_int]: a
+    traffic run ends at its duration and drain budget, not at a cycle
+    limit. The default of {!run} and of [Chain.run]. *)
+
 (** {1 Feedback controller}
 
     A controller closes the loop from traffic metrics back into the
@@ -150,7 +159,6 @@ val run :
     granularity of the global-clock interleave and the watchdog's
     sampling period.
 
-    The default machine config lifts [max_cycles] to [max_int]: the
-    horizon is the budget. Results are a pure function of every
+    [machine_config] defaults to {!default_machine_config}. Results are a pure function of every
     argument: identical calls produce identical metrics, byte for byte
     once serialised, also when the calls run on different domains. *)

@@ -94,3 +94,52 @@ let default_traffic_table : (string * Workload.traffic_spec) list =
   ]
 
 let default_traffic id = List.assoc_opt id default_traffic_table
+
+(* ------------------------------------------------------------------ *)
+(* Systems: the one place the multi-kernel layout is decided. Kernel [i]
+   of a list sits at slot [i] — its own [instance_size] region, spill
+   area at the tail — and the system's memory image is the slot-order
+   concatenation of the kernels' images. *)
+
+type system = {
+  workloads : Workload.t list;
+  progs : Npra_ir.Prog.t list;
+  mem_image : (int * int) list;
+  spill_bases : int list;
+}
+
+let system_of ws =
+  {
+    workloads = ws;
+    progs = List.map (fun w -> w.Workload.prog) ws;
+    mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws;
+    spill_bases = List.map Workload.spill_base ws;
+  }
+
+let system ?iters specs =
+  system_of (List.mapi (fun slot spec -> instantiate ?iters spec ~slot) specs)
+
+(* Each kernel at its default traffic model's per-packet iteration
+   count, paired (in slot order) with that model. *)
+let traffic_system specs =
+  let traffic =
+    List.map
+      (fun spec ->
+        match default_traffic spec.Workload.id with
+        | Some t -> t
+        | None -> Fmt.invalid_arg "no traffic model for workload %S" spec.id)
+      specs
+  in
+  ( system_of
+      (List.mapi
+         (fun slot (spec, t) ->
+           instantiate ~iters:t.Workload.per_packet_iters spec ~slot)
+         (List.combine specs traffic)),
+    traffic )
+
+(* The per-service payload refresh of a traffic run over [sys]: thread
+   [i]'s fresh words land in kernel [i]'s input buffer. *)
+let refresh sys ~seed =
+  let ws = Array.of_list sys.workloads in
+  fun ~engine ~thread ~seq ->
+    Workload.refresh ~seed ~engine ~thread ~seq ws.(thread)

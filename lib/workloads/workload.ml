@@ -51,6 +51,16 @@ let random_words ~seed n =
       state := if x = 0 then 1 else x;
       x)
 
+(* Fresh packet words for one service start: 8 words poked into [w]'s
+   input buffer, a pure function of (seed, engine, thread, seq), so a
+   traffic run that refreshes payloads still replays exactly. *)
+let refresh ~seed ~engine ~thread ~seq w =
+  List.mapi
+    (fun j v -> (input_base w + j, v))
+    (random_words
+       ~seed:(seed + (engine * 65537) + (thread * 257) + (seq * 13) + 1)
+       8)
+
 let packet_image ~mem_base ~seed n =
   List.mapi (fun i v -> (mem_base + input_offset + i, v)) (random_words ~seed n)
 

@@ -110,16 +110,13 @@ let score_tests =
    seed-derived arrival mixes the controller has never been tuned for.
    Whatever the traffic does, the committed re-balance count must stay
    within the closed-form bound and packets must conserve exactly. *)
-let churn_system = lazy (
-  let ws =
-    List.mapi
-      (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i ~iters:1)
-      [ "crc32"; "frag"; "url"; "route" ]
-  in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-  let spill_bases = List.map Workload.spill_base ws in
-  (progs, mem_image, spill_bases))
+let churn_system =
+  lazy
+    (let sys =
+       Registry.system ~iters:1
+         (List.map Registry.find_exn [ "crc32"; "frag"; "url"; "route" ])
+     in
+     (sys.progs, sys.mem_image, sys.spill_bases))
 
 let churn_duration = 10_240 (* 10 slices *)
 

@@ -13,16 +13,11 @@ let test name f = Alcotest.test_case name `Quick f
 
 (* The same allocated four-thread system builder the traffic tests use. *)
 let system ids =
-  let ws =
-    List.mapi
-      (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i ~iters:2)
-      ids
+  let sys = Registry.system ~iters:2 (List.map Registry.find_exn ids) in
+  let bal =
+    Pipeline.balanced_exn ~nreg:128 ~spill_bases:sys.spill_bases sys.progs
   in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-  let spill_bases = List.map Workload.spill_base ws in
-  let bal = Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
-  (bal.Pipeline.programs, mem_image)
+  (bal.Pipeline.programs, sys.mem_image)
 
 let light = lazy (system [ "crc32"; "frag" ])
 

@@ -16,14 +16,12 @@ let test name f = Alcotest.test_case name `Quick f
 (* ---------------- tiered memory ---------------- *)
 
 let instantiate ids =
-  let ws =
-    List.mapi (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i) ids
+  let sys = Registry.system (List.map Registry.find_exn ids) in
+  let bal =
+    Npra_core.Pipeline.balanced_exn ~nreg:128 ~spill_bases:sys.spill_bases
+      sys.progs
   in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-  let spill_bases = List.map Workload.spill_base ws in
-  let bal = Npra_core.Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
-  (bal.Npra_core.Pipeline.programs, mem_image)
+  (bal.Npra_core.Pipeline.programs, sys.mem_image)
 
 let memory_tests =
   [
@@ -98,16 +96,13 @@ let memory_tests =
    (seed, engines, shards). *)
 let shard_fixture =
   lazy
-    (let ws =
-       List.mapi
-         (fun i id ->
-           Registry.instantiate (Registry.find_exn id) ~slot:i ~iters:1)
-         [ "crc32"; "url" ]
+    (let sys =
+       Registry.system ~iters:1 (List.map Registry.find_exn [ "crc32"; "url" ])
      in
-     let progs = List.map (fun w -> w.Workload.prog) ws in
-     let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-     let spill_bases = List.map Workload.spill_base ws in
-     let bal = Npra_core.Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
+     let bal =
+       Npra_core.Pipeline.balanced_exn ~nreg:128 ~spill_bases:sys.spill_bases
+         sys.progs
+     in
      let specs =
        List.map
          (fun _ ->
@@ -116,9 +111,9 @@ let shard_fixture =
              queue_capacity = 4;
              per_packet_iters = 1;
            })
-         ws
+         sys.workloads
      in
-     (bal.Npra_core.Pipeline.programs, mem_image, specs))
+     (bal.Npra_core.Pipeline.programs, sys.mem_image, specs))
 
 let shard_qcheck =
   [
@@ -285,8 +280,36 @@ let determinism_tests =
         check Alcotest.string "identical JSON" j1 j4);
   ]
 
+(* ---------------- solo calibration ---------------- *)
+
+(* The solo service times that size the shard cell's saturating
+   arrivals: pinned, under the chip hierarchy and the flat default. *)
+let solo_tests =
+  [
+    test "solo service times of the shard mix are pinned" (fun () ->
+        let sys =
+          Registry.system ~iters:1
+            (List.map Registry.find_exn [ "md5"; "crc32"; "url"; "route" ])
+        in
+        let base =
+          (Npra_core.Pipeline.baseline ~nreg:128 ~spill_bases:sys.spill_bases
+             sys.progs)
+            .Npra_core.Pipeline.base_programs
+        in
+        check
+          Alcotest.(list int)
+          "chip hierarchy" [ 1460; 119; 488; 251 ]
+          (Npra_traffic.Arrival.solo_service ~config:Driver.chip_machine_config
+             sys base);
+        check
+          Alcotest.(list int)
+          "flat default" [ 1740; 119; 263; 126 ]
+          (Npra_traffic.Arrival.solo_service sys base));
+  ]
+
 let suite =
   [
+    ("chip.solo", solo_tests);
     ("chip.memory", memory_tests);
     ("chip.shard", shard_tests @ shard_qcheck);
     ("chip.chain", chain_tests);

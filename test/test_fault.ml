@@ -29,13 +29,11 @@ let nreg = 128
    infeasible) — the same construction the detection-matrix driver
    uses. *)
 let system id =
-  let spec = Registry.find_exn id in
-  let ws = List.init nthd (fun slot -> Registry.instantiate spec ~slot) in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
-  let spill_bases = List.map Workload.spill_base ws in
-  let bal = Pipeline.balanced_exn ~nreg ~spill_bases progs in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-  (bal.Pipeline.layout, bal.Pipeline.programs, mem_image)
+  let sys = Registry.system (List.init nthd (fun _ -> Registry.find_exn id)) in
+  let bal =
+    Pipeline.balanced_exn ~nreg ~spill_bases:sys.spill_bases sys.progs
+  in
+  (bal.Pipeline.layout, bal.Pipeline.programs, sys.mem_image)
 
 let inject_exn id kind =
   let layout, progs, mem_image = system id in

@@ -194,13 +194,8 @@ let stealing_tests =
 (* ---------------- allocation cache ---------------- *)
 
 let cache_progs ids =
-  let ws =
-    List.mapi
-      (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i)
-      ids
-  in
-  ( List.map (fun w -> w.Workload.prog) ws,
-    List.map Workload.spill_base ws )
+  let sys = Registry.system (List.map Registry.find_exn ids) in
+  (sys.progs, sys.spill_bases)
 
 let cache_tests =
   [
@@ -281,17 +276,11 @@ let cache_tests =
 (* ---------------- determinism across job counts ---------------- *)
 
 let traffic_system ids =
-  let ws =
-    List.mapi
-      (fun i id ->
-        Registry.instantiate (Registry.find_exn id) ~slot:i ~iters:2)
-      ids
+  let sys = Registry.system ~iters:2 (List.map Registry.find_exn ids) in
+  let bal =
+    Pipeline.balanced_exn ~nreg:128 ~spill_bases:sys.spill_bases sys.progs
   in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-  let spill_bases = List.map Workload.spill_base ws in
-  let bal = Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
-  (bal.Pipeline.programs, mem_image)
+  (bal.Pipeline.programs, sys.mem_image)
 
 (* Two whole dispatch runs, each one pool task: a plain dispatch (no
    watchdog) and a dispatch under chaos with the watchdog and shedding.

@@ -9,8 +9,7 @@ open Npra_core
 let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
 
-let mix ids =
-  List.mapi (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i) ids
+let mix ids = Registry.system (List.map Registry.find_exn ids)
 
 let mixes =
   [
@@ -24,10 +23,8 @@ let balanced_tests =
   List.concat_map
     (fun (name, ids) ->
       let run () =
-        let ws = mix ids in
-        let progs = List.map (fun w -> w.Workload.prog) ws in
-        let bal = Pipeline.balanced_exn ~nreg:128 progs in
-        (ws, bal)
+        let sys = mix ids in
+        (sys, Pipeline.balanced_exn ~nreg:128 sys.progs)
       in
       [
         test (name ^ ": allocation fits and verifies") (fun () ->
@@ -43,11 +40,9 @@ let balanced_tests =
                 (Npra_regalloc.Inter.demand inter.Npra_regalloc.Inter.threads
                 <= 128));
         test (name ^ ": differential execution matches") (fun () ->
-            let ws, bal = run () in
-            let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
+            let sys, bal = run () in
             check Alcotest.bool "identical behaviour" true
-              (Pipeline.differential ~mem_image
-                 (List.map (fun w -> w.Workload.prog) ws)
+              (Pipeline.differential ~mem_image:sys.mem_image sys.progs
                  bal.Pipeline.programs));
       ])
     mixes
@@ -57,11 +52,8 @@ let baseline_tests =
     (fun (name, ids) ->
       [
         test (name ^ ": baseline preserves behaviour") (fun () ->
-            let ws = mix ids in
-            let progs = List.map (fun w -> w.Workload.prog) ws in
-            let spill_bases = List.map Workload.spill_base ws in
+            let { Registry.progs; mem_image; spill_bases; _ } = mix ids in
             let base = Pipeline.baseline ~nreg:128 ~spill_bases progs in
-            let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
             (* spill-area stores are allocator-internal, not behaviour *)
             let ignore_addr a =
               List.exists (fun b -> a >= b && a < b + 256) spill_bases
@@ -83,9 +75,9 @@ let degradation_tests =
     test "infeasible mix falls back to fixed-partition chaitin" (fun () ->
         (* four wraps_rx threads demand 4 x 33 = 132 > 128 registers: the
            balancer cannot serve this, and must degrade instead of raising *)
-        let ws = mix [ "wraps_rx"; "wraps_rx"; "wraps_rx"; "wraps_rx" ] in
-        let progs = List.map (fun w -> w.Workload.prog) ws in
-        let spill_bases = List.map Workload.spill_base ws in
+        let { Registry.progs; mem_image; spill_bases; _ } =
+          mix [ "wraps_rx"; "wraps_rx"; "wraps_rx"; "wraps_rx" ]
+        in
         Pipeline.cache_clear ();
         match Pipeline.balanced ~nreg:128 ~spill_bases progs with
         | Error trail ->
@@ -111,7 +103,6 @@ let degradation_tests =
           check Alcotest.int "fallback still verifies" 0
             (List.length bal.Pipeline.verify_errors);
           (* and the degraded allocation actually runs, sentinel armed *)
-          let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
           let r =
             Npra_sim.Machine.report
               (Npra_sim.Machine.run ~sentinel:`Trap ~mem_image
@@ -126,8 +117,7 @@ let degradation_tests =
         (* drr squeezed into 24 registers needs paid reductions — split
            moves get inserted; with the budget at zero the result is
            kept but flagged as over budget *)
-        let ws = mix [ "drr" ] in
-        let progs = List.map (fun w -> w.Workload.prog) ws in
+        let progs = (mix [ "drr" ]).progs in
         Pipeline.cache_clear ();
         match Pipeline.balanced ~nreg:24 ~move_budget:0 progs with
         | Error trail ->
@@ -153,10 +143,10 @@ let degradation_tests =
     test "balanced_exn raises only on a total failure" (fun () ->
         (* the fallback chain serves the infeasible mix, so even _exn
            returns *)
-        let ws = mix [ "wraps_rx"; "wraps_tx"; "wraps_rx"; "wraps_tx" ] in
-        let progs = List.map (fun w -> w.Workload.prog) ws in
-        let spill_bases = List.map Workload.spill_base ws in
-        let bal = Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
+        let sys = mix [ "wraps_rx"; "wraps_tx"; "wraps_rx"; "wraps_tx" ] in
+        let bal =
+          Pipeline.balanced_exn ~nreg:128 ~spill_bases:sys.spill_bases sys.progs
+        in
         check Alcotest.bool "served" true
           (bal.Pipeline.provenance <> Pipeline.Balanced));
   ]
@@ -264,7 +254,7 @@ let pinned_mixes =
   ]
 
 let pinned_allocation (ids, target) =
-  let progs = List.map (fun w -> w.Workload.prog) (mix ids) in
+  let progs = (mix ids).progs in
   let nreg =
     match target with
     | `Full -> 128

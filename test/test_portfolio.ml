@@ -33,14 +33,11 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let ws_of ids =
-  List.mapi
-    (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i)
-    ids
+let system_of ids = Registry.system (List.map Registry.find_exn ids)
 
 let progs_of ids =
-  let ws = ws_of ids in
-  (List.map (fun w -> w.Workload.prog) ws, List.map Workload.spill_base ws)
+  let sys = system_of ids in
+  (sys.progs, sys.spill_bases)
 
 (* What a chain call or a race analyses once: the §5 estimate of every
    web-form program. *)
@@ -191,26 +188,7 @@ let portfolio_tests =
 (* ---------------- throughput probe ---------------- *)
 
 let probe_of ids ~horizon =
-  let ws =
-    List.mapi
-      (fun i id ->
-        let t = Option.get (Registry.default_traffic id) in
-        ( Registry.instantiate ~iters:t.Workload.per_packet_iters
-            (Registry.find_exn id) ~slot:i,
-          t ))
-      ids
-  in
-  let progs = List.map (fun (w, _) -> w.Workload.prog) ws in
-  let spill_bases = List.map (fun (w, _) -> Workload.spill_base w) ws in
-  let probe =
-    {
-      Portfolio.probe_mem_image =
-        List.concat_map (fun (w, _) -> w.Workload.mem_image) ws;
-      probe_traffic = List.map snd ws;
-      probe_horizon = horizon;
-    }
-  in
-  (progs, spill_bases, probe)
+  Experiments.portfolio_system ~horizon (List.map Registry.find_exn ids)
 
 let probe_tests =
   [
@@ -311,10 +289,9 @@ let engine_tests =
     (fun id ->
       test (Fmt.str "soa = legacy on the portfolio winner of %s" id)
         (fun () ->
-          let ws = ws_of [ id; id; id; id ] in
-          let progs = List.map (fun w -> w.Workload.prog) ws in
-          let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-          let spill_bases = List.map Workload.spill_base ws in
+          let { Registry.progs; mem_image; spill_bases; _ } =
+            system_of [ id; id; id; id ]
+          in
           let p = portfolio_exn ~spill_bases ~seed:1 progs in
           let report sentinel engine =
             Machine.report

@@ -368,13 +368,12 @@ let engine_report ?(sentinel = `Trap) engine progs mem_image =
   Machine.report (Machine.run ~engine ~sentinel ~mem_image progs)
 
 let kernel_system spec =
-  let open Npra_workloads in
-  let ws = List.init 4 (fun slot -> Registry.instantiate spec ~slot) in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-  let spill_bases = List.map Workload.spill_base ws in
-  let bal = Npra_core.Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
-  (bal.Npra_core.Pipeline.programs, mem_image)
+  let sys = Npra_workloads.Registry.system (List.init 4 (fun _ -> spec)) in
+  let bal =
+    Npra_core.Pipeline.balanced_exn ~nreg:128 ~spill_bases:sys.spill_bases
+      sys.progs
+  in
+  (bal.Npra_core.Pipeline.programs, sys.mem_image)
 
 let check_engines_equal ?sentinel progs mem_image =
   let r = engine_report ?sentinel `Legacy progs mem_image in

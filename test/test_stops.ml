@@ -16,22 +16,13 @@ open Npra_chip
 
 let test name f = Alcotest.test_case name `Quick f
 
-let instantiate ids =
-  let ws =
-    List.mapi
-      (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i ~iters:1)
-      ids
-  in
-  ( ws,
-    List.map (fun w -> w.Workload.prog) ws,
-    List.concat_map (fun w -> w.Workload.mem_image) ws,
-    List.map Workload.spill_base ws )
+let instantiate ids = Registry.system ~iters:1 (List.map Registry.find_exn ids)
 
 (* Pre-allocation programs at 24 registers (the adaptive matrix's mix),
    so a controller's re-balances change what each engine runs. *)
 let mix =
   lazy
-    (let _, progs, mem_image, spill_bases =
+    (let { Registry.progs; mem_image; spill_bases; _ } =
        instantiate [ "crc32"; "frag"; "url"; "route" ]
      in
      let bal = Pipeline.balanced_exn ~nreg:24 ~spill_bases progs in
@@ -183,50 +174,28 @@ let md5 s = Digest.to_hex (Digest.string s)
    sentinel off. *)
 let chip_pair =
   lazy
-    (let ws, progs, mem_image, spill_bases =
-       instantiate [ "md5"; "crc32"; "url"; "route" ]
+    (let sys = instantiate [ "md5"; "crc32"; "url"; "route" ] in
+     let base, bal =
+       Pipeline.contenders ~nreg:128 ~spill_bases:sys.spill_bases sys.progs
      in
-     let base, bal = Pipeline.contenders ~nreg:128 ~spill_bases progs in
      let fixed = base.Pipeline.base_programs in
      let balanced = (Result.get_ok bal).Pipeline.programs in
      let specs =
-       List.map2
-         (fun prog w ->
-           let m =
-             Machine.run
-               ~config:{ Driver.chip_machine_config with max_cycles = 100_000_000 }
-               ~mem_image:w.Workload.mem_image [ prog ]
-           in
-           let solo =
-             match
-               (List.hd (Machine.report m).Machine.thread_reports)
-                 .Machine.completion
-             with
-             | Some c -> max 1 c
-             | None -> 1
-           in
+       List.map
+         (fun solo ->
            {
              Workload.arrival = Workload.Uniform { period = max 1 (solo / 4) };
              queue_capacity = 8;
              per_packet_iters = 1;
            })
-         fixed ws
+         (Arrival.solo_service ~config:Driver.chip_machine_config sys fixed)
      in
-     let wa = Array.of_list ws in
      fun ~seed ->
-       let refresh ~engine ~thread ~seq =
-         let w = wa.(thread) in
-         List.mapi
-           (fun j v -> (Workload.input_base w + j, v))
-           (Workload.random_words
-              ~seed:(seed + (engine * 65537) + (thread * 257) + (seq * 13) + 1)
-              8)
-       in
        let run progs =
          Shard.to_json
            (Shard.run ~sentinel:`Off ~machine_config:Driver.chip_machine_config
-              ~refresh ~seed ~engines:16 ~shards:4 ~duration:90_000 ~specs
-              ~mem_image progs)
+              ~refresh:(Registry.refresh sys ~seed) ~seed ~engines:16 ~shards:4
+              ~duration:90_000 ~specs ~mem_image:sys.mem_image progs)
        in
        md5 (run fixed ^ run balanced))
 

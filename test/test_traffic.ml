@@ -99,16 +99,11 @@ let arrival_tests =
 (* A small allocated multi-thread system, the same way the fault driver
    builds one. *)
 let system ids =
-  let ws =
-    List.mapi
-      (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i ~iters:2)
-      ids
+  let sys = Registry.system ~iters:2 (List.map Registry.find_exn ids) in
+  let bal =
+    Pipeline.balanced_exn ~nreg:128 ~spill_bases:sys.spill_bases sys.progs
   in
-  let progs = List.map (fun w -> w.Workload.prog) ws in
-  let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-  let spill_bases = List.map Workload.spill_base ws in
-  let bal = Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
-  (bal.Pipeline.programs, mem_image)
+  (bal.Pipeline.programs, sys.mem_image)
 
 let all_completed m =
   let rec go i =
@@ -302,14 +297,9 @@ let dispatch_tests =
         (* dense arrivals put one within a few cycles of [duration],
            where an engine's last run can step over it *)
         let ids = [ "md5"; "crc32"; "url"; "route" ] in
-        let ws =
-          List.mapi
-            (fun i id -> Registry.instantiate (Registry.find_exn id) ~slot:i ~iters:1)
-            ids
+        let { Registry.progs; mem_image; spill_bases; _ } =
+          Registry.system ~iters:1 (List.map Registry.find_exn ids)
         in
-        let progs = List.map (fun w -> w.Workload.prog) ws in
-        let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
-        let spill_bases = List.map Workload.spill_base ws in
         let base, bal = Pipeline.contenders ~nreg:128 ~spill_bases progs in
         let bal =
           match bal with

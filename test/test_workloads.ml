@@ -110,8 +110,91 @@ let profile_tests =
           [ "frag"; "crc32"; "url"; "route"; "l2l3fwd_rx"; "l2l3fwd_tx"; "drr" ]);
   ]
 
+(* ---------------- the system builder ---------------- *)
+
+let system_qcheck =
+  let nspecs = List.length Registry.all in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:40
+         ~name:
+           "system: kernel i at slot i, registry spill bases, slot-order image"
+         QCheck.(list_of_size Gen.(1 -- 4) (int_bound (nspecs - 1)))
+         (fun picks ->
+           let specs = List.map (List.nth Registry.all) picks in
+           let alone =
+             List.mapi (fun slot s -> Registry.instantiate s ~slot) specs
+           in
+           let sys = Registry.system specs in
+           let tsys, traffic = Registry.traffic_system specs in
+           List.length sys.Registry.workloads = List.length specs
+           && List.for_all Fun.id
+                (List.mapi
+                   (fun i w -> w.Workload.mem_base = i * Workload.instance_size)
+                   sys.workloads)
+           && sys.progs = List.map (fun w -> w.Workload.prog) alone
+           && sys.spill_bases = Npra_core.Pipeline.default_spill_bases sys.progs
+           && sys.mem_image
+              = List.concat_map (fun w -> w.Workload.mem_image) alone
+           && tsys.spill_bases = sys.spill_bases
+           && List.for_all2
+                (fun w t -> w.Workload.iters = t.Workload.per_packet_iters)
+                tsys.workloads traffic
+           && traffic
+              = List.map
+                  (fun s -> Option.get (Registry.default_traffic s.Workload.id))
+                  specs));
+  ]
+
+(* The per-service payload refresh, pinned to the values the chip and
+   throughput benches have always poked into the input buffers. *)
+let refresh_golden =
+  [
+    test "payload refresh: golden words per (seed, engine, thread, seq)"
+      (fun () ->
+        let sys =
+          Registry.system ~iters:1
+            (List.map Registry.find_exn [ "md5"; "crc32"; "url"; "route" ])
+        in
+        List.iter
+          (fun (seed, engine, thread, seq, expect) ->
+            let name = Fmt.str "refresh %d %d %d %d" seed engine thread seq in
+            check
+              Alcotest.(list (pair int int))
+              name expect
+              (Registry.refresh sys ~seed ~engine ~thread ~seq);
+            check
+              Alcotest.(list (pair int int))
+              (name ^ " (pure)") expect
+              (Workload.refresh ~seed ~engine ~thread ~seq
+                 (List.nth sys.workloads thread)))
+          [
+            ( 42, 0, 0, 0,
+              [
+                (0, 11101449); (1, 744010413); (2, 567900875);
+                (3, 523119851); (4, 863344626); (5, 355365335);
+                (6, 311031805); (7, 109508870);
+              ] );
+            ( 1, 3, 2, 17,
+              [
+                (2048, 732556203); (2049, 413538405);
+                (2050, 507143088); (2051, 643209302);
+                (2052, 270368248); (2053, 718792457);
+                (2054, 133049938); (2055, 151742272);
+              ] );
+            ( 7919, 63, 3, 100000,
+              [
+                (3072, 888105022); (3073, 242146698);
+                (3074, 840408005); (3075, 193279282);
+                (3076, 520050627); (3077, 150042048);
+                (3078, 1040890468); (3079, 1048008231);
+              ] );
+          ]);
+  ]
+
 let suite =
   [
+    ("workloads.system", system_qcheck @ refresh_golden);
     ("workloads.structure", structure_tests);
     ("workloads.determinism", determinism_tests);
     ("workloads.profile", profile_tests);
