@@ -5,10 +5,12 @@
    Engine sweep — every registry kernel as a balanced four-thread
    system, run to completion repeatedly under each engine (the legacy
    oracle and soa) with the sentinel off, so the soa burst loop
-   actually engages. The figure of merit is simulated cycles per wall
-   second; the deterministic cycle count per run is read off a first
-   run and cross-checked across engines, so the rate is anchored to the
-   machine model, not to repetitions.
+   actually engages, and under soa once more with the sentinel armed,
+   the configuration every chaos, adapt and fault run pays for. The
+   figure of merit is simulated cycles per wall second; the
+   deterministic cycle count per run is read off a first run and
+   cross-checked across engines and sentinel modes, so the rate is
+   anchored to the machine model, not to repetitions.
 
    Pool matrix — a matrix of chip cells at different scales run through
    {!Npra_chip.Shard} on a one-worker and a two-worker pool, in
@@ -34,6 +36,7 @@ type kernel_speed = {
   k_cycles : int;  (* deterministic simulated cycles of one system run *)
   k_legacy : float;  (* cycles per second *)
   k_soa : float;
+  k_trap : float;  (* soa with the sentinel armed *)
 }
 
 let kernel_system spec =
@@ -64,19 +67,19 @@ let cps ~min_s ~cycles run =
    how fast programs decode. *)
 let measure_kernel ~quick spec =
   let progs, mem_image = kernel_system spec in
-  let run engine () =
-    let m = Machine.create ~engine ~sentinel:`Off ~mem_image progs in
+  let run ?(sentinel = `Off) engine () =
+    let m = Machine.create ~engine ~sentinel ~mem_image progs in
     let t0 = Unix.gettimeofday () in
     (match Machine.run_until m ~horizon:1_000_000_000 with
     | `Idle | `Horizon | `Halted _ -> ());
     Unix.gettimeofday () -. t0
   in
-  let cycles engine =
-    (Machine.report (Machine.run ~engine ~sentinel:`Off ~mem_image progs))
+  let cycles ?(sentinel = `Off) engine =
+    (Machine.report (Machine.run ~engine ~sentinel ~mem_image progs))
       .Machine.total_cycles
   in
   let c = cycles `Soa in
-  if cycles `Legacy <> c then
+  if cycles `Legacy <> c || cycles ~sentinel:`Trap `Soa <> c then
     Fmt.failwith "simspeed: engine cycle counts diverge on %s" spec.Workload.id;
   let min_s = if quick then 0.02 else 0.25 in
   {
@@ -84,6 +87,7 @@ let measure_kernel ~quick spec =
     k_cycles = c;
     k_legacy = cps ~min_s ~cycles:c (run `Legacy);
     k_soa = cps ~min_s ~cycles:c (run `Soa);
+    k_trap = cps ~min_s ~cycles:c (run ~sentinel:`Trap `Soa);
   }
 
 (* Sweep-wide rate of one engine: total cycles over the time it takes
@@ -171,22 +175,24 @@ let run (o : Cli.opts) =
     seed jobs
     (if quick then ", quick" else "");
   (* engine sweep *)
-  Fmt.pr "%-12s %10s %14s %14s %8s@." "kernel" "cycles" "legacy c/s" "soa c/s"
-    "soa/leg";
+  Fmt.pr "%-12s %10s %14s %14s %8s %14s %8s@." "kernel" "cycles" "legacy c/s"
+    "soa c/s" "soa/leg" "armed c/s" "arm/off";
   let kernels =
     List.map
       (fun spec ->
         let k = measure_kernel ~quick spec in
-        Fmt.pr "%-12s %10d %14.0f %14.0f %7.2fx@." k.k_name k.k_cycles
-          k.k_legacy k.k_soa (k.k_soa /. k.k_legacy);
+        Fmt.pr "%-12s %10d %14.0f %14.0f %7.2fx %14.0f %7.2fx@." k.k_name
+          k.k_cycles k.k_legacy k.k_soa (k.k_soa /. k.k_legacy) k.k_trap
+          (k.k_trap /. k.k_soa);
         k)
       Registry.all
   in
   let s_legacy = sweep_cps kernels (fun k -> k.k_legacy) in
   let s_soa = sweep_cps kernels (fun k -> k.k_soa) in
-  let soa_over_legacy = s_soa /. s_legacy in
-  Fmt.pr "%-12s %10s %14.0f %14.0f %7.2fx@." "sweep" "-" s_legacy s_soa
-    soa_over_legacy;
+  let s_trap = sweep_cps kernels (fun k -> k.k_trap) in
+  let soa_over_legacy = s_soa /. s_legacy and trap_over_off = s_trap /. s_soa in
+  Fmt.pr "%-12s %10s %14.0f %14.0f %7.2fx %14.0f %7.2fx@." "sweep" "-" s_legacy
+    s_soa soa_over_legacy s_trap trap_over_off;
   (* pool matrix: jobs 1 and jobs 2 alternate which runs first, and
      every run must equal the first byte for byte *)
   let cells = cells ~quick in
@@ -226,7 +232,8 @@ let run (o : Cli.opts) =
     Json.Obj
       [ ("name", String k.k_name); ("cycles", Int k.k_cycles);
         ("legacy_cps", rate k.k_legacy); ("soa_cps", rate k.k_soa);
-        ("soa_over_legacy", Float (3, k.k_soa /. k.k_legacy)) ]
+        ("soa_over_legacy", Float (3, k.k_soa /. k.k_legacy));
+        ("soa_trap_cps", rate k.k_trap) ]
   in
   let cell c =
     Json.Obj
@@ -241,7 +248,9 @@ let run (o : Cli.opts) =
             ( "sweep",
               Obj
                 [ ("legacy_cps", rate s_legacy); ("soa_cps", rate s_soa);
-                  ("soa_over_legacy", Float (3, soa_over_legacy)) ] ) ] );
+                  ("soa_over_legacy", Float (3, soa_over_legacy));
+                  ("soa_trap_cps", rate s_trap);
+                  ("trap_over_off", Float (3, trap_over_off)) ] ) ] );
       ( "pool",
         Obj
           [ ("cells", List (List.map cell cells)); ("domains", Int domains);
@@ -252,6 +261,7 @@ let run (o : Cli.opts) =
       ( "floors",
         Obj
           [ ("soa_over_legacy_min", Float (2, Checks.simspeed_ratio_floor ~quick));
+            ("trap_over_off_min", Float (2, Checks.trap_ratio_floor ~quick));
             ("soa_cps_min", rate Checks.floor_soa_cps);
             ("speedup_jobs2_min", Float (2, Checks.floor_speedup_jobs2));
             ("enforced_engine_floors", Bool (not quick)) ] ) ]

@@ -25,12 +25,19 @@
    must sit in its thread's private block — is enforced statically by
    [Npra_regalloc.Verify]. With the sentinel armed, this machine also
    enforces it dynamically: it tracks, for every physical register, the
-   last thread that wrote it and the cycle of that write, and snapshots
-   the yielding thread's register view at every context switch. The
-   moment a thread *reads* a register that another thread overwrote
-   across its switch, the machine traps with a structured {!corruption}
-   diagnostic naming the register, both threads and the clobbering
-   cycle — instead of silently computing garbage.
+   last thread that wrote it and the cycle of that write. The moment a
+   thread *reads* a register that another thread overwrote across its
+   switch, the machine traps with a structured {!corruption} diagnostic
+   naming the register, both threads and the clobbering cycle — instead
+   of silently computing garbage.
+
+   The diagnostic's victim value (what the reader held at its last
+   switch) costs nothing at a switch: a yield only bumps the thread's
+   switch epoch, and each write stamps the register with its writer's
+   epoch. A write to a register whose owner wrote it in an earlier
+   epoch displaces the value that owner held at its latest switch, so
+   the value is recorded then, stamped with the owner's current epoch.
+   A trap reports it iff the stamp is still the reader's epoch.
 
    The rule is sound for this machine: threads never communicate through
    registers, and in a safe allocation every read of a shared register is
@@ -197,8 +204,14 @@ type soa = {
 type sentinel = {
   owner : int array;  (* last writer thread per register; -1 = unwritten *)
   owner_cycle : int array;  (* cycle of that write *)
-  snap_owned : bool array array;  (* per thread: owned at its last switch *)
-  snap_value : int array array;  (* per thread: value at its last switch *)
+  owner_epoch : int array;  (* the writer's switch epoch at that write *)
+  epoch : int array;  (* per thread: context switches so far *)
+  disp_value : int array array;
+      (* per thread and register: the value the thread held there at a
+         switch, recorded when a later write displaced it *)
+  disp_epoch : int array array;
+      (* the record's stamp: the thread's epoch when it was recorded,
+         i.e. the one that switch began; -1 = none *)
 }
 
 type t = {
@@ -432,8 +445,10 @@ let create ?(config = default_config) ?(engine = `Soa) ?(mem_image = [])
           {
             owner = Array.make config.nreg (-1);
             owner_cycle = Array.make config.nreg 0;
-            snap_owned = Array.init nthd (fun _ -> Array.make config.nreg false);
-            snap_value = Array.init nthd (fun _ -> Array.make config.nreg 0);
+            owner_epoch = Array.make config.nreg 0;
+            epoch = Array.make nthd 0;
+            disp_value = Array.init nthd (fun _ -> Array.make config.nreg 0);
+            disp_epoch = Array.init nthd (fun _ -> Array.make config.nreg (-1));
           });
   }
 
@@ -474,7 +489,8 @@ let read_idx t th n =
         clobber_cycle = s.owner_cycle.(n);
         read_cycle = t.cycle;
         victim_value =
-          (if s.snap_owned.(th.id).(n) then Some s.snap_value.(th.id).(n)
+          (if s.disp_epoch.(th.id).(n) = s.epoch.(th.id) then
+             Some s.disp_value.(th.id).(n)
            else None);
         observed_value = t.regs.(n);
       }
@@ -483,14 +499,29 @@ let read_idx t th n =
   | Some _ | None -> ());
   t.regs.(n)
 
+(* Called before every write to register [n]. If its owner [o] is a
+   real thread that wrote it before its latest switch, then [o] owned
+   [n] at that switch and [t.regs.(n)] still holds the value: record it,
+   stamped with [o]'s current epoch. Self-overwrites count, so a later
+   storm still reports the value from the switch. *)
+let displace t s n =
+  let o = s.owner.(n) in
+  if o >= 0 && o < Array.length s.epoch && s.owner_epoch.(n) < s.epoch.(o)
+  then begin
+    s.disp_value.(o).(n) <- t.regs.(n);
+    s.disp_epoch.(o).(n) <- s.epoch.(o)
+  end
+
 (* The write side of a checked access, short of storing the value. *)
 let claim_idx t th n =
   if n < 0 || n >= t.config.nreg then
     raise (Stuck (Out_of_file { reg = n; nreg = t.config.nreg }));
   match t.sentinel with
   | Some s ->
+    displace t s n;
     s.owner.(n) <- th.id;
-    s.owner_cycle.(n) <- t.cycle
+    s.owner_cycle.(n) <- t.cycle;
+    s.owner_epoch.(n) <- s.epoch.(th.id)
   | None -> ()
 
 let write_idx t th n v =
@@ -499,20 +530,6 @@ let write_idx t th n v =
 
 let read_reg t th r = read_idx t th (rnum r)
 let write_reg t th r v = write_idx t th (rnum r) v
-
-(* Snapshot the yielding thread's register view: which registers it owns
-   (it wrote them last) and their values. A later read that finds a
-   foreign owner proves another thread clobbered the register across
-   this switch. *)
-let snapshot_on_switch t th =
-  match t.sentinel with
-  | None -> ()
-  | Some s ->
-    let owned = s.snap_owned.(th.id) and value = s.snap_value.(th.id) in
-    for n = 0 to t.config.nreg - 1 do
-      owned.(n) <- s.owner.(n) = th.id;
-      value.(n) <- t.regs.(n)
-    done
 
 let operand_value t th = function
   | Instr.Reg r -> read_reg t th r
@@ -794,10 +811,12 @@ and burst_op t th code b0 regs limit pc cycle moves op =
       check_quad t th code w op;
       burst_op t th code b0 regs limit pc cycle 0 op
 
-(* After a yield: the sentinel's switch snapshot, and the timeline's
-   record of why the thread gave up the PU. *)
+(* After a yield: the sentinel's epoch bump, and the timeline's record
+   of why the thread gave up the PU. *)
 let note_yield t th =
-  snapshot_on_switch t th;
+  (match t.sentinel with
+  | Some s -> s.epoch.(th.id) <- s.epoch.(th.id) + 1
+  | None -> ());
   if t.record_timeline then
     record t th.id
       (match th.status with
@@ -834,9 +853,9 @@ let run_holder t th ~limit =
    in the scheduler as in the burst itself. Scheduler state is written
    back to [t] on every exit, exceptional ones included, so pausing,
    resuming and trap reports see one consistent machine. The timeline
-   events and the sentinel's switch snapshot are taken here, at
-   dispatch and after each yield, for both engines, each behind a field
-   test so a machine that needs neither makes no call. *)
+   events and the sentinel's epoch bump are taken here, at dispatch and
+   after each yield, for both engines, each behind a field test so a
+   machine that needs neither makes no call. *)
 let exec t ~horizon ~strict ~stop_on_halt =
   let threads = t.threads in
   let n = Array.length threads in
@@ -1025,6 +1044,7 @@ let scribble t ~seed ~count =
     for _ = 1 to count do
       let n = rand () mod t.config.nreg in
       if s.owner.(n) >= 0 && s.owner.(n) < phantom then begin
+        displace t s n;
         s.owner.(n) <- phantom;
         s.owner_cycle.(n) <- t.cycle;
         t.regs.(n) <- rand ();
@@ -1164,8 +1184,7 @@ let swap_programs t progs =
     | Some s ->
       Array.fill s.owner 0 (Array.length s.owner) (-1);
       Array.fill s.owner_cycle 0 (Array.length s.owner_cycle) 0;
-      Array.iter (fun a -> Array.fill a 0 (Array.length a) false) s.snap_owned;
-      Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) s.snap_value);
+      Array.iter (fun a -> Array.fill a 0 (Array.length a) (-1)) s.disp_epoch);
     t.last_yielder <- None;
     Ok ()
 

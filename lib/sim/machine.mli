@@ -8,12 +8,13 @@
 
     The optional {e corruption sentinel} enforces the paper's safety
     invariant dynamically: it tracks per-register ownership (last writer
-    thread and write cycle), snapshots the yielding thread's register
-    view at every context switch, and traps — with a structured
-    {!corruption} diagnostic — the moment a thread reads a register
-    another thread overwrote across its switch. On a safe allocation the
-    sentinel never fires; on an unsafe one it replaces silent value
-    corruption with a precise report. *)
+    thread, write cycle and the writer's switch epoch) and traps — with
+    a structured {!corruption} diagnostic — the moment a thread reads a
+    register another thread overwrote across its switch. A switch costs
+    the sentinel O(1): it only bumps the thread's epoch, and the value a
+    thread held at its switch is recorded when a later write displaces
+    it. On a safe allocation the sentinel never fires; on an unsafe one
+    it replaces silent value corruption with a precise report. *)
 
 open Npra_ir
 

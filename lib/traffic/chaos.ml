@@ -53,7 +53,6 @@ type t = { seed : int; events : event list }
 let of_events ?(seed = 0) events =
   { seed; events = List.stable_sort (fun a b -> compare (event_at a) (event_at b)) events }
 
-let no_faults = { seed = 0; events = [] }
 
 type spec = {
   crashes : int;

@@ -48,8 +48,6 @@ val of_events : ?seed:int -> event list -> t
 (** Sorts the events by injection cycle (stable). [seed] (default 0)
     only feeds derived randomness — flood phases, storm scribbles. *)
 
-val no_faults : t
-
 (** A fault mix for the seeded generator: how many events of each kind
     to draw. *)
 type spec = {

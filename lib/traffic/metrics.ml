@@ -191,6 +191,7 @@ let surviving_engines r =
 let conservation_ok r =
   total_offered r = total_served r + total_dropped r + total_residual r
 
+(* Served packets per thousand cycles of traffic time. *)
 let throughput_per_kcycle r =
   if r.rm_duration = 0 then 0.
   else float_of_int (total_served r) *. 1000. /. float_of_int r.rm_duration

@@ -129,9 +129,6 @@ val conservation_ok : run_metrics -> bool
 (** The fabric's packet-conservation invariant, exact:
     offered = served + every drop reason + residual. *)
 
-val throughput_per_kcycle : run_metrics -> float
-(** Served packets per thousand cycles of traffic time. *)
-
 val faults : run_metrics -> (int * string) list
 (** (engine, rendered fault) for every faulted engine; empty on a
     clean run. *)
