@@ -11,5 +11,5 @@ let () =
          Test_traffic.suite; Test_par.suite; Test_portfolio.suite;
          Test_chaos.suite; Test_adapt.suite; Test_rng.suite;
          Test_chip.suite; Test_json.suite; Test_checks.suite;
-         Test_stops.suite;
+         Test_stops.suite; Test_trapping.suite;
        ])
