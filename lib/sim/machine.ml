@@ -152,25 +152,29 @@ let pp_stuck ppf = function
 
 (* ------------------------------------------------------------------ *)
 
-type status =
-  | Ready
-  | Blocked of { until : int }
-  | Done of int  (* completion cycle *)
+(* Constant constructors only, so a status test is an integer compare
+   and a status change allocates nothing; the cycle a [Blocked] or
+   [Done] thread carries sits in [thread.until]. *)
+type status = Ready | Blocked | Done
 
 type thread = {
   id : int;
   prog : Prog.t;
   mutable pc : int;
   mutable status : status;
+  mutable until : int;
+      (* [Blocked]: the cycle the memory access completes; [Done]: the
+         completion cycle *)
   mutable instrs : int;
   mutable ctx_events : int;
   mutable loads : int;
   mutable stores : int;
   mutable moves : int;
-  mutable pending_writeback : (int * int) option;
-      (* a load's destination register (by file index) and value, applied
-         only when the thread is dispatched again — the transfer-register
-         rule *)
+  mutable wb_reg : int;
+  mutable wb_value : int;
+      (* a load's destination register (by file index; -1 = none) and
+         value, applied only when the thread is dispatched again — the
+         transfer-register rule *)
   mutable store_trace_rev : (int * int) list;
   mutable ready_since : int;  (* cycle the thread last became runnable *)
   mutable wait_cycles : int;  (* runnable but not running *)
@@ -198,7 +202,6 @@ type engine = [ `Legacy | `Soa ]
 type soa = {
   s_code : int array;  (* all threads' quads, concatenated *)
   s_base : int array;  (* per-thread first word in [s_code] *)
-  s_flagged : bool;  (* some quad is flagged (see [flagged]) *)
 }
 
 type sentinel = {
@@ -232,12 +235,12 @@ type t = {
      dispatcher can advance the machine in bounded slices with
      [run_until], restart completed threads between slices, and resume
      without losing round-robin fairness or switch-cost accounting. *)
-  mutable holder : int option;  (* thread currently holding the PU *)
+  mutable holder : int;  (* thread currently holding the PU; -1 = none *)
   mutable rr_from : int;  (* round-robin search origin when idle *)
-  mutable last_yielder : int option;
-      (* thread whose yield the next dispatch follows; charging the
-         context-switch cost is deferred to that dispatch so a bounded
-         run can pause at the yield point *)
+  mutable last_yielder : int;
+      (* thread whose yield the next dispatch follows (-1 = none);
+         charging the context-switch cost is deferred to that dispatch
+         so a bounded run can pause at the yield point *)
   mutable stalled_until : int;
       (* chaos-injected hang: while [cycle < stalled_until] a bounded
          run advances the clock but retires nothing — the observable a
@@ -245,16 +248,18 @@ type t = {
   mutable soa : soa;  (* the [`Soa] burst's rows, rebuilt at every swap *)
 }
 
+let state_view th =
+  match th.status with
+  | Ready -> Runnable
+  | Blocked -> Waiting th.until
+  | Done -> Completed th.until
+
 let status_view th =
   {
     st_thread = th.id;
     st_name = th.prog.Prog.name;
     st_pc = th.pc;
-    st_state =
-      (match th.status with
-      | Ready -> Runnable
-      | Blocked { until } -> Waiting until
-      | Done c -> Completed c);
+    st_state = state_view th;
   }
 
 let statuses t = Array.to_list (Array.map status_view t.threads)
@@ -377,16 +382,12 @@ let build_soa ~nreg ~armed threads =
       code.(!off + len) <- 36;
       off := !off + len + 4)
     codes;
-  let any = ref false in
   for q = 0 to (total / 4) - 1 do
     let w = 4 * q in
     if (armed && touches_regs code.(w)) || not (quad_regs_ok ~nreg code w)
-    then begin
-      code.(w) <- code.(w) + flagged;
-      any := true
-    end
+    then code.(w) <- code.(w) + flagged
   done;
-  { s_code = code; s_base = base; s_flagged = !any }
+  { s_code = code; s_base = base }
 
 let create ?(config = default_config) ?(engine = `Soa) ?(mem_image = [])
     ?(timeline = false) ?(sentinel = `Off) progs =
@@ -408,12 +409,14 @@ let create ?(config = default_config) ?(engine = `Soa) ?(mem_image = [])
              prog;
              pc = 0;
              status = Ready;
+             until = 0;
              instrs = 0;
              ctx_events = 0;
              loads = 0;
              stores = 0;
              moves = 0;
-             pending_writeback = None;
+             wb_reg = -1;
+             wb_value = 0;
              store_trace_rev = [];
              ready_since = 0;
              wait_cycles = 0;
@@ -433,9 +436,9 @@ let create ?(config = default_config) ?(engine = `Soa) ?(mem_image = [])
     switch_cycles = 0;
     record_timeline = timeline;
     timeline_rev = [];
-    holder = None;
+    holder = -1;
     rr_from = nthd - 1;
-    last_yielder = None;
+    last_yielder = -1;
     stalled_until = 0;
     sentinel =
       (match sentinel with
@@ -453,7 +456,6 @@ let create ?(config = default_config) ?(engine = `Soa) ?(mem_image = [])
   }
 
 let memory t = t.mem
-let can_trap t = t.engine = `Legacy || t.sentinel <> None || t.soa.s_flagged
 
 (* Callers test [t.record_timeline] first: the scheduler pays one field
    test per dispatch and yield, not a call. *)
@@ -574,8 +576,10 @@ let step_legacy t th =
     th.loads <- th.loads + 1;
     th.ctx_events <- th.ctx_events + 1;
     th.pc <- next;
-    th.pending_writeback <- Some (rnum dst, v);
-    th.status <- Blocked { until = t.cycle + access_latency t a };
+    th.wb_reg <- rnum dst;
+    th.wb_value <- v;
+    th.status <- Blocked;
+    th.until <- t.cycle + access_latency t a;
     `Yield
   | Instr.Store { src; addr; off } ->
     let a = read_reg t th addr + off in
@@ -585,7 +589,8 @@ let step_legacy t th =
     th.stores <- th.stores + 1;
     th.ctx_events <- th.ctx_events + 1;
     th.pc <- next;
-    th.status <- Blocked { until = t.cycle + access_latency t a };
+    th.status <- Blocked;
+    th.until <- t.cycle + access_latency t a;
     `Yield
   | Instr.Br { target } ->
     th.pc <- Prog.label_index th.prog target;
@@ -603,7 +608,8 @@ let step_legacy t th =
     th.pc <- next;
     `Continue
   | Instr.Halt ->
-    th.status <- Done t.cycle;
+    th.status <- Done;
+    th.until <- t.cycle;
     `Yield
 
 (* [`Legacy] under the one scheduler: step until the thread yields or
@@ -772,8 +778,10 @@ and burst_op t th code b0 regs limit pc cycle moves op =
       let v = Memory.read t.mem a in
       th.loads <- th.loads + 1;
       th.ctx_events <- th.ctx_events + 1;
-      th.pending_writeback <- Some (Array.unsafe_get code (w + 1), v);
-      th.status <- Blocked { until = cycle + access_latency t a };
+      th.wb_reg <- Array.unsafe_get code (w + 1);
+      th.wb_value <- v;
+      th.status <- Blocked;
+      th.until <- cycle + access_latency t a;
       burst_flush t th (pc + 1) cycle moves;
       `Yield
     | 19 (* store *) ->
@@ -786,7 +794,8 @@ and burst_op t th code b0 regs limit pc cycle moves op =
       th.store_trace_rev <- (a, v) :: th.store_trace_rev;
       th.stores <- th.stores + 1;
       th.ctx_events <- th.ctx_events + 1;
-      th.status <- Blocked { until = cycle + access_latency t a };
+      th.status <- Blocked;
+      th.until <- cycle + access_latency t a;
       burst_flush t th (pc + 1) cycle moves;
       `Yield
     | 20 (* br *) ->
@@ -798,7 +807,8 @@ and burst_op t th code b0 regs limit pc cycle moves op =
       `Yield
     | 34 (* nop *) -> burst_go t th code b0 regs limit (pc + 1) cycle moves
     | 35 (* halt *) ->
-      th.status <- Done cycle;
+      th.status <- Done;
+      th.until <- cycle;
       burst_flush t th pc cycle moves;
       `Yield
     | 36 (* fetch fault: fail like [step_legacy]'s fetch past the end,
@@ -820,8 +830,8 @@ let note_yield t th =
   if t.record_timeline then
     record t th.id
       (match th.status with
-      | Blocked _ -> Blocked_on_memory
-      | Done _ -> Halted
+      | Blocked -> Blocked_on_memory
+      | Done -> Halted
       | Ready -> Yielded)
 
 (* Runs the holder until it yields or the clock reaches [limit]. *)
@@ -832,11 +842,18 @@ let run_holder t th ~limit =
       t.cycle 0
   | `Legacy -> step_until t th limit
 
+(* [exec]'s result: the index of a thread that just halted, or one of
+   these codes. *)
+let exec_done = -1
+let exec_idle = -2
+let exec_horizon = -3
+let exec_running = -4
+
 (* The scheduler, shared by the one-shot [run] (strict: the cycle budget
    and deadlock detection are enforced with exceptions) and the
    re-entrant [run_until] (bounded: progress stops at [horizon] and the
-   machine can always be resumed). Returns [`Done] only in strict mode,
-   when no thread can ever run again.
+   machine can always be resumed). Returns [exec_done] only in strict
+   mode, when no thread can ever run again.
 
    Round-robin dispatch picks the next ready thread after the last
    holder; if none is ready but some are blocked, time advances to the
@@ -846,16 +863,17 @@ let run_holder t th ~limit =
    reported with per-thread status, as opposed to plain [Cycle_limit]
    exhaustion where a runnable thread consumed the budget.
 
-   Scheduler state lives in locals with [-1] for "none" (no [Some]
-   allocation per dispatch) and the pick and wake scans are inlined
-   loops. This matters because short-burst workloads — spill-heavy
-   allocator output yields every few instructions — spend as much time
-   in the scheduler as in the burst itself. Scheduler state is written
-   back to [t] on every exit, exceptional ones included, so pausing,
-   resuming and trap reports see one consistent machine. The timeline
-   events and the sentinel's epoch bump are taken here, at dispatch and
-   after each yield, for both engines, each behind a field test so a
-   machine that needs neither makes no call. *)
+   A dispatch allocates nothing: scheduler state lives in int fields of
+   [t] with [-1] for "none", statuses are constant constructors, the
+   pending write-back is two int fields, the result is an int code, and
+   the pick and wake scans are inlined loops. This matters because
+   short-burst workloads — spill-heavy allocator output yields every
+   few instructions — spend as much time in the scheduler as in the
+   burst itself. Since the state is in [t] all along, pausing, resuming
+   and trap reports see one consistent machine. The timeline events
+   and the sentinel's epoch bump are taken here, at dispatch and after
+   each yield, for both engines, each behind a field test so a machine
+   that needs neither makes no call. *)
 let exec t ~horizon ~strict ~stop_on_halt =
   let threads = t.threads in
   let n = Array.length threads in
@@ -867,125 +885,105 @@ let exec t ~horizon ~strict ~stop_on_halt =
       if t.config.max_cycles = max_int then max_int else t.config.max_cycles + 1
     else horizon
   in
-  let holder = ref (match t.holder with Some i -> i | None -> -1) in
-  let last_yielder = ref (match t.last_yielder with Some i -> i | None -> -1) in
-  let rr_from = ref t.rr_from in
-  let save () =
-    t.holder <- (if !holder < 0 then None else Some !holder);
-    t.last_yielder <- (if !last_yielder < 0 then None else Some !last_yielder);
-    t.rr_from <- !rr_from
-  in
-  let ret = ref None in
-  (try
-     while !ret = None do
-       if !holder < 0 then begin
-         (* pick: wake, round-robin scan, or advance time to the
-            earliest blocked wake-up and retry *)
-         let picked = ref (-2) in
-         while !picked = -2 do
-           for i = 0 to n - 1 do
-             let th = threads.(i) in
-             match th.status with
-             | Blocked { until } when until <= t.cycle ->
-               th.status <- Ready;
-               th.ready_since <- max until t.cycle
-             | Blocked _ | Ready | Done _ -> ()
-           done;
-           (* wrap by conditional subtract, not [mod]: an integer
-              division per probe is the scan's dominant cost *)
-           let cand = ref (-1) in
-           let i = ref (!rr_from + 1) in
-           if !i >= n then i := !i - n;
-           for _ = 1 to n do
-             if !cand < 0 && threads.(!i).status = Ready then cand := !i;
-             incr i;
-             if !i >= n then i := 0
-           done;
-           if !cand >= 0 then picked := !cand
-           else begin
-             let earliest = ref max_int and blocked = ref false in
-             for i = 0 to n - 1 do
-               match threads.(i).status with
-               | Blocked { until } ->
-                 blocked := true;
-                 if until < !earliest then earliest := until
-               | Ready | Done _ -> ()
-             done;
-             if not !blocked then picked := -1
-             else if strict && !earliest > t.config.max_cycles then
-               raise
-                 (Stuck
-                    (Deadlock
-                       { limit = t.config.max_cycles; threads = statuses t }))
-             else if (not strict) && !earliest > horizon then picked := -1
-             else t.cycle <- max t.cycle !earliest
-           end
-         done;
-         if !picked < 0 then
-           if strict then ret := Some `Done
-           else begin
-             (* nothing can run before the horizon: the PU idles up to it *)
-             if t.cycle < horizon then t.cycle <- horizon;
-             ret := Some `Idle
-           end
-         else begin
-           let next = !picked in
-           (if !last_yielder >= 0 then
-              let yth = threads.(!last_yielder) in
-              begin
-                if next <> !last_yielder || yth.status <> Ready then begin
-                  t.cycle <- t.cycle + t.config.ctx_switch_cost;
-                  t.switch_cycles <- t.switch_cycles + t.config.ctx_switch_cost
-                end;
-                (* a voluntary yield leaves the thread runnable from now *)
-                if yth.status = Ready then yth.ready_since <- t.cycle
-              end);
-           last_yielder := -1;
-           holder := next;
-           (* dispatch: the load write-back of the transfer-register rule *)
-           let th = threads.(next) in
-           (match th.pending_writeback with
-           | Some (dst, v) ->
-             write_idx t th dst v;
-             th.pending_writeback <- None
-           | None -> ());
-           th.wait_cycles <- th.wait_cycles + max 0 (t.cycle - th.ready_since);
-           if t.record_timeline then record t next Dispatched;
-           t.dispatches <- t.dispatches + 1
-         end
-       end
-       else if strict && t.cycle > t.config.max_cycles then
-         raise
-           (Stuck
-              (Cycle_limit { limit = t.config.max_cycles; threads = statuses t }))
-       else if (not strict) && t.cycle >= horizon then ret := Some `Horizon
-       else begin
-         let cur = !holder in
-         let th = threads.(cur) in
-         match run_holder t th ~limit with
-         | `Continue -> ()
-         | `Yield ->
-           if t.sentinel <> None || t.record_timeline then note_yield t th;
-           holder := -1;
-           rr_from := cur;
-           last_yielder := cur;
-           if
-             stop_on_halt && (match th.status with Done _ -> true | _ -> false)
-           then ret := Some (`Halted cur)
-       end
-     done
-   with e ->
-     save ();
-     raise e);
-  save ();
-  match !ret with Some r -> r | None -> assert false
+  let ret = ref exec_running in
+  while !ret = exec_running do
+    if t.holder < 0 then begin
+      (* pick: wake, round-robin scan, or advance time to the earliest
+         blocked wake-up and retry *)
+      let picked = ref (-2) in
+      while !picked = -2 do
+        for i = 0 to n - 1 do
+          let th = threads.(i) in
+          if th.status = Blocked && th.until <= t.cycle then begin
+            th.status <- Ready;
+            th.ready_since <- max th.until t.cycle
+          end
+        done;
+        (* wrap by conditional subtract, not [mod]: an integer division
+           per probe is the scan's dominant cost *)
+        let cand = ref (-1) in
+        let i = ref (t.rr_from + 1) in
+        if !i >= n then i := !i - n;
+        for _ = 1 to n do
+          if !cand < 0 && threads.(!i).status = Ready then cand := !i;
+          incr i;
+          if !i >= n then i := 0
+        done;
+        if !cand >= 0 then picked := !cand
+        else begin
+          let earliest = ref max_int and blocked = ref false in
+          for i = 0 to n - 1 do
+            let th = threads.(i) in
+            if th.status = Blocked then begin
+              blocked := true;
+              if th.until < !earliest then earliest := th.until
+            end
+          done;
+          if not !blocked then picked := -1
+          else if strict && !earliest > t.config.max_cycles then
+            raise
+              (Stuck
+                 (Deadlock { limit = t.config.max_cycles; threads = statuses t }))
+          else if (not strict) && !earliest > horizon then picked := -1
+          else t.cycle <- max t.cycle !earliest
+        end
+      done;
+      if !picked < 0 then
+        if strict then ret := exec_done
+        else begin
+          (* nothing can run before the horizon: the PU idles up to it *)
+          if t.cycle < horizon then t.cycle <- horizon;
+          ret := exec_idle
+        end
+      else begin
+        let next = !picked in
+        (if t.last_yielder >= 0 then
+           let yth = threads.(t.last_yielder) in
+           begin
+             if next <> t.last_yielder || yth.status <> Ready then begin
+               t.cycle <- t.cycle + t.config.ctx_switch_cost;
+               t.switch_cycles <- t.switch_cycles + t.config.ctx_switch_cost
+             end;
+             (* a voluntary yield leaves the thread runnable from now *)
+             if yth.status = Ready then yth.ready_since <- t.cycle
+           end);
+        t.last_yielder <- -1;
+        t.holder <- next;
+        (* dispatch: the load write-back of the transfer-register rule *)
+        let th = threads.(next) in
+        if th.wb_reg >= 0 then begin
+          write_idx t th th.wb_reg th.wb_value;
+          th.wb_reg <- -1
+        end;
+        th.wait_cycles <- th.wait_cycles + max 0 (t.cycle - th.ready_since);
+        if t.record_timeline then record t next Dispatched;
+        t.dispatches <- t.dispatches + 1
+      end
+    end
+    else if strict && t.cycle > t.config.max_cycles then
+      raise
+        (Stuck (Cycle_limit { limit = t.config.max_cycles; threads = statuses t }))
+    else if (not strict) && t.cycle >= horizon then ret := exec_horizon
+    else begin
+      let cur = t.holder in
+      let th = threads.(cur) in
+      match run_holder t th ~limit with
+      | `Continue -> ()
+      | `Yield ->
+        if t.sentinel <> None || t.record_timeline then note_yield t th;
+        t.holder <- -1;
+        t.rr_from <- cur;
+        t.last_yielder <- cur;
+        if stop_on_halt && th.status = Done then ret := cur
+    end
+  done;
+  !ret
 
 let run ?(config = default_config) ?(engine = `Soa) ?(mem_image = [])
     ?(timeline = false) ?(sentinel = `Off) progs =
   let t = create ~config ~engine ~mem_image ~timeline ~sentinel progs in
-  (match exec t ~horizon:max_int ~strict:true ~stop_on_halt:false with
-  | `Done -> ()
-  | `Idle | `Horizon | `Halted _ -> assert false);
+  if exec t ~horizon:max_int ~strict:true ~stop_on_halt:false <> exec_done then
+    assert false;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -1002,9 +1000,11 @@ let run_until ?(stop_on_halt = false) t ~horizon : pause =
     t.cycle <- max t.cycle (min horizon t.stalled_until);
   if t.cycle < t.stalled_until && t.cycle >= horizon then `Idle
   else
-    match exec t ~horizon ~strict:false ~stop_on_halt with
-    | (`Horizon | `Idle | `Halted _) as p -> p
-    | `Done -> assert false  (* strict-mode only *)
+    let r = exec t ~horizon ~strict:false ~stop_on_halt in
+    if r >= 0 then `Halted r
+    else if r = exec_idle then `Idle
+    else if r = exec_horizon then `Horizon
+    else assert false  (* [exec_done] is strict-mode only *)
 
 let stall t ~until = t.stalled_until <- until
 let stalled t = t.cycle < t.stalled_until
@@ -1055,25 +1055,27 @@ let scribble t ~seed ~count =
 
 let cycle t = t.cycle
 let num_threads t = Array.length t.threads
-let thread_state t i = (status_view t.threads.(i)).st_state
+let thread_state t i = state_view t.threads.(i)
 
 let park_thread t i =
   let th = t.threads.(i) in
-  if t.holder = Some i then
+  if t.holder = i then
     invalid_arg "Machine.park_thread: thread is holding the PU";
   match th.status with
-  | Ready -> th.status <- Done t.cycle
-  | Blocked _ | Done _ ->
+  | Ready ->
+    th.status <- Done;
+    th.until <- t.cycle
+  | Blocked | Done ->
     invalid_arg "Machine.park_thread: thread is not runnable"
 
 let restart_thread t i =
   let th = t.threads.(i) in
   match th.status with
-  | Done _ ->
+  | Done ->
     th.pc <- 0;
     th.status <- Ready;
     th.ready_since <- t.cycle
-  | Ready | Blocked _ ->
+  | Ready | Blocked ->
     invalid_arg "Machine.restart_thread: thread has not completed"
 
 (* ------------------------------------------------------------------ *)
@@ -1131,13 +1133,11 @@ let swap_check t progs =
       else
         let th = t.threads.(i) in
         match th.status with
-        | Done _ when th.pending_writeback <> None ->
+        | Done when th.wb_reg >= 0 ->
           Error (Swap_pending_writeback { thread = i })
-        | Done _ -> check_parked (i + 1)
-        | Ready | Blocked _ ->
-          Error
-            (Swap_not_parked
-               { thread = i; state = (status_view th).st_state })
+        | Done -> check_parked (i + 1)
+        | Ready | Blocked ->
+          Error (Swap_not_parked { thread = i; state = state_view th })
     in
     let rec check_progs = function
       | [] -> Ok ()
@@ -1172,7 +1172,7 @@ let swap_programs t progs =
             th with
             prog;
             pc = 0;
-            pending_writeback = None;
+            wb_reg = -1;
             (* counters, traces and completion stamps accumulate across
                the swap so IPC and store-order checks stay continuous *)
           })
@@ -1185,7 +1185,7 @@ let swap_programs t progs =
       Array.fill s.owner 0 (Array.length s.owner) (-1);
       Array.fill s.owner_cycle 0 (Array.length s.owner_cycle) 0;
       Array.iter (fun a -> Array.fill a 0 (Array.length a) (-1)) s.disp_epoch);
-    t.last_yielder <- None;
+    t.last_yielder <- -1;
     Ok ()
 
 type thread_report = {
@@ -1225,8 +1225,8 @@ let report t =
                name = th.prog.Prog.name;
                completion =
                  (match th.status with
-                 | Done c -> Some c
-                 | Ready | Blocked _ -> None);
+                 | Done -> Some th.until
+                 | Ready | Blocked -> None);
                instructions = th.instrs;
                context_switches = th.ctx_events;
                load_count = th.loads;

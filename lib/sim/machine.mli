@@ -130,13 +130,6 @@ val create :
 
 val memory : t -> Memory.t
 
-val can_trap : t -> bool
-(** Whether a {!run_until} can end in a trap ({!Stuck} or {!Corruption})
-    rather than only at its horizon or at a halt: true for [`Legacy],
-    for an armed sentinel, and for a machine with a register operand
-    outside the file anywhere in its code, reached or not. Recomputed at
-    every {!swap_programs}. *)
-
 type timeline_event =
   | Dispatched
   | Blocked_on_memory
@@ -192,6 +185,8 @@ val cycle : t -> int
 
 val num_threads : t -> int
 val thread_state : t -> int -> thread_state_view
+(** One thread's state, read straight off its status: cheap enough for
+    a dispatcher to poll at every pause. *)
 
 val thread_statuses : t -> thread_status list
 (** Per-thread status snapshot (index, name, pc, state) — the same

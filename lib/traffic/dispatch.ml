@@ -312,8 +312,9 @@ let finish_service e i =
    only on the port's queue length and shedding credit, which change
    only at admissions, at service starts on idle ports and at barriers,
    so a busy port's arrival before [late] waits, decided exactly as on
-   time, for the next pause ([late] at the latest). [deliver] has
-   consumed arrivals <= cycle, so every peek here is strictly ahead. *)
+   time, for the next pause ([late] at the latest) or for the trap that
+   ends the run. [deliver] has consumed arrivals <= cycle, so every
+   peek here is strictly ahead. *)
 let horizon e ~upto ~duration ~late =
   Array.fold_left
     (fun h p ->
@@ -353,19 +354,17 @@ let pending e =
    first [deliver] past [duration] offers any arrival before it that
    the last run stepped over.
 
-   A pause lands at most [ctx_switch_cost] past its horizon, so pausing
-   at every arrival admits each one before [late] within the slice (a
-   slice never straddles [duration]). A machine that cannot trap skips
-   busy ports' arrivals before [late]; the loop condition admits them
-   first, so [pending] and the slice exit see the same queues. A machine
-   that can trap ({!Machine.can_trap}) pauses at every arrival
-   ([late = min_int]): a trap can end its run at any cycle, and the
-   salvaged queues must hold exactly what arrived by then. *)
+   A pause lands at most [ctx_switch_cost] past its horizon, so every
+   arrival before [late] is admitted within the slice (a slice never
+   straddles [duration]). The machine skips busy ports' arrivals before
+   [late]; the loop condition admits them first, so [pending] and the
+   slice exit see the same queues. A trap can end the run at any cycle:
+   before it is re-raised, [deliver] admits the skipped arrivals
+   strictly before the trap cycle, so the salvaged queues hold exactly
+   what arrived by then, as if the engine had paused at each one. *)
 let advance e ~upto ~duration ~refresh ~shed ~ctx_switch_cost =
   guard_faults e (fun () ->
-      let late =
-        if Machine.can_trap e.machine then min_int else upto - ctx_switch_cost
-      in
+      let late = upto - ctx_switch_cost in
       while
         e.fault = None
         &&
@@ -379,6 +378,9 @@ let advance e ~upto ~duration ~refresh ~shed ~ctx_switch_cost =
         match Machine.run_until ~stop_on_halt:true e.machine ~horizon:h with
         | `Halted i -> finish_service e i
         | `Horizon | `Idle -> ()
+        | exception ex ->
+          deliver e ~before:(Machine.cycle e.machine) ~duration ~shed;
+          raise ex
       done)
 
 (* Past [duration] an idle engine's clock stops at its last completion,

@@ -144,13 +144,13 @@ val run :
     still offered once its clock passes [duration].
 
     Every machine runs on the default [`Soa] {!Machine.engine}, which
-    bursts whether the sentinel is armed or not. An engine that cannot
-    trap (not {!Machine.can_trap}: sentinel [`Off], every register
-    operand in the file) pauses for a busy port's arrival only near a
-    slice end and admits the packet, in time order, at its next pause:
-    admission is decided exactly as on time, so on a safe allocation
-    [`Off] and [`Trap] runs produce the same metrics. An engine that can
-    trap pauses at every arrival.
+    bursts whether the sentinel is armed or not. An engine pauses for a
+    busy port's arrival only near a slice end and admits the packet, in
+    time order, at its next pause: admission is decided exactly as on
+    time, so on a safe allocation [`Off] and [`Trap] runs produce the
+    same metrics. When a trap ends a run, the arrivals it stepped over
+    strictly before the trap cycle are admitted first, so the engine's
+    queues hold exactly what had arrived by then.
 
     [refresh], when given, is called at each service start and returns
     [(address, value)] words poked into the engine's memory — the

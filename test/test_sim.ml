@@ -765,37 +765,6 @@ let engine_trap_tests =
       (fun () -> check_engines_equal ~sentinel:`Off (unclean_pair ~reach:false) []);
     test "engines trap identically beside a clean thread" (fun () ->
         check_same_stuck (unclean_pair ~reach:true));
-    test "can_trap: only the legacy engine, the sentinel or flagged code"
-      (fun () ->
-        let clean () =
-          [ store_all "a" ~addr:10 [ 1; 2 ]; store_all "b" ~addr:20 [ 3 ] ]
-        in
-        let can_trap ?(engine = `Soa) ?(sentinel = `Off) progs =
-          Machine.can_trap (Machine.create ~engine ~sentinel progs)
-        in
-        Alcotest.(check bool) "clean, sentinel off" false (can_trap (clean ()));
-        Alcotest.(check bool) "sentinel armed" true
-          (can_trap ~sentinel:`Trap (clean ()));
-        Alcotest.(check bool) "unreached out-of-file operand" true
-          (can_trap (unclean_pair ~reach:false));
-        Alcotest.(check bool) "legacy engine" true
-          (can_trap ~engine:`Legacy (clean ()));
-        (* one machine swapped into out-of-file code and back *)
-        let m = Machine.create ~sentinel:`Off (clean ()) in
-        let finish () =
-          ignore (Machine.run_until m ~horizon:(Machine.cycle m + 10_000))
-        in
-        let swap progs =
-          finish ();
-          match Machine.swap_programs m progs with
-          | Ok () -> Machine.can_trap m
-          | Error e -> Alcotest.failf "swap: %a" Machine.pp_swap_error e
-        in
-        Alcotest.(check bool) "before the swaps" false (Machine.can_trap m);
-        Alcotest.(check bool) "swapped into out-of-file code" true
-          (swap (unclean_pair ~reach:false));
-        Alcotest.(check bool) "swapped back to clean code" false
-          (swap (clean ())));
     test "swap_programs recomputes the burst decision" (fun () ->
         (* clean -> unclean (operand unreached) -> clean -> unclean
            (operand reached): stale rows would replay the previous
@@ -811,8 +780,16 @@ let engine_trap_tests =
         in
         let l = swap_drive `Legacy phases in
         check Alcotest.(list string) "phase outcomes" l (swap_drive `Soa phases);
-        Alcotest.(check bool) "last phase trapped" true
-          (String.starts_with ~prefix:"stuck" (List.nth l 3)));
+        List.iteri
+          (fun i (what, traps) ->
+            Alcotest.(check bool) what traps
+              (String.starts_with ~prefix:"stuck" (List.nth l i)))
+          [
+            ("before the swaps", false);
+            ("swapped into out-of-file code", false);
+            ("swapped back to clean code", false);
+            ("last phase trapped", true);
+          ]);
   ]
 
 (* ---------------- the scheduler, pinned ---------------- *)

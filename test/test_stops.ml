@@ -1,12 +1,11 @@
-(* Tests for where the dispatcher pauses an engine. A machine that
-   cannot trap (sentinel off, register-clean) is paused only at halts,
-   at arrivals for idle ports and near slice ends; one that can trap
-   (sentinel armed) at every arrival.
-   On a safe allocation the sentinel never fires, so the two must agree
-   byte for byte: a qcheck differential over traffic, queue, shedding,
-   chaos, controller, engine-count and switch-cost settings. Golden
-   digests pin both sides against a change that would shift them
-   together. *)
+(* Tests for where the dispatcher pauses an engine: only at halts, at
+   arrivals for idle ports and near slice ends, with the sentinel off
+   or armed. On a safe allocation the sentinel never fires, so the two
+   must agree byte for byte: a qcheck differential over traffic, queue,
+   shedding, chaos, controller, engine-count and switch-cost settings.
+   Golden digests pin both sides against a change that would shift
+   them together. Armed runs that do trap are pinned in
+   [test_trapping.ml]. *)
 
 open Npra_sim
 open Npra_workloads
