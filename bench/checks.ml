@@ -167,17 +167,19 @@ let throughput = with_ok throughput_gates
    shard matrix must be byte-identical at jobs 1 and jobs 2 in every
    mode; the sweep-wide soa/legacy and armed/off ratio floors drop to
    sanity bounds in quick mode, whose quotas are too short to defend
-   the full-mode ratios. The armed/off floors hold the sentinel's cost
-   per context switch: on a 2-core host a register-file copy at every
-   switch read about 0.23 in both modes and epoch stamps about 0.55, so
-   even the quick bound catches a return to per-switch work. The
-   absolute rate floor applies to full runs only, and so does the
-   jobs-2 speedup floor, on hosts with at least two domains: a quick
-   run times a single pair. *)
+   the full-mode ratios. The armed/off floors hold the sentinel's cost:
+   on a 2-core host a register-file copy at every context switch read
+   about 0.23 in both modes, a read check on every register-touching
+   quad about 0.51 in both modes, and guarded bursts, which check reads
+   only when a register they may read has a foreign owner, 0.73-0.74,
+   so both bounds catch a return to per-quad read checks. The absolute
+   rate floor applies to full runs only, and so does the jobs-2 speedup
+   floor, on hosts with at least two domains: a quick run times a
+   single pair. *)
 let floor_soa_over_legacy = 6.3
 let floor_soa_over_legacy_quick = 1.0
-let floor_trap_over_off = 0.4
-let floor_trap_over_off_quick = 0.3
+let floor_trap_over_off = 0.62
+let floor_trap_over_off_quick = 0.6
 let floor_soa_cps = 2_000_000.
 let floor_speedup_jobs2 = 1.0
 

@@ -192,7 +192,8 @@ let run ?machine_config ~seed ~duration cf =
   let stages = Array.of_list cf.cf_stages in
   (* One allocation per stage (all its engines run the same programs):
      [st_threads] instances of the stage kernel on disjoint slots,
-     balanced across the shared register file. *)
+     balanced across the shared register file, decoded once into the
+     image every engine of the stage instantiates. *)
   let stage_build =
     Array.map
       (fun st ->
@@ -205,19 +206,17 @@ let run ?machine_config ~seed ~duration cf =
             sys.progs
         in
         ( Array.of_list sys.workloads,
-          bal.Npra_core.Pipeline.programs,
+          Machine.image ~config:machine_config ~sentinel:`Trap
+            bal.Npra_core.Pipeline.programs,
           sys.mem_image ))
       stages
   in
   let engines =
     Array.mapi
       (fun si st ->
-        let ws, progs, mem_image = stage_build.(si) in
+        let ws, image, mem_image = stage_build.(si) in
         Array.init st.st_width (fun _ ->
-            let m =
-              Machine.create ~config:machine_config ~sentinel:`Trap
-                ~mem_image progs
-            in
+            let m = Machine.instantiate ~mem_image image in
             for i = 0 to st.st_threads - 1 do
               Machine.park_thread m i
             done;

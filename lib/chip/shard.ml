@@ -64,6 +64,12 @@ let run ?(pool = Npra_par.Pool.sequential) ?(sentinel = `Trap) ?machine_config
   let shard_of = spread ~seed ~engines ~shards in
   let members = members_of shard_of shards in
   let nthreads = List.length progs in
+  (* one image for every shard: immutable, so the pool's domains share it *)
+  let image =
+    Npra_sim.Machine.image
+      ~config:(Option.value machine_config ~default:Dispatch.default_machine_config)
+      ~sentinel progs
+  in
   let runs =
     Npra_par.Pool.tasks pool shards (fun s ->
         let sseed = shard_seed ~seed ~shard:s in
@@ -78,8 +84,8 @@ let run ?(pool = Npra_par.Pool.sequential) ?(sentinel = `Trap) ?machine_config
                     ~threads:nthreads ~duration spec)
                 chaos_spec
             in
-            Dispatch.run ~engines:n ~sentinel ?machine_config ?refresh ?chaos
-              ?shed ~seed:sseed ~duration ~specs ~mem_image progs
+            Dispatch.run_image ~engines:n ?refresh ?chaos ?shed ~seed:sseed
+              ~duration ~specs ~mem_image image
         in
         { sr_shard = s; sr_members = members.(s); sr_seed = sseed;
           sr_metrics = metrics })

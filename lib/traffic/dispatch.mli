@@ -64,7 +64,7 @@ val default_machine_config : Machine.config
     a fresh allocation biased toward the currently-critical thread —
     see {!Adapt}). The fabric then stops admitting packets on each live
     engine until it drains to a packet boundary, hot-swaps it there
-    with {!Npra_sim.Machine.swap_programs} (recorded as
+    with {!Npra_sim.Machine.swap_image} (recorded as
     {!Metrics.Swapped}), and resumes. Backed-off engines pick the new
     allocation up at their reset; dead engines are untouched. Controller
     decisions, and therefore the whole adaptive run, are
@@ -161,4 +161,29 @@ val run :
 
     [machine_config] defaults to {!default_machine_config}. Results are a pure function of every
     argument: identical calls produce identical metrics, byte for byte
-    once serialised, also when the calls run on different domains. *)
+    once serialised, also when the calls run on different domains.
+
+    The programs are decoded once per run, into one
+    {!Machine.image} that every engine and every backoff reset
+    instantiates; each controller decision is decoded once, into the
+    image every live engine hot-swaps to ({!Machine.swap_image}). *)
+
+val run_image :
+  ?engines:int ->
+  ?refresh:(engine:int -> thread:int -> seq:int -> (int * int) list) ->
+  ?drain_budget:int ->
+  ?chaos:Chaos.t ->
+  ?watchdog:watchdog ->
+  ?shed:shed ->
+  ?controller:controller ->
+  seed:int ->
+  duration:int ->
+  specs:Workload.traffic_spec list ->
+  mem_image:(int * int) list ->
+  Machine.image ->
+  Metrics.run_metrics
+(** {!run} on a prebuilt image, whose config and sentinel mode the
+    engines take; [run ~sentinel ~machine_config progs] is [run_image]
+    on [Machine.image ~config:machine_config ~sentinel progs]. An image
+    is immutable, so runs on different domains may share one (the chip's
+    [Shard] does). *)

@@ -114,8 +114,8 @@ let flips =
      "engines.sweep.soa_over_legacy", Float (3, 5.5),
      "soa/legacy sweep ratio 5.50 below floor 6.30");
     ("BENCH_simspeed.json", Checks.simspeed,
-     "engines.sweep.trap_over_off", Float (3, 0.23),
-     "armed/off sweep ratio 0.23 below floor 0.40");
+     "engines.sweep.trap_over_off", Float (3, 0.51),
+     "armed/off sweep ratio 0.51 below floor 0.62");
     ("BENCH_simspeed.json", Checks.simspeed,
      "engines.sweep.soa_cps", Float (0, 1000.),
      "soa sweep rate 1000 c/s below floor");
@@ -192,15 +192,16 @@ let simspeed_pool_gates =
       (fun () ->
         fails_naming Checks.simspeed "speedup 0.90x on 2 domains below floor 1.00x"
           (payload ~quick:false ~domains:2 ~speedup:0.9 ~identical:true));
-    test "simspeed: the quick armed/off floor is a sanity bound" (fun () ->
+    test "simspeed: the quick armed/off floor catches per-quad read checks"
+      (fun () ->
         let quick ratio =
           payload ~quick:true ~domains:2 ~speedup:1.5 ~identical:true
           |> set "engines.sweep.trap_over_off" (Json.Float (3, ratio))
         in
-        Alcotest.(check (list string)) "0.35 passes quick" []
-          (Checks.apply Checks.simspeed (quick 0.35));
-        fails_naming Checks.simspeed "armed/off sweep ratio 0.23 below floor 0.30"
-          (quick 0.23));
+        Alcotest.(check (list string)) "0.61 passes quick" []
+          (Checks.apply Checks.simspeed (quick 0.61));
+        fails_naming Checks.simspeed "armed/off sweep ratio 0.51 below floor 0.60"
+          (quick 0.51));
     test "simspeed: a 0.9x speedup passes a quick report or a 1-domain host"
       (fun () ->
         List.iter

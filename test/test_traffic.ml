@@ -372,6 +372,47 @@ let dispatch_tests =
           check Alcotest.int "max" 100 p.Metrics.pmax);
   ]
 
+(* A quiet slice costs the fabric no allocation: with every thread
+   parked and no arrival, a run of 100 more slices allocates exactly as
+   much as the shorter one, so neither the barrier nor an engine's
+   advance pass allocates. *)
+let parked_tests =
+  [
+    test "a parked run allocates nothing per slice" (fun () ->
+        let progs, mem_image = system [ "crc32"; "frag" ] in
+        let specs =
+          List.map
+            (fun _ ->
+              {
+                Workload.arrival =
+                  Workload.Windowed
+                    { from_cycle = 0; until_cycle = 0;
+                      inner = Workload.Uniform { period = 100 } };
+                queue_capacity = 4;
+                per_packet_iters = 2;
+              })
+            progs
+        in
+        let image =
+          Machine.image ~config:Dispatch.default_machine_config ~sentinel:`Trap
+            progs
+        in
+        let words duration =
+          let before = Gc.minor_words () in
+          let m =
+            Dispatch.run_image ~engines:4 ~seed:1 ~duration ~specs ~mem_image
+              image
+          in
+          let after = Gc.minor_words () in
+          check Alcotest.int "nothing offered" 0 (Metrics.total_offered m);
+          after -. before
+        in
+        ignore (words 1024 : float);
+        let short = words (10 * 1024) in
+        let long = words (110 * 1024) in
+        check (Alcotest.float 0.) "extra words over 100 slices" 0. (long -. short));
+  ]
+
 (* ---------------- determinism ---------------- *)
 
 (* The regression the bench relies on: metrics are a pure function of
@@ -425,5 +466,6 @@ let suite =
     ("traffic.arrival", arrival_tests);
     ("traffic.stepping", stepping_tests);
     ("traffic.dispatch", dispatch_tests);
+    ("traffic.parked", parked_tests);
     ("traffic.determinism", determinism_tests);
   ]
