@@ -104,8 +104,10 @@ let probe_served probe programs =
       (List.length probe.probe_traffic)
       nthd;
   match
+    (* built as a traffic engine is, so it records no store trace *)
     let m =
-      Machine.create ~mem_image:probe.probe_mem_image programs
+      Machine.instantiate ~mem_image:probe.probe_mem_image
+        (Machine.image programs)
     in
     for i = 0 to nthd - 1 do
       Machine.park_thread m i

@@ -431,7 +431,8 @@ let pp_check_error ppf = function
     Fmt.pf ppf "nodes %d and %d share colour at gap %d" a b gap
   | Move_hazard_at_edge (p, d, s) ->
     Fmt.pf ppf
-      "instruction %d defines node %d in the register a move still reads        from node %d"
+      "instruction %d defines node %d in the register a move still reads \
+       from node %d"
       p d s
 
 let check t ~pr ~r =

@@ -30,43 +30,88 @@ let reach (th : Inter.thread_alloc) ~pr ~sr =
     Some { Intra.ctx = th.ctx; cost = Context.move_count th.ctx }
   else Intra.reduce_to th.ctx ~pr:max_pr ~r:max_r ~target_pr:pr ~target_sr:sr
 
+(* Where the SR budget does not bind ([sr = max_sr]), [reduce_to] takes
+   only strong PR steps, and a step depends on nothing but the context
+   and PR, so each such point's path is a prefix of the next lower
+   point's. [strong_chain th ~lo] walks that chain once, from the
+   estimate down to PR [lo]: entry [pr - lo] holds what [reach] gives at
+   [(pr, max_sr)], [None] from the first failed step on. *)
+let strong_chain (th : Inter.thread_alloc) ~lo =
+  let { Estimate.max_pr; max_r; _ } = th.bounds in
+  let max_sr = max_r - max_pr in
+  let chain = Array.make (max_pr - lo + 1) None in
+  let rec walk ctx pr cost =
+    chain.(pr - lo) <- Some { Intra.ctx; cost };
+    (* [reduce_to]'s guards on the next point, then its one step *)
+    if
+      pr > lo
+      && pr - 1 >= Intra.min_pr th.ctx
+      && pr - 1 + max_sr >= Intra.min_r th.ctx
+    then
+      match Intra.reduce_pr ctx ~pr ~r:(pr + max_sr) with
+      | Some red -> walk red.Intra.ctx (pr - 1) red.Intra.cost
+      | None -> ()
+  in
+  walk th.ctx max_pr (Context.move_count th.ctx);
+  chain
+
+let sweep ~nreg ~nthd (th : Inter.thread_alloc) =
+  let { Estimate.min_pr; min_r; max_pr; max_r } = th.bounds in
+  let max_sr = max_r - max_pr in
+  let points =
+    List.filter_map
+      (fun pr ->
+        let sr_floor = max 0 (min_r - pr) in
+        let sr_budget = nreg - (nthd * pr) in
+        (* A larger SR never costs more moves, so take the largest SR
+           that both fits the budget and is reachable from the
+           estimate. *)
+        let sr = min max_sr sr_budget in
+        if sr >= sr_floor && sr_budget >= sr_floor then Some (pr, sr)
+        else None)
+      (List.init (max 0 (max_pr - min_pr + 1)) (fun i -> min_pr + i))
+  in
+  match List.find_opt (fun (_, sr) -> sr = max_sr) points with
+  | None -> List.map (fun (pr, sr) -> (pr, sr, reach th ~pr ~sr)) points
+  | Some (lo, _) ->
+    let chain = strong_chain th ~lo in
+    List.map
+      (fun (pr, sr) ->
+        (pr, sr, if sr = max_sr then chain.(pr - lo) else reach th ~pr ~sr))
+      points
+
 let allocate ~nreg ~nthd (th : Inter.thread_alloc) =
   let { Inter.name; prog; bounds; _ } = th in
-  let { Estimate.min_pr; min_r; max_pr; max_r } = bounds in
-  let max_sr = max_r - max_pr in
-  let best = ref None in
-  for pr = min_pr to max_pr do
-    let sr_floor = max 0 (min_r - pr) in
-    let sr_budget = nreg - (nthd * pr) in
-    (* A larger SR never costs more moves, so take the largest SR that
-       both fits the budget and is reachable from the estimate. *)
-    let sr = min max_sr sr_budget in
-    if sr >= sr_floor && sr_budget >= sr_floor then begin
-      match reach th ~pr ~sr with
-      | None -> ()
-      | Some red ->
-        let cand =
-          {
-            name;
-            prog;
-            ctx = red.Intra.ctx;
-            bounds;
-            nthd;
-            pr;
-            sr;
-            cost = red.Intra.cost;
-          }
-        in
-        let better =
-          match !best with
-          | None -> true
-          | Some b ->
-            cand.cost < b.cost || (cand.cost = b.cost && demand cand < demand b)
-        in
-        if better then best := Some cand
-    end
-  done;
-  match !best with
+  let { Estimate.min_pr; max_pr; _ } = bounds in
+  let best =
+    List.fold_left
+      (fun best (pr, sr, red) ->
+        match red with
+        | None -> best
+        | Some red ->
+          let cand =
+            {
+              name;
+              prog;
+              ctx = red.Intra.ctx;
+              bounds;
+              nthd;
+              pr;
+              sr;
+              cost = red.Intra.cost;
+            }
+          in
+          let better =
+            match best with
+            | None -> true
+            | Some b ->
+              cand.cost < b.cost
+              || (cand.cost = b.cost && demand cand < demand b)
+          in
+          if better then Some cand else best)
+      None (sweep ~nreg ~nthd th)
+  in
+  match best with
   | Some b -> Ok b
   | None ->
     Error

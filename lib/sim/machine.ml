@@ -183,6 +183,7 @@ type thread = {
          value, applied only when the thread is dispatched again — the
          transfer-register rule *)
   mutable store_trace_rev : (int * int) list;
+      (* only when the machine's [record_stores] *)
   mutable ready_since : int;  (* cycle the thread last became runnable *)
   mutable wait_cycles : int;  (* runnable but not running *)
 }
@@ -268,6 +269,10 @@ type t = {
   record_timeline : bool;
   mutable timeline_rev : (int * int * timeline_event) list;
       (* (cycle, thread, event) — only when [record_timeline] *)
+  record_stores : bool;
+      (* set by the entry point: [create] records every thread's store
+         trace for the differential tests, [instantiate] (the traffic
+         engines' shared images) records none *)
   sentinel : sentinel option;
   (* Scheduler state lives in [t] so execution is re-entrant: a
      dispatcher can advance the machine in bounded slices with
@@ -623,7 +628,7 @@ let guard_set img ~thread ~pc =
       (Array.sub img.i_guard img.i_guard_at.(q)
          (img.i_guard_at.(q + 1) - img.i_guard_at.(q)))
 
-let instantiate ?(engine = `Soa) ?(mem_image = []) ?(timeline = false) img =
+let instantiate_with ~record_stores ~engine ~mem_image ~timeline img =
   let config = img.i_config in
   let mem = Memory.create () in
   Memory.load_image mem mem_image;
@@ -663,6 +668,7 @@ let instantiate ?(engine = `Soa) ?(mem_image = []) ?(timeline = false) img =
     switch_cycles = 0;
     record_timeline = timeline;
     timeline_rev = [];
+    record_stores;
     holder = -1;
     rr_from = nthd - 1;
     last_yielder = -1;
@@ -681,8 +687,13 @@ let instantiate ?(engine = `Soa) ?(mem_image = []) ?(timeline = false) img =
            });
   }
 
-let create ?config ?engine ?mem_image ?timeline ?sentinel progs =
-  instantiate ?engine ?mem_image ?timeline (image ?config ?sentinel progs)
+let instantiate ?(engine = `Soa) ?(mem_image = []) ?(timeline = false) img =
+  instantiate_with ~record_stores:false ~engine ~mem_image ~timeline img
+
+let create ?config ?(engine = `Soa) ?(mem_image = []) ?(timeline = false)
+    ?sentinel progs =
+  instantiate_with ~record_stores:true ~engine ~mem_image ~timeline
+    (image ?config ?sentinel progs)
 
 let memory t = t.mem
 
@@ -828,7 +839,7 @@ let step_legacy t th =
     let a = read_reg t th addr + off in
     let v = read_reg t th src in
     Memory.write t.mem a v;
-    th.store_trace_rev <- (a, v) :: th.store_trace_rev;
+    if t.record_stores then th.store_trace_rev <- (a, v) :: th.store_trace_rev;
     th.stores <- th.stores + 1;
     th.ctx_events <- th.ctx_events + 1;
     th.pc <- next;
@@ -1037,7 +1048,8 @@ and burst_op t th code b0 regs limit pc cycle moves op =
       in
       let v = Array.unsafe_get regs (Array.unsafe_get code (w + 1)) in
       Memory.write t.mem a v;
-      th.store_trace_rev <- (a, v) :: th.store_trace_rev;
+      if t.record_stores then
+        th.store_trace_rev <- (a, v) :: th.store_trace_rev;
       th.stores <- th.stores + 1;
       th.ctx_events <- th.ctx_events + 1;
       th.status <- Blocked;
@@ -1531,8 +1543,7 @@ let report t =
                move_count = th.moves;
                wait_cycles = th.wait_cycles;
                store_trace = List.rev th.store_trace_rev;
-             })
-      |> fun l -> l;
+             });
   }
 
 (* Renders the timeline as run intervals: one line per dispatch, with

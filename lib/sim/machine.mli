@@ -23,7 +23,12 @@
     Programs are decoded once per program set into an immutable
     {!image}; {!create} builds one and instantiates it, and callers that
     run many machines on one program set (the traffic dispatcher, packet
-    chains) build the image once and {!instantiate} it per machine. *)
+    chains) build the image once and {!instantiate} it per machine.
+
+    The entry point also decides whether a machine records its threads'
+    store traces: {!create}, and so {!run}, records them for the
+    differential tests; {!instantiate} records none, so the traffic
+    engines do not cons one pair per store for their whole run. *)
 
 open Npra_ir
 
@@ -154,7 +159,9 @@ val guard_set : image -> thread:int -> pc:int -> int list
 val instantiate :
   ?engine:engine -> ?mem_image:(int * int) list -> ?timeline:bool -> image -> t
 (** A fresh machine running the image's programs, one thread each, under
-    the image's config and sentinel mode. *)
+    the image's config and sentinel mode. It records no store trace:
+    every [store_trace] in its {!report} is [[]] ([store_count] still
+    counts the stores). *)
 
 val create :
   ?config:config ->
@@ -168,8 +175,9 @@ val create :
     preloads memory words (packet buffers, tables); [timeline] records
     scheduling events for {!pp_timeline} — the scheduler records them,
     so they cost nothing per instruction and the machine still bursts.
-    [create ~config ~sentinel progs] is
-    [instantiate (image ~config ~sentinel progs)].
+    [create ~config ~sentinel progs] runs as
+    [instantiate (image ~config ~sentinel progs)], except that it records
+    every thread's store trace for {!report}.
     @raise Stuck ([Not_physical]) on a program with virtual registers. *)
 
 val memory : t -> Memory.t
@@ -328,7 +336,9 @@ type thread_report = {
       (** cycles the thread was runnable but queued behind others *)
   store_trace : (int * int) list;
       (** per-thread [(address, value)] store sequence, in program order —
-          the observable behaviour used by differential tests *)
+          the observable behaviour used by differential tests. Recorded
+          by a machine from {!create} or {!run}; always [[]] for one
+          from {!instantiate}. *)
 }
 
 type report = {

@@ -104,6 +104,67 @@ let sra_tests =
             r.Sra.sr);
   ]
 
+(* drr is the one registry kernel whose estimate sits several private
+   registers above its floor with room to spare in the shared ones, so
+   its SRA sweep walks a real strong-step chain; recipes small enough
+   for a property reach the floor in at most one step. The reference
+   drives each point from the estimate once for all cases: a step on
+   drr takes about a tenth of a second. *)
+let drr =
+  lazy
+    (analysed
+       (Npra_workloads.Registry.instantiate
+          (Npra_workloads.Registry.find_exn "drr")
+          ~slot:0)
+         .Npra_workloads.Workload.prog)
+
+let drr_reach =
+  let memo = Hashtbl.create 16 in
+  fun ~pr ~sr ->
+    match Hashtbl.find_opt memo (pr, sr) with
+    | Some red -> red
+    | None ->
+      let red = Sra.reach (Lazy.force drr) ~pr ~sr in
+      Hashtbl.add memo (pr, sr) red;
+      red
+
+let sweep_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:3
+         ~name:"qcheck: the SRA sweep equals driving each point from the estimate"
+         QCheck.(pair (int_range 1 4) (int_range 0 24))
+         (fun (nthd, under) ->
+           (* from the estimate's own demand down: the SR budget binds
+              at the high PRs of the sweep and not at the low ones *)
+           let th = Lazy.force drr in
+           let { Estimate.min_pr; min_r; max_pr; max_r } = th.Inter.bounds in
+           let max_sr = max_r - max_pr in
+           let nreg = (nthd * max_pr) + max_sr - under in
+           let points =
+             List.filter_map
+               (fun pr ->
+                 let sr = min max_sr (nreg - (nthd * pr)) in
+                 if sr >= max 0 (min_r - pr) then Some (pr, sr) else None)
+               (List.init (max_pr - min_pr + 1) (fun i -> min_pr + i))
+           in
+           let same a b =
+             match (a, b) with
+             | None, None -> true
+             | Some a, Some b ->
+               a.Intra.cost = b.Intra.cost
+               && String.equal
+                    (Fmt.str "%a" Context.pp a.Intra.ctx)
+                    (Fmt.str "%a" Context.pp b.Intra.ctx)
+             | Some _, None | None, Some _ -> false
+           in
+           let sweep = Sra.sweep ~nreg ~nthd th in
+           List.equal ( = ) points (List.map (fun (pr, sr, _) -> (pr, sr)) sweep)
+           && List.for_all
+                (fun (pr, sr, red) -> same red (drr_reach ~pr ~sr))
+                sweep));
+  ]
+
 let chaitin_tests =
   [
     test "fig3 thread1 colours with three registers" (fun () ->
@@ -308,6 +369,6 @@ let suite =
   [
     ("regalloc.inter", inter_tests);
     ("regalloc.inter.memo", memo_tests);
-    ("regalloc.sra", sra_tests);
+    ("regalloc.sra", sra_tests @ sweep_tests);
     ("regalloc.chaitin", chaitin_tests);
   ]

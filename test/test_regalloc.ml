@@ -62,6 +62,12 @@ let context_of prog = Context.create (Webs.rename prog)
 
 let context_tests =
   [
+    test "a move hazard reads as one sentence" (fun () ->
+        check Alcotest.string "text"
+          "instruction 4 defines node 2 in the register a move still reads \
+           from node 7"
+          (Fmt.str "%a" Context.pp_check_error
+             (Context.Move_hazard_at_edge (4, 2, 7))));
     test "fig3 thread1: three nodes, a boundary" (fun () ->
         let ctx = context_of (Fixtures.fig3_thread1 ()) in
         check Alcotest.int "nodes" 3 (Context.num_nodes ctx);

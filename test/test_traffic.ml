@@ -139,6 +139,32 @@ let stepping_tests =
           full.Machine.thread_reports sliced.Machine.thread_reports;
         check Alcotest.int "busy cycles" full.Machine.busy_cycles
           sliced.Machine.busy_cycles);
+    test "an instantiated machine records no store trace; Machine.run does"
+      (fun () ->
+        let progs, mem_image = system [ "crc32"; "frag"; "url"; "route" ] in
+        let m = Machine.instantiate ~mem_image (Machine.image progs) in
+        while not (all_completed m) do
+          ignore (Machine.run_until m ~horizon:(Machine.cycle m + 97))
+        done;
+        let full = Machine.report (Machine.run ~mem_image progs) in
+        List.iter2
+          (fun (p : Npra_ir.Prog.t) (a, b) ->
+            let name = p.Npra_ir.Prog.name in
+            Alcotest.(check bool)
+              (name ^ " stored") true (a.Machine.store_count > 0);
+            check Alcotest.int (name ^ " store count") a.Machine.store_count
+              b.Machine.store_count;
+            check
+              Alcotest.(list (pair int int))
+              (name ^ " instantiated") [] b.Machine.store_trace;
+            check
+              Alcotest.(list (pair int int))
+              (name ^ " run = Refexec")
+              (Refexec.run ~mem_image p).Refexec.store_trace
+              a.Machine.store_trace)
+          progs
+          (List.combine full.Machine.thread_reports
+             (Machine.report m).Machine.thread_reports));
     test "park holds threads; idle advances the clock to the horizon"
       (fun () ->
         let progs, mem_image = system [ "crc32"; "crc32" ] in
@@ -215,6 +241,31 @@ let dispatch_tests =
                   t.Metrics.latencies)
               e.Metrics.em_threads)
           m.Metrics.rm_engines);
+    test "Dispatch engines record no store trace, sentinel off or armed"
+      (fun () ->
+        let progs, mem_image = system [ "crc32"; "frag"; "url"; "route" ] in
+        List.iter
+          (fun sentinel ->
+            let m =
+              Dispatch.run ~engines:2 ~sentinel ~seed:9 ~duration:20_000
+                ~specs:(uniform_specs 4) ~mem_image progs
+            in
+            List.iter
+              (fun e ->
+                List.iter
+                  (fun t ->
+                    let what =
+                      Fmt.str "engine %d %s" e.Metrics.em_engine
+                        t.Machine.name
+                    in
+                    Alcotest.(check bool)
+                      (what ^ " stored") true (t.Machine.store_count > 0);
+                    check
+                      Alcotest.(list (pair int int))
+                      what [] t.Machine.store_trace)
+                  e.Metrics.em_report.Machine.thread_reports)
+              m.Metrics.rm_engines)
+          [ `Off; `Trap ]);
     test "bounded queues: drops appear under overload and respect capacity"
       (fun () ->
         let progs, mem_image = system [ "md5"; "md5" ] in
