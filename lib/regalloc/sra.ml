@@ -33,29 +33,12 @@ let reach (th : Inter.thread_alloc) ~pr ~sr =
 (* Where the SR budget does not bind ([sr = max_sr]), [reduce_to] takes
    only strong PR steps, and a step depends on nothing but the context
    and PR, so each such point's path is a prefix of the next lower
-   point's. [strong_chain th ~lo] walks that chain once, from the
-   estimate down to PR [lo]: entry [pr - lo] holds what [reach] gives at
-   [(pr, max_sr)], [None] from the first failed step on. *)
-let strong_chain (th : Inter.thread_alloc) ~lo =
-  let { Estimate.max_pr; max_r; _ } = th.bounds in
-  let max_sr = max_r - max_pr in
-  let chain = Array.make (max_pr - lo + 1) None in
-  let rec walk ctx pr cost =
-    chain.(pr - lo) <- Some { Intra.ctx; cost };
-    (* [reduce_to]'s guards on the next point, then its one step *)
-    if
-      pr > lo
-      && pr - 1 >= Intra.min_pr th.ctx
-      && pr - 1 + max_sr >= Intra.min_r th.ctx
-    then
-      match Intra.reduce_pr ctx ~pr ~r:(pr + max_sr) with
-      | Some red -> walk red.Intra.ctx (pr - 1) red.Intra.cost
-      | None -> ()
-  in
-  walk th.ctx max_pr (Context.move_count th.ctx);
-  chain
-
-let sweep ~nreg ~nthd (th : Inter.thread_alloc) =
+   point's. The sweep walks that chain once, from the estimate down to
+   the lowest such point, handing each point's context to [f] as the
+   walk passes it and [None] to those below a failed step; only the
+   current context stays live. The budget-bound points go through
+   [reach]. *)
+let fold_sweep ~nreg ~nthd (th : Inter.thread_alloc) f init =
   let { Estimate.min_pr; min_r; max_pr; max_r } = th.bounds in
   let max_sr = max_r - max_pr in
   let points =
@@ -71,21 +54,44 @@ let sweep ~nreg ~nthd (th : Inter.thread_alloc) =
         else None)
       (List.init (max 0 (max_pr - min_pr + 1)) (fun i -> min_pr + i))
   in
-  match List.find_opt (fun (_, sr) -> sr = max_sr) points with
-  | None -> List.map (fun (pr, sr) -> (pr, sr, reach th ~pr ~sr)) points
-  | Some (lo, _) ->
-    let chain = strong_chain th ~lo in
-    List.map
-      (fun (pr, sr) ->
-        (pr, sr, if sr = max_sr then chain.(pr - lo) else reach th ~pr ~sr))
-      points
+  let free, bound = List.partition (fun (_, sr) -> sr = max_sr) points in
+  let acc =
+    List.fold_left (fun acc (pr, sr) -> f acc pr sr (reach th ~pr ~sr)) init
+      bound
+  in
+  match free with
+  | [] -> acc
+  | (lo, _) :: _ ->
+    let visit acc pr red =
+      if List.mem_assoc pr free then f acc pr max_sr red else acc
+    in
+    let rec walk acc ctx pr cost =
+      let acc = visit acc pr (Some { Intra.ctx; cost }) in
+      (* [reduce_to]'s guards on the next point, then its one step *)
+      let next =
+        if
+          pr > lo
+          && pr - 1 >= Intra.min_pr th.ctx
+          && pr - 1 + max_sr >= Intra.min_r th.ctx
+        then Intra.reduce_pr ctx ~pr ~r:(pr + max_sr)
+        else None
+      in
+      match next with
+      | Some red -> walk acc red.Intra.ctx (pr - 1) red.Intra.cost
+      | None -> unreached acc (pr - 1)
+    and unreached acc pr =
+      if pr < lo then acc else unreached (visit acc pr None) (pr - 1)
+    in
+    walk acc th.ctx max_pr (Context.move_count th.ctx)
 
 let allocate ~nreg ~nthd (th : Inter.thread_alloc) =
   let { Inter.name; prog; bounds; _ } = th in
   let { Estimate.min_pr; max_pr; _ } = bounds in
+  (* The sweep visits points in no fixed order, so ties on cost and
+     demand go to the lower PR. *)
   let best =
-    List.fold_left
-      (fun best (pr, sr, red) ->
+    fold_sweep ~nreg ~nthd th
+      (fun best pr sr red ->
         match red with
         | None -> best
         | Some red ->
@@ -105,11 +111,11 @@ let allocate ~nreg ~nthd (th : Inter.thread_alloc) =
             match best with
             | None -> true
             | Some b ->
-              cand.cost < b.cost
-              || (cand.cost = b.cost && demand cand < demand b)
+              compare (cand.cost, demand cand, cand.pr) (b.cost, demand b, b.pr)
+              < 0
           in
           if better then Some cand else best)
-      None (sweep ~nreg ~nthd th)
+      None
   in
   match best with
   | Some b -> Ok b

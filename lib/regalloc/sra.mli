@@ -26,16 +26,20 @@ val allocate : nreg:int -> nthd:int -> Inter.thread_alloc -> (t, error) result
 (** Sweeps from the representative's analysis ({!Inter.init_thread}):
     its estimated context and bounds, which every thread shares. *)
 
-val sweep :
+val fold_sweep :
   nreg:int ->
   nthd:int ->
   Inter.thread_alloc ->
-  (int * int * Intra.reduction option) list
-(** The points {!allocate} weighs, in ascending PR: at every PR in
+  ('a -> int -> int -> Intra.reduction option -> 'a) ->
+  'a ->
+  'a
+(** [fold_sweep ~nreg ~nthd th f init] folds [f acc pr sr red] over the
+    points {!allocate} weighs, in no fixed order: at every PR in
     [[min_pr..max_pr]], the largest SR that fits the budget and the
-    estimate, when it covers the SR floor; each with what {!reach} gives
+    estimate, when it covers the SR floor; [red] is what {!reach} gives
     there. The points where the budget does not bind share one walk of
-    the strong PR-step chain instead of one {!Intra.reduce_to} each. *)
+    the strong PR-step chain instead of one {!Intra.reduce_to} each, and
+    the walk keeps only its current context alive. *)
 
 val reach : Inter.thread_alloc -> pr:int -> sr:int -> Intra.reduction option
 (** Drives an analysed thread from its estimate to [(pr, sr)]: the

@@ -184,6 +184,7 @@ type thread = {
          transfer-register rule *)
   mutable store_trace_rev : (int * int) list;
       (* only when the machine's [record_stores] *)
+  mutable store_digest : int;  (* [digest_store] over every store *)
   mutable ready_since : int;  (* cycle the thread last became runnable *)
   mutable wait_cycles : int;  (* runnable but not running *)
 }
@@ -628,6 +629,14 @@ let guard_set img ~thread ~pc =
       (Array.sub img.i_guard img.i_guard_at.(q)
          (img.i_guard_at.(q + 1) - img.i_guard_at.(q)))
 
+(* An order-sensitive fold of a thread's stores, kept on every machine
+   at one multiply-add per store, so two runs can compare what each
+   thread stored without either keeping a trace. *)
+let digest_store h a v = (((h * 1_000_003) + a) * 1_000_003) + v
+
+let digest_stores trace =
+  List.fold_left (fun h (a, v) -> digest_store h a v) 0 trace
+
 let instantiate_with ~record_stores ~engine ~mem_image ~timeline img =
   let config = img.i_config in
   let mem = Memory.create () in
@@ -650,6 +659,7 @@ let instantiate_with ~record_stores ~engine ~mem_image ~timeline img =
           wb_reg = -1;
           wb_value = 0;
           store_trace_rev = [];
+          store_digest = 0;
           ready_since = 0;
           wait_cycles = 0;
         })
@@ -840,6 +850,7 @@ let step_legacy t th =
     let v = read_reg t th src in
     Memory.write t.mem a v;
     if t.record_stores then th.store_trace_rev <- (a, v) :: th.store_trace_rev;
+    th.store_digest <- digest_store th.store_digest a v;
     th.stores <- th.stores + 1;
     th.ctx_events <- th.ctx_events + 1;
     th.pc <- next;
@@ -1050,6 +1061,7 @@ and burst_op t th code b0 regs limit pc cycle moves op =
       Memory.write t.mem a v;
       if t.record_stores then
         th.store_trace_rev <- (a, v) :: th.store_trace_rev;
+      th.store_digest <- digest_store th.store_digest a v;
       th.stores <- th.stores + 1;
       th.ctx_events <- th.ctx_events + 1;
       th.status <- Blocked;
@@ -1507,6 +1519,7 @@ type thread_report = {
   move_count : int;
   wait_cycles : int;  (* runnable but queued behind other threads *)
   store_trace : (int * int) list;
+  store_digest : int;
 }
 
 type report = {
@@ -1543,6 +1556,7 @@ let report t =
                move_count = th.moves;
                wait_cycles = th.wait_cycles;
                store_trace = List.rev th.store_trace_rev;
+               store_digest = th.store_digest;
              });
   }
 

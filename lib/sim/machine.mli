@@ -28,7 +28,10 @@
     The entry point also decides whether a machine records its threads'
     store traces: {!create}, and so {!run}, records them for the
     differential tests; {!instantiate} records none, so the traffic
-    engines do not cons one pair per store for their whole run. *)
+    engines do not cons one pair per store for their whole run. Every
+    machine keeps each thread's [store_digest], an order-sensitive fold
+    of its stores, so runs of instantiated machines can still be
+    compared store for store. *)
 
 open Npra_ir
 
@@ -160,8 +163,8 @@ val instantiate :
   ?engine:engine -> ?mem_image:(int * int) list -> ?timeline:bool -> image -> t
 (** A fresh machine running the image's programs, one thread each, under
     the image's config and sentinel mode. It records no store trace:
-    every [store_trace] in its {!report} is [[]] ([store_count] still
-    counts the stores). *)
+    every [store_trace] in its {!report} is [[]] ([store_count] and
+    [store_digest] still cover the stores). *)
 
 val create :
   ?config:config ->
@@ -339,7 +342,15 @@ type thread_report = {
           the observable behaviour used by differential tests. Recorded
           by a machine from {!create} or {!run}; always [[]] for one
           from {!instantiate}. *)
+  store_digest : int;
+      (** {!digest_stores} of the thread's store sequence, kept by every
+          machine: it lets runs of instantiated machines compare what
+          they stored. *)
 }
+
+val digest_stores : (int * int) list -> int
+(** An order-sensitive fold of an [(address, value)] store sequence;
+    [0] for none. *)
 
 type report = {
   total_cycles : int;

@@ -158,7 +158,13 @@ let sweep_tests =
                     (Fmt.str "%a" Context.pp b.Intra.ctx)
              | Some _, None | None, Some _ -> false
            in
-           let sweep = Sra.sweep ~nreg ~nthd th in
+           let sweep =
+             List.sort
+               (fun (a, _, _) (b, _, _) -> compare a b)
+               (Sra.fold_sweep ~nreg ~nthd th
+                  (fun acc pr sr red -> (pr, sr, red) :: acc)
+                  [])
+           in
            List.equal ( = ) points (List.map (fun (pr, sr, _) -> (pr, sr)) sweep)
            && List.for_all
                 (fun (pr, sr, red) -> same red (drr_reach ~pr ~sr))

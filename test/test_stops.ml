@@ -142,7 +142,9 @@ let run_case ~seed ~sentinel c =
      ~specs:c.specs ~mem_image bal
 
 (* [to_json] carries per-thread summaries; the structural comparison
-   adds every engine's per-port latencies and store traces. *)
+   adds every engine's per-port latencies and per-thread store digests,
+   an order-sensitive fold of every (address, value) stored, which
+   Dispatch's instantiated machines keep in place of a trace. *)
 let differential =
   [
     QCheck_alcotest.to_alcotest

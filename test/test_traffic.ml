@@ -157,6 +157,11 @@ let stepping_tests =
             check
               Alcotest.(list (pair int int))
               (name ^ " instantiated") [] b.Machine.store_trace;
+            check Alcotest.int (name ^ " digest of the trace")
+              (Machine.digest_stores a.Machine.store_trace)
+              a.Machine.store_digest;
+            check Alcotest.int (name ^ " instantiated digest")
+              a.Machine.store_digest b.Machine.store_digest;
             check
               Alcotest.(list (pair int int))
               (name ^ " run = Refexec")
@@ -244,28 +249,30 @@ let dispatch_tests =
     test "Dispatch engines record no store trace, sentinel off or armed"
       (fun () ->
         let progs, mem_image = system [ "crc32"; "frag"; "url"; "route" ] in
-        List.iter
-          (fun sentinel ->
-            let m =
-              Dispatch.run ~engines:2 ~sentinel ~seed:9 ~duration:20_000
-                ~specs:(uniform_specs 4) ~mem_image progs
-            in
-            List.iter
-              (fun e ->
-                List.iter
-                  (fun t ->
-                    let what =
-                      Fmt.str "engine %d %s" e.Metrics.em_engine
-                        t.Machine.name
-                    in
-                    Alcotest.(check bool)
-                      (what ^ " stored") true (t.Machine.store_count > 0);
-                    check
-                      Alcotest.(list (pair int int))
-                      what [] t.Machine.store_trace)
-                  e.Metrics.em_report.Machine.thread_reports)
-              m.Metrics.rm_engines)
-          [ `Off; `Trap ]);
+        let threads sentinel =
+          let m =
+            Dispatch.run ~engines:2 ~sentinel ~seed:9 ~duration:20_000
+              ~specs:(uniform_specs 4) ~mem_image progs
+          in
+          List.concat_map
+            (fun e ->
+              List.map
+                (fun t ->
+                  let what =
+                    Fmt.str "engine %d %s" e.Metrics.em_engine t.Machine.name
+                  in
+                  Alcotest.(check bool)
+                    (what ^ " stored") true (t.Machine.store_count > 0);
+                  check
+                    Alcotest.(list (pair int int))
+                    what [] t.Machine.store_trace;
+                  (what, t.Machine.store_digest))
+                e.Metrics.em_report.Machine.thread_reports)
+            m.Metrics.rm_engines
+        in
+        check
+          Alcotest.(list (pair string int))
+          "store digests, off = armed" (threads `Off) (threads `Trap));
     test "bounded queues: drops appear under overload and respect capacity"
       (fun () ->
         let progs, mem_image = system [ "md5"; "md5" ] in
