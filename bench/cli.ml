@@ -13,7 +13,7 @@
 open Npra_core
 
 type opts = {
-  quick : bool;  (* tiny quotas and short runs, for CI *)
+  quick : bool;  (* a short dataflow timing quota and short runs, for CI *)
   seed : int option;  (* replayable seed for the randomised harnesses *)
   jobs : int;  (* worker domains for faults, fuzz, throughput, portfolio, chip *)
   json_override : string option;  (* --json PATH *)

@@ -38,7 +38,9 @@ type lexeme = { token : token; span : Diag.span }
 
 let line l = l.span.Diag.start_pos.Diag.line
 
-(* Any real file has well under a thousand physical registers and the
+(* Register indices are bound-checked against these at lex time (an
+   unchecked [v99999999999999999999] used to crash [int_of_string]).
+   Any real file has well under a thousand physical registers and the
    web renamer emits consecutive virtual indices, so these bounds only
    reject absurd literals while staying far clear of legitimate code. *)
 let max_virtual_index = 999_999

@@ -22,11 +22,6 @@ type lexeme = { token : token; span : Npra_diag.Diag.span }
 val line : lexeme -> int
 (** Start line of the lexeme, for quick assertions. *)
 
-val max_virtual_index : int
-val max_physical_index : int
-(** Register indices are bound-checked against these at lex time: no
-    register file is anywhere near this large, and an unchecked
-    [v99999999999999999999] used to crash [int_of_string]. *)
 
 val tokenize : string -> lexeme list * Npra_diag.Diag.t list
 (** The token stream always ends with [EOF]. Unlexable characters and

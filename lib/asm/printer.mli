@@ -4,7 +4,5 @@
 
 open Npra_ir
 
-val pp_instr : Instr.t Fmt.t
-val pp_prog : Prog.t Fmt.t
 val to_string : Prog.t -> string
 val to_string_many : Prog.t list -> string

@@ -38,8 +38,6 @@ val union_into : into:t -> t -> bool
 val diff_into : into:t -> t -> unit
 (** [into := into \ src]. *)
 
-val inter_into : into:t -> t -> unit
-
 val union : t -> t -> t
 val inter : t -> t -> t
 val diff : t -> t -> t

@@ -1,25 +1,14 @@
 (* Instruction-level backward liveness analysis.
 
-   Three engines compute the same fixpoint:
+   Two engines compute the same fixpoint:
 
-   - [compute_sweep] runs round-robin reverse sweeps over dense
-     {!Bitset} rows indexed by a per-program {!Numbering}. Transfer
-     functions are word-parallel, so one step costs O(nregs/62) rather
-     than O(live * log live); sweeps amortise best on large programs,
-     where convergence takes few passes relative to program size.
-   - [compute_worklist] solves the same dense rows with a queue
-     worklist, revisiting only instructions whose successors changed.
-     On small kernels the sweeps' fixed per-pass cost dominates, which
-     is exactly the regression BENCH_dataflow caught (route 0.62x);
-     the worklist pays only for rows that actually change.
+   - [compute] solves dense {!Bitset} rows indexed by a per-program
+     {!Numbering} with a queue worklist, revisiting only instructions
+     whose successors changed. Transfer functions are word-parallel, so
+     one step costs O(nregs/62) rather than O(live * log live).
    - [compute_reference] is the original balanced-tree (Reg.Set)
-     engine, kept verbatim as a differential oracle: tests assert all
-     engines agree at every instruction on every generated program.
-
-   [compute] is the production entry point: it picks the dense solver
-   adaptively by program size. Both dense solvers produce the same
-   [Dense] representation, so every accessor — including the [_bits]
-   ones — behaves identically whichever solver ran. *)
+     engine, kept verbatim as a differential oracle: tests assert both
+     engines agree at every instruction on every generated program. *)
 
 open Npra_ir
 
@@ -37,15 +26,15 @@ type repr =
 
 type t = { prog : Prog.t; repr : repr }
 
-(* ---------------- dense engines ---------------- *)
+(* ---------------- dense engine ---------------- *)
 
-(* Shared setup: numbering, flat rows seeded with uses, def indices.
-   Rows live flat in two big arrays — instruction [i]'s bits occupy
-   words [i*nw .. i*nw+nw-1] — so a compute allocates O(1) objects
-   instead of tens of thousands of small sets. Liveness is monotone:
-   live_in only ever grows, so it is seeded with the uses and each
-   solver folds the change test into the union (a row that did not
-   grow cannot propagate). *)
+(* Setup: numbering, flat rows seeded with uses, def indices. Rows live
+   flat in two big arrays — instruction [i]'s bits occupy words
+   [i*nw .. i*nw+nw-1] — so a compute allocates O(1) objects instead of
+   tens of thousands of small sets. Liveness is monotone: live_in only
+   ever grows, so it is seeded with the uses and the solver folds the
+   change test into the union (a row that did not grow cannot
+   propagate). *)
 let dense_setup prog =
   let n = Prog.length prog in
   let num = Numbering.of_prog prog in
@@ -102,27 +91,13 @@ let transfer d ~succs ~tmp i =
   done;
   !grew
 
-let compute_sweep prog =
+let compute prog =
   let n = Prog.length prog in
   let d = dense_setup prog in
   let succs = Prog.succs_array prog in
-  let tmp = Array.make d.nw 0 in
-  (* Round-robin reverse sweeps converge in about (loop depth + 2)
-     passes and keep the inner loop free of worklist bookkeeping. *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = n - 1 downto 0 do
-      if transfer d ~succs ~tmp i then changed := true
-    done
-  done;
-  { prog; repr = Dense d }
-
-let compute_worklist prog =
-  let n = Prog.length prog in
-  let d = dense_setup prog in
-  let succs = Prog.succs_array prog in
-  let preds = Prog.preds prog in
+  (* [Prog.preds] would build the successor array a second time. *)
+  let preds = Array.make n [] in
+  Array.iteri (fun i ss -> List.iter (fun s -> preds.(s) <- i :: preds.(s)) ss) succs;
   let tmp = Array.make d.nw 0 in
   let on_worklist = Array.make n true in
   let worklist = Queue.create () in
@@ -142,17 +117,6 @@ let compute_worklist prog =
         preds.(i)
   done;
   { prog; repr = Dense d }
-
-(* Below this many instructions the sweeps' whole-program passes cost
-   more than the worklist's bookkeeping: BENCH_dataflow's small kernels
-   (route, fir2dim, url) regressed under sweeps while the worklist beat
-   the reference engine on every registry kernel. Large programs keep
-   the sweeps, whose branch-free inner loop wins once passes amortise. *)
-let small_program_cutoff = 256
-
-let compute prog =
-  if Prog.length prog < small_program_cutoff then compute_worklist prog
-  else compute_sweep prog
 
 (* ---------------- reference engine (tree sets) ---------------- *)
 
@@ -237,10 +201,6 @@ let numbering t = (dense t).num
 let live_in_bits t i =
   let d = dense t in
   row d d.live_in i
-
-let live_out_bits t i =
-  let d = dense t in
-  row d d.live_out i
 
 let live_across_bits t i =
   let d = dense t in

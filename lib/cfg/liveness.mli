@@ -12,23 +12,8 @@ open Npra_ir
 type t
 
 val compute : Prog.t -> t
-(** Dense bitset engine. Adaptive: programs shorter than
-    {!small_program_cutoff} are solved with a queue worklist
-    ({!compute_worklist}), longer ones with round-robin reverse sweeps
-    ({!compute_sweep}). Both produce the same dense representation, so
-    every accessor behaves identically whichever solver ran. *)
-
-val compute_sweep : Prog.t -> t
-(** Dense engine, round-robin reverse-sweep solver (best on large
-    programs). Exposed for differential tests and benchmarks. *)
-
-val compute_worklist : Prog.t -> t
-(** Dense engine, queue-worklist solver (best on small kernels).
-    Exposed for differential tests and benchmarks. *)
-
-val small_program_cutoff : int
-(** Instruction count below which {!compute} picks the worklist
-    solver. *)
+(** Dense bitset engine: a queue worklist over flat rows, revisiting
+    only instructions whose successors' live-in sets grew. *)
 
 val compute_reference : Prog.t -> t
 (** Original [Reg.Set]-based engine; the test oracle. Set-view accessors
@@ -50,9 +35,8 @@ val numbering : t -> Numbering.t
 (** The dense register numbering of the analysed program. *)
 
 val live_in_bits : t -> int -> Bitset.t
-val live_out_bits : t -> int -> Bitset.t
 val live_across_bits : t -> int -> Bitset.t
-(** Dense views of {!live_in}/{!live_out}/{!live_across}, materialised
+(** Dense views of {!live_in}/{!live_across}, materialised
     from the engine's flat rows; each call returns a fresh bitset the
     caller owns. Only valid on results of {!compute}. *)
 

@@ -125,11 +125,6 @@ let set_of_bits num bits =
 let live_at_gap t p = set_of_bits t.num t.live_at_gap.(p)
 let live_at_gap_bits t p = t.live_at_gap.(p)
 
-let live_at t p r =
-  match Numbering.index_opt t.num r with
-  | Some i -> Bitset.mem t.live_at_gap.(p) i
-  | None -> false
-
 let gaps_of t r =
   match Reg.Map.find_opt r t.gaps_of with
   | Some s -> s

@@ -40,9 +40,6 @@ val live_at_gap_bits : t -> int -> Bitset.t
 (** Dense view of {!live_at_gap}; the analysis' own state — callers must
     not mutate it. *)
 
-val live_at : t -> int -> Reg.t -> bool
-(** [live_at t p r] iff [r] is live at gap [p]; O(1). *)
-
 val gaps_of : t -> Reg.t -> IntSet.t
 (** All gaps where the register is live (its whole live range as points). *)
 

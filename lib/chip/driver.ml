@@ -91,11 +91,6 @@ type cell =
   | Chaos_cell of chaos_cell
   | Chain_cell of chain_cell
 
-let cell_name = function
-  | Shard_cell c -> c.sc_name
-  | Chaos_cell c -> c.cc_name
-  | Chain_cell c -> c.nc_name
-
 let cell_ok = function
   | Shard_cell c -> c.sc_ok
   | Chaos_cell c -> c.cc_ok
@@ -278,6 +273,8 @@ let run ?(pool = Npra_par.Pool.sequential) ?(seed = 42) ?(quick = false) () =
 
 let all_ok m = List.for_all cell_ok m.m_cells
 
+(* (critical kernel, fixed served, balanced served) from the shard cell,
+   if present. *)
 let balanced_vs_fixed m =
   List.find_map
     (function

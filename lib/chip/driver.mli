@@ -21,12 +21,9 @@
 
 open Npra_sim
 
-val chip_tiers : Memory.hierarchy
-(** Scratch\[0,256) @ 6, SRAM up to word 2048 @ 20, SDRAM @ 45. *)
-
 val chip_machine_config : Machine.config
-(** {!Machine.default_config} with [chip_tiers] and an unbounded
-    horizon. *)
+(** {!Machine.default_config} with the chip's tiers (scratch\[0,256) @ 6,
+    SRAM up to word 2048 @ 20, SDRAM @ 45) and an unbounded horizon. *)
 
 type shard_cell = {
   sc_name : string;
@@ -46,7 +43,6 @@ type cell =
   | Chaos_cell of chaos_cell
   | Chain_cell of chain_cell
 
-val cell_name : cell -> string
 val cell_ok : cell -> bool
 
 type matrix = { m_seed : int; m_quick : bool; m_cells : cell list }
@@ -63,10 +59,6 @@ val run : ?pool:Npra_par.Pool.t -> ?seed:int -> ?quick:bool -> unit -> matrix
 (** The whole matrix (seed defaults to 42). *)
 
 val all_ok : matrix -> bool
-
-val balanced_vs_fixed : matrix -> (string * int * int) option
-(** (critical kernel, fixed served, balanced served) from the shard
-    cell, if present. *)
 
 val cell_json : cell -> Npra_core.Json.t
 val pp_cell : cell Fmt.t

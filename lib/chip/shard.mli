@@ -76,18 +76,6 @@ val conservation_ok : t -> bool
 
 val surviving_engines : t -> int
 
-(** Per-thread-index aggregate across all shards (thread [i] runs the
-    same kernel on every engine). *)
-type thread_totals = {
-  tt_thread : int;
-  tt_name : string;
-  tt_offered : int;
-  tt_served : int;
-  tt_dropped : int;
-}
-
-val thread_totals : t -> thread_totals list
-
 val served_of_thread : t -> int -> int
 (** Chip-wide served packets of thread index [i]; 0 if unseen. *)
 

@@ -109,5 +109,3 @@ let interference ppf prog =
     (Context.nodes ctx);
   Fmt.pf ppf "}@."
 
-let cfg_string prog = Fmt.str "%a" cfg prog
-let interference_string prog = Fmt.str "%a" interference prog

@@ -8,6 +8,3 @@ open Npra_ir
 val cfg : Prog.t Fmt.t
 val interference : Prog.t Fmt.t
 (** The program should be in web form for a faithful Figure-5 view. *)
-
-val cfg_string : Prog.t -> string
-val interference_string : Prog.t -> string

@@ -11,11 +11,8 @@ let pos ~line ~col = { line; col }
 let point p = { start_pos = p; end_pos = p }
 let span a b = { start_pos = a; end_pos = b }
 
-let make severity phase span fmt =
-  Fmt.kstr (fun message -> { severity; phase; span; message }) fmt
-
-let error phase span fmt = make Error phase span fmt
-let warning phase span fmt = make Warning phase span fmt
+let error phase span fmt =
+  Fmt.kstr (fun message -> { severity = Error; phase; span; message }) fmt
 
 let compare a b =
   let c = Stdlib.compare a.span.start_pos b.span.start_pos in

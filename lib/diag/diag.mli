@@ -28,13 +28,8 @@ val span : pos -> pos -> span
 val error : phase -> span -> ('a, Format.formatter, unit, t) format4 -> 'a
 (** [error phase span fmt ...] builds an [Error]-severity diagnostic. *)
 
-val warning : phase -> span -> ('a, Format.formatter, unit, t) format4 -> 'a
-
 val compare : t -> t -> int
 (** Source order: by start position, then severity (errors first). *)
-
-val pp_phase : phase Fmt.t
-val pp_severity : severity Fmt.t
 
 val pp : t Fmt.t
 (** One line: ["3:7: parse error: unknown mnemonic"]. *)

@@ -15,8 +15,6 @@ type runtime_outcome =
   | Stuck of string  (** the machine trapped for another reason *)
   | Silent  (** ran to completion unnoticed *)
 
-val runtime_name : runtime_outcome -> string
-
 type status =
   | Not_applicable of string
       (** the kernel offers no violating candidate for this mutator *)

@@ -36,8 +36,6 @@ let kind_name = function
   | Leak_csb_live -> "leak_csb_live"
   | Corrupt_writeback -> "corrupt_writeback"
 
-let pp_kind ppf k = Fmt.string ppf (kind_name k)
-
 type injection = {
   kind : kind;
   thread : int;  (* the mutated thread *)

@@ -28,7 +28,6 @@ type kind =
 
 val all_kinds : kind list
 val kind_name : kind -> string
-val pp_kind : kind Fmt.t
 
 type injection = {
   kind : kind;

@@ -63,11 +63,6 @@ val run :
     input order, so every field except the wall-clock observations
     ([slowest_s], [hangs]) is identical at any job count. *)
 
-val crasher_corpus : (lang * string) list
-(** Historical and representative crashers — including the
-    [v99999999999999999999] literal that used to kill the asm lexer —
-    all of which must map to structured diagnostics. *)
-
 val crashers_rejected : unit -> (lang * string * string) list
 (** Runs the crasher corpus; returns the entries that did {e not}
     produce a structured rejection (empty = contract holds). *)

@@ -82,25 +82,8 @@ let ctx_switch b = emit b Instr.Ctx_switch
 let nop b = emit b Instr.Nop
 let halt b = emit b Instr.Halt
 
-(* Expression-style helpers: allocate the destination. *)
-
 let imm n = Instr.Imm n
 let rge r = Instr.Reg r
-
-let alu_ b op src1 src2 =
-  let dst = fresh b in
-  alu b op dst src1 src2;
-  dst
-
-let movi_ b n =
-  let dst = fresh b in
-  movi b dst n;
-  dst
-
-let load_ b addr off =
-  let dst = fresh b in
-  load b dst addr off;
-  dst
 
 (* Structured control flow. *)
 

@@ -58,11 +58,6 @@ val imm : int -> Instr.operand
 val rge : Reg.t -> Instr.operand
 (** Operand injections: immediate and register. *)
 
-val alu_ : t -> Instr.alu_op -> Reg.t -> Instr.operand -> Reg.t
-val movi_ : t -> int -> Reg.t
-val load_ : t -> Reg.t -> int -> Reg.t
-(** Expression-style variants that allocate and return the destination. *)
-
 val loop : t -> iters:int -> (unit -> unit) -> unit
 (** [loop b ~iters body] emits [body] inside a counted loop that runs
     [iters] times (count-down counter in a fresh register). *)

@@ -37,7 +37,6 @@ type t =
   | Nop
   | Halt
 
-val alu_op_name : alu_op -> string
 val cond_name : cond -> string
 
 val eval_alu : alu_op -> int -> int -> int

@@ -15,8 +15,7 @@
    - [Hashed]: the original int hash table keyed by [2*number + kind].
      Kept for hostile register numbers (the asm frontend admits indices
      up to ~10^6, and a direct map that size would cost more to allocate
-     than it saves), and for [of_regs]/[of_array] callers whose sets are
-     not program-shaped. *)
+     than it saves). *)
 
 module IntTbl = Hashtbl.Make (Int)
 
@@ -43,18 +42,18 @@ let of_array regs =
   Array.iteri (fun i r -> IntTbl.replace indices (key r) i) regs;
   { regs; repr = Hashed indices }
 
-let of_regs set = of_array (Array.of_list (Reg.Set.elements set))
-
 let max_reg_numbers prog =
+  let maxv = ref (-1) and maxp = ref (-1) in
+  let bump = function
+    | Reg.V n -> if n > !maxv then maxv := n
+    | Reg.P n -> if n > !maxp then maxp := n
+  in
   Prog.fold_instrs
-    (fun acc _ ins ->
-      let bump (maxv, maxp) = function
-        | Reg.V n -> (max maxv n, maxp)
-        | Reg.P n -> (maxv, max maxp n)
-      in
-      let acc = List.fold_left bump acc (Instr.defs ins) in
-      List.fold_left bump acc (Instr.uses ins))
-    (-1, -1) prog
+    (fun () _ ins ->
+      List.iter bump (Instr.defs ins);
+      List.iter bump (Instr.uses ins))
+    () prog;
+  (!maxv, !maxp)
 
 let of_prog_hashed prog =
   (* One hash-table pass instead of [Prog.regs]'s tree set. *)

@@ -11,9 +11,6 @@ type t
 val of_prog : Prog.t -> t
 (** Numbers every register occurring in the program. *)
 
-val of_regs : Reg.Set.t -> t
-(** Numbers exactly the given registers. *)
-
 val size : t -> int
 (** Number of registers in the numbering (the bit-vector width). *)
 

@@ -317,9 +317,6 @@ let fragment t id =
     ignore first;
     (t, id :: List.rev ids)
 
-let web_edges t vreg =
-  match List.assoc_opt vreg t.vreg_edges with Some e -> e | None -> []
-
 let crossing_moves t =
   (* All (edge, vreg, src node, dst node) where the value changes segment
      across a gap edge into a different colour. A definition boundary is
@@ -342,16 +339,6 @@ let crossing_moves t =
     t.vreg_edges
 
 let move_count t = List.length (crossing_moves t)
-
-let weighted_move_count t depth_of_instr =
-  (* Moves weighted by 10^loop-depth of the edge's source instruction —
-     an estimate of dynamic move count used for ablation. *)
-  List.fold_left
-    (fun acc ((p, _), _, _, _) ->
-      let d = depth_of_instr p in
-      let rec pow10 k = if k <= 0 then 1 else 10 * pow10 (k - 1) in
-      acc + pow10 (min d 4))
-    0 (crossing_moves t)
 
 let coalesce t =
   (* Merges adjacent same-vreg same-colour segments, normalising the

@@ -76,18 +76,12 @@ val fragment : t -> int -> t * int list
 (** Explodes a node into one singleton segment per gap; returns all
     resulting node ids (the original id keeps one gap). *)
 
-val web_edges : t -> Reg.t -> (int * int) list
-
 val crossing_moves : t -> ((int * int) * Reg.t * node * node) list
 (** All [(edge, vreg, src, dst)] where a value changes into a segment of a
     different colour — exactly the moves the rewriter will materialise. *)
 
 val move_count : t -> int
 (** The allocation cost: number of move instructions implied. *)
-
-val weighted_move_count : t -> (int -> int) -> int
-(** Moves weighted by [10^loop_depth(edge source)] — estimated dynamic
-    move count, for the ablation benchmarks. *)
 
 val coalesce : t -> t
 (** Merges adjacent same-vreg same-colour segments. *)

@@ -31,6 +31,7 @@ let pp_bounds ppf b =
   Fmt.pf ppf "MinPR=%d MinR=%d MaxPR=%d MaxR=%d" b.min_pr b.min_r b.max_pr
     b.max_r
 
+(* [(RegPCSBmax, RegPmax)]. *)
 let lower_bounds pts =
   (Points.reg_pressure_csb_max pts, Points.reg_pressure_max pts)
 

@@ -10,8 +10,6 @@
     independently, then merge and resolve conflict edges, growing MaxR
     only when recolouring fails. *)
 
-open Npra_cfg
-
 type bounds = {
   min_pr : int;
   min_r : int;
@@ -20,9 +18,6 @@ type bounds = {
 }
 
 val pp_bounds : bounds Fmt.t
-
-val lower_bounds : Points.t -> int * int
-(** [(RegPCSBmax, RegPmax)]. *)
 
 val run : Context.t -> Context.t * bounds
 (** Colours an uncoloured context (one node per live range) and returns

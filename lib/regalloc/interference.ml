@@ -7,8 +7,8 @@
    - GIG: all live ranges, an edge wherever two are co-live;
    - BIG: boundary live ranges only, an edge when two are co-live across
      the same context-switch boundary;
-   - IIG r: the internal live ranges of non-switch region [r] and their
-     interference.
+   - IIG r: the internal live ranges of non-switch region [r] (the
+     internal nodes tagged [region = Some r]) and their interference.
 
    The paper's claims hold by construction and are re-checked in tests:
    the BIG needs PR colours, the GIG needs R colours, and internal nodes
@@ -90,9 +90,6 @@ let build prog =
 let nodes t = t.nodes
 let boundary_nodes t = List.filter (fun n -> n.boundary) t.nodes
 let internal_nodes t = List.filter (fun n -> not n.boundary) t.nodes
-
-let iig t region =
-  List.filter (fun n -> (not n.boundary) && n.region = Some region) t.nodes
 
 let gig_edges t = t.gig_edges
 let big_edges t = t.big_edges

@@ -16,11 +16,9 @@ val build : Prog.t -> t
 (** The program should be in web form ({!Npra_cfg.Webs.rename}). *)
 
 val nodes : t -> node list
-val boundary_nodes : t -> node list
 val internal_nodes : t -> node list
-
-val iig : t -> int -> node list
-(** Internal nodes of one non-switch region. *)
+(** The IIG of region [r] is the internal nodes whose [region] is
+    [Some r]. *)
 
 val gig_edges : t -> (Reg.t * Reg.t) list
 val big_edges : t -> (Reg.t * Reg.t) list

@@ -29,13 +29,6 @@ let event_engine = function
 let event_at = function
   | Crash { at; _ } | Hang { at; _ } | Storm { at; _ } | Flood { at; _ } -> at
 
-let event_name = function
-  | Crash _ -> "crash"
-  | Hang { stall = Permanent; _ } -> "hang"
-  | Hang { stall = Transient _; _ } -> "transient-hang"
-  | Storm _ -> "storm"
-  | Flood _ -> "flood"
-
 let pp_event ppf = function
   | Crash { engine; at } -> Fmt.pf ppf "crash(engine=%d at=%d)" engine at
   | Hang { engine; at; stall = Permanent } ->
@@ -64,10 +57,6 @@ type spec = {
 
 let quiet =
   { crashes = 0; permanent_hangs = 0; transient_hangs = 0; storms = 0; floods = 0 }
-
-let pp_spec ppf s =
-  Fmt.pf ppf "crashes=%d hangs=%d+%dT storms=%d floods=%d" s.crashes
-    s.permanent_hangs s.transient_hangs s.storms s.floods
 
 let headroom_specs n =
   List.init n (fun i ->

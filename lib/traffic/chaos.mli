@@ -38,7 +38,6 @@ type event =
 
 val event_engine : event -> int
 val event_at : event -> int
-val event_name : event -> string
 val pp_event : event Fmt.t
 
 type t = { seed : int; events : event list }
@@ -60,8 +59,6 @@ type spec = {
 
 val quiet : spec
 (** All zeros. *)
-
-val pp_spec : spec Fmt.t
 
 val headroom_specs : int -> Npra_workloads.Workload.traffic_spec list
 (** The traffic of a chaos fabric of [n] threads: thread [i] gets

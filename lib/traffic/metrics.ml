@@ -58,8 +58,6 @@ type thread_metrics = {
   flood_served : int;  (* of served, chaos-flood packets *)
 }
 
-let tm_dropped t = drops_total t.drops
-
 (* ------------------------------------------------------------------ *)
 (* Structured engine faults.                                           *)
 
@@ -87,8 +85,6 @@ let fault_message = function
       pending at deadline
       Fmt.(list ~sep:nop (fun ppf s -> Fmt.pf ppf " [%a]" Machine.pp_thread_status s))
       threads
-
-let pp_engine_fault ppf f = Fmt.string ppf (fault_message f)
 
 type engine_metrics = {
   em_engine : int;
@@ -311,7 +307,7 @@ let pp ppf r =
         rep.Machine.busy_cycles rep.Machine.switch_cycles
         rep.Machine.idle_cycles rep.Machine.total_cycles
         (100. *. rep.Machine.utilization)
-        Fmt.(option (fun ppf f -> Fmt.pf ppf " FAULT: %a" pp_engine_fault f))
+        Fmt.(option (fun ppf f -> Fmt.pf ppf " FAULT: %s" (fault_message f)))
         e.em_fault)
     r.rm_engines;
   match r.rm_trail with

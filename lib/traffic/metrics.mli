@@ -43,8 +43,6 @@ type thread_metrics = {
   flood_served : int;  (** of [served], chaos-flood packets *)
 }
 
-val tm_dropped : thread_metrics -> int
-
 (** Structured per-engine failure. [Drain_deadlock] carries the same
     per-thread status detail as {!Npra_sim.Machine.stuck}, so a wedged
     drain names the engine {e and} the thread states instead of a bare
@@ -64,7 +62,6 @@ type engine_fault =
     }
 
 val fault_message : engine_fault -> string
-val pp_engine_fault : engine_fault Fmt.t
 
 type engine_metrics = {
   em_engine : int;
@@ -115,7 +112,6 @@ val total_drops : run_metrics -> drops
 val total_dropped : run_metrics -> int
 val total_residual : run_metrics -> int
 val total_flood_offered : run_metrics -> int
-val total_flood_served : run_metrics -> int
 
 val delivered_fraction : run_metrics -> float
 (** Goodput: served / offered over {e non-flood} packets only, so a

@@ -105,6 +105,9 @@ let flips =
     ("BENCH_dataflow.json", Checks.dataflow,
      "speedup_dense_over_reference.md5", Float (2, 0.9),
      "dense dataflow is 0.90x on md5");
+    ("BENCH_dataflow.json", Checks.dataflow,
+     "speedup_dense_over_reference.synthetic10k", Float (2, 2.9),
+     "dense dataflow is 2.90x on synthetic10k (< 3.0x)");
     (* simspeed: per-kernel soa >= legacy, sweep, armed and rate floors, ok;
        the pool gates are tested below *)
     ("BENCH_simspeed.json", Checks.simspeed,
@@ -156,6 +159,16 @@ let flip_tests =
       test (Fmt.str "%s: %s" file expect) (fun () ->
           fails_naming check expect (set path v (committed file))))
     flips
+
+let dataflow_needs_every_program =
+  test "BENCH_dataflow.json: a report without md5 fails" (fun () ->
+      let r = committed "BENCH_dataflow.json" in
+      let path = "speedup_dense_over_reference" in
+      match Checks.value r path with
+      | Json.Obj speedups ->
+        fails_naming Checks.dataflow "no member speedup_dense_over_reference.md5"
+          (set path (Json.Obj (List.remove_assoc "md5" speedups)) r)
+      | _ -> Alcotest.failf "%s is not an object" path)
 
 let dataflow_quick_is_exempt =
   test "quick dataflow reports skip the speedup floor" (fun () ->
@@ -217,5 +230,7 @@ let simspeed_pool_gates =
 let suite =
   [
     ( "bench.checks",
-      committed_pass @ flip_tests @ [ dataflow_quick_is_exempt ] @ simspeed_pool_gates );
+      committed_pass @ flip_tests
+      @ [ dataflow_needs_every_program; dataflow_quick_is_exempt ]
+      @ simspeed_pool_gates );
   ]

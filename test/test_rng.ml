@@ -40,6 +40,13 @@ let test_arrival_streams () =
 
 (* -- stream form through Chaos.schedule ---------------------------- *)
 
+let event_name = function
+  | Chaos.Crash _ -> "crash"
+  | Hang { stall = Permanent; _ } -> "hang"
+  | Hang { stall = Transient _; _ } -> "transient-hang"
+  | Storm _ -> "storm"
+  | Flood _ -> "flood"
+
 let test_chaos_schedule () =
   let spec =
     { Chaos.crashes = 1; permanent_hangs = 1; transient_hangs = 1; storms = 1; floods = 1 }
@@ -48,7 +55,7 @@ let test_chaos_schedule () =
   let got =
     List.map
       (fun ev ->
-        Fmt.str "%s e%d @%d" (Chaos.event_name ev) (Chaos.event_engine ev)
+        Fmt.str "%s e%d @%d" (event_name ev) (Chaos.event_engine ev)
           (Chaos.event_at ev))
       ch.Chaos.events
   in
