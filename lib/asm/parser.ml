@@ -342,8 +342,8 @@ let parse ?(limit = 20) src =
   if Diag.has_errors bag then Error (Diag.diagnostics bag)
   else Ok (List.filter_map Fun.id sections)
 
-let parse_one ?limit src =
-  match parse ?limit src with
+let parse_one src =
+  match parse src with
   | Ok [ p ] -> Ok p
   | Ok ps ->
     Error

@@ -16,10 +16,6 @@ val parse :
     lexical, syntactic and program-structure — capped at [limit]
     (default 20). *)
 
-val parse_one :
-  ?limit:int -> string -> (Prog.t, Npra_diag.Diag.t list) result
-(** Like {!parse} but requires exactly one thread section. *)
-
 val parse_exn : string -> Prog.t list
 (** @raise Failure with rendered diagnostics. For tests and scripts. *)
 

@@ -18,8 +18,6 @@ let create width =
   if width < 0 then Fmt.invalid_arg "Bitset.create: negative width %d" width;
   { width; words = Array.make (max 1 (nwords width)) 0 }
 
-let width t = t.width
-
 let check_elt t i =
   if i < 0 || i >= t.width then
     Fmt.invalid_arg "Bitset: element %d outside width %d" i t.width
@@ -40,20 +38,12 @@ let remove t i =
   check_elt t i;
   t.words.(i / bpw) <- t.words.(i / bpw) land lnot (1 lsl (i mod bpw))
 
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
-
 let copy t = { t with words = Array.copy t.words }
-
-let blit ~src ~dst =
-  check_same src dst;
-  Array.blit src.words 0 dst.words 0 (Array.length src.words)
 
 let equal a b =
   check_same a b;
   let rec go i = i < 0 || (a.words.(i) = b.words.(i) && go (i - 1)) in
   go (Array.length a.words - 1)
-
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 let popcount w =
   let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
@@ -124,19 +114,10 @@ let fold f t acc =
   iter (fun i -> acc := f i !acc) t;
   !acc
 
-let exists p t =
-  let found = ref false in
-  (try iter (fun i -> if p i then raise Exit) t with Exit -> found := true);
-  !found
-
-let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
-
 let of_list width elts =
   let t = create width in
   List.iter (add t) elts;
   t
-
-let pp ppf t = Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma int) (to_list t)
 
 let bits_per_word = bpw
 let words_for = nwords

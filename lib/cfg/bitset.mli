@@ -14,18 +14,11 @@ type t
 val create : int -> t
 (** [create width] is the empty set over the universe [0 .. width-1]. *)
 
-val width : t -> int
-
 val mem : t -> int -> bool
 val add : t -> int -> unit
 val remove : t -> int -> unit
-val clear : t -> unit
-
-val copy : t -> t
-val blit : src:t -> dst:t -> unit
 
 val equal : t -> t -> bool
-val is_empty : t -> bool
 val cardinal : t -> int
 val subset : t -> t -> bool
 (** [subset a b] is true when every element of [a] is in [b]. *)
@@ -47,13 +40,9 @@ val iter : (int -> unit) -> t -> unit
 (** Iterates set elements in increasing order. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-val exists : (int -> bool) -> t -> bool
-val to_list : t -> int list
 val of_list : int -> int list -> t
 (** [of_list width elts]; raises [Invalid_argument] on out-of-range
     elements. *)
-
-val pp : t Fmt.t
 
 (** {2 Flat-array bridge}
 
@@ -69,5 +58,5 @@ val words_for : int -> int
 
 val load_words : t -> src:int array -> pos:int -> t
 (** Overwrites the set's words from [src.(pos) ..]; [src] must hold at
-    least [max 1 (words_for (width t))] words at [pos]. Returns the set
-    for chaining. *)
+    least [max 1 (words_for w)] words at [pos], [w] being the width the
+    set was created with. Returns the set for chaining. *)

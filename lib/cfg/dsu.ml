@@ -17,4 +17,3 @@ let union t x y =
   let rx = find t x and ry = find t y in
   if rx <> ry then t.(ry) <- rx
 
-let same t x y = find t x = find t y

@@ -5,4 +5,3 @@ type t
 val create : int -> t
 val find : t -> int -> int
 val union : t -> int -> int -> unit
-val same : t -> int -> int -> bool

@@ -207,14 +207,3 @@ let live_across_bits t i =
   let out = row d d.live_out i in
   Array.iter (Bitset.remove out) d.defs.(i);
   out
-
-let pp ppf t =
-  let n = Prog.length t.prog in
-  for i = 0 to n - 1 do
-    Fmt.pf ppf "%3d %-30s in={%a} out={%a}@." i
-      (Instr.to_string (Prog.instr t.prog i))
-      Fmt.(list ~sep:comma Reg.pp)
-      (Reg.Set.elements (live_in t i))
-      Fmt.(list ~sep:comma Reg.pp)
-      (Reg.Set.elements (live_out t i))
-  done

@@ -39,5 +39,3 @@ val live_across_bits : t -> int -> Bitset.t
 (** Dense views of {!live_in}/{!live_across}, materialised
     from the engine's flat rows; each call returns a fresh bitset the
     caller owns. Only valid on results of {!compute}. *)
-
-val pp : t Fmt.t

@@ -24,8 +24,6 @@ open Npra_ir
 module IntSet = Set.Make (Int)
 
 type t = {
-  prog : Prog.t;
-  live : Liveness.t;
   n : int;
   num : Numbering.t;
   live_at_gap : Bitset.t array;  (* length n+1 *)
@@ -102,8 +100,6 @@ let compute prog =
     |> List.rev
   in
   {
-    prog;
-    live;
     n;
     num;
     live_at_gap;
@@ -114,7 +110,6 @@ let compute prog =
     edges;
   }
 
-let liveness t = t.live
 let numbering t = t.num
 let num_gaps t = t.n + 1
 

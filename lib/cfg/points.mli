@@ -26,8 +26,6 @@ type t
 
 val compute : Prog.t -> t
 
-val liveness : t -> Liveness.t
-
 val numbering : t -> Numbering.t
 (** The dense register numbering shared with the underlying liveness. *)
 

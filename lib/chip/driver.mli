@@ -58,8 +58,6 @@ val run_scenario :
 val run : ?pool:Npra_par.Pool.t -> ?seed:int -> ?quick:bool -> unit -> matrix
 (** The whole matrix (seed defaults to 42). *)
 
-val all_ok : matrix -> bool
-
 val cell_json : cell -> Npra_core.Json.t
 val pp_cell : cell Fmt.t
 val to_json : matrix -> Npra_core.Json.t

@@ -74,8 +74,6 @@ val conservation_ok : t -> bool
 (** Every shard conserves packets {e and} the chip-level fold balances
     exactly: Σoffered = Σserved + Σdropped + Σresidual. *)
 
-val surviving_engines : t -> int
-
 val served_of_thread : t -> int -> int
 (** Chip-wide served packets of thread index [i]; 0 if unseen. *)
 

@@ -68,7 +68,7 @@ let table1_row spec =
     nsr_avg_size = Nsr.average_size regions;
   }
 
-let table1 ?(specs = Registry.all) () = List.map table1_row specs
+let table1 () = List.map table1_row Registry.all
 
 let table1_report rows =
   Report.make ~title:"Table 1: benchmark applications"
@@ -143,7 +143,7 @@ let fig14_row spec =
       f14_note = None;
     }
 
-let fig14 ?(specs = Registry.all) () = List.map fig14_row specs
+let fig14 () = List.map fig14_row Registry.all
 
 let fig14_average rows =
   let savings = List.filter_map (fun r -> r.f14_data) rows in
@@ -237,7 +237,7 @@ let table2_row spec =
       t2_note = None;
     }
 
-let table2 ?(specs = Registry.all) () = List.map table2_row specs
+let table2 () = List.map table2_row Registry.all
 
 let table2_report rows =
   Report.make
@@ -292,11 +292,10 @@ type table3_thread = {
   cyc_spill : float;  (* cycles per iteration under the baseline *)
   cyc_sharing : float;
   change_pct : float;  (* negative = faster with register sharing *)
-  solo_spill : float;  (* same comparison with the thread run alone: *)
-  solo_sharing : float;  (* isolates the allocation effect (spill
-                            removal vs inserted moves) from PU
-                            contention *)
   solo_change_pct : float;
+      (* the same comparison with the thread run alone: isolates the
+         allocation effect (spill removal vs inserted moves) from PU
+         contention *)
   spilled : int;
 }
 
@@ -306,7 +305,6 @@ type table3_row = {
   t3_verify_errors : int;
   t3_provenance : Pipeline.stage;
       (* which pipeline stage served the sharing allocation *)
-  t3_note : string option;  (* diagnostic trail, when the chain degraded *)
 }
 
 let table3_scenario sc =
@@ -322,14 +320,12 @@ let table3_scenario sc =
   let base_cycles = Pipeline.cycles_per_iteration base_report iters in
   (* Balanced: the paper's allocator (degrading gracefully if it must). *)
   match Pipeline.balanced ~nreg ~spill_bases progs with
-  | Error trail ->
+  | Error _ ->
     {
       scenario = sc.scenario_name;
       threads = [];
       t3_verify_errors = 0;
       t3_provenance = Pipeline.Chaitin_fallback;
-      t3_note =
-        Some (Fmt.str "%a" Fmt.(list ~sep:semi Pipeline.pp_diagnostic) trail);
     }
   | Ok bal ->
     let bal_report =
@@ -381,8 +377,6 @@ let table3_scenario sc =
             cyc_spill;
             cyc_sharing;
             change_pct = 100. *. ((cyc_sharing /. cyc_spill) -. 1.);
-            solo_spill;
-            solo_sharing;
             solo_change_pct = 100. *. ((solo_sharing /. solo_spill) -. 1.);
             spilled = List.nth base.Pipeline.spilled_ranges i;
           })
@@ -393,15 +387,9 @@ let table3_scenario sc =
       threads;
       t3_verify_errors = List.length bal.Pipeline.verify_errors;
       t3_provenance = bal.Pipeline.provenance;
-      t3_note =
-        (match bal.Pipeline.trail with
-        | [] -> None
-        | trail ->
-          Some
-            (Fmt.str "%a" Fmt.(list ~sep:semi Pipeline.pp_diagnostic) trail));
     }
 
-let table3 ?(scenarios = scenarios) () = List.map table3_scenario scenarios
+let table3 () = List.map table3_scenario scenarios
 
 let table3_report rows =
   let body =

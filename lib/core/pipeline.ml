@@ -428,8 +428,8 @@ let balanced ?(nreg = 128) ?(weights = []) ?move_budget ?spill_bases progs =
     cache_store key
       (balanced_uncached ~nreg ~weights ?move_budget ?spill_bases progs)
 
-let balanced_exn ?nreg ?weights ?move_budget ?spill_bases progs =
-  match balanced ?nreg ?weights ?move_budget ?spill_bases progs with
+let balanced_exn ?nreg ?move_budget ?spill_bases progs =
+  match balanced ?nreg ?move_budget ?spill_bases progs with
   | Ok b -> b
   | Error trail ->
     Fmt.failwith "Pipeline.balanced: every stage failed:@ %a"
@@ -437,18 +437,14 @@ let balanced_exn ?nreg ?weights ?move_budget ?spill_bases progs =
       trail
 
 type baseline = {
-  results : Chaitin.result list;
-  base_layout : Assign.t;
   base_programs : Prog.t list;
   spilled_ranges : int list;  (* per thread *)
 }
 
 let baseline ?(nreg = 128) ~spill_bases progs =
   let progs = List.map Webs.rename progs in
-  let layout, results, programs = chaitin_partition ~nreg ~spill_bases progs in
+  let _, results, programs = chaitin_partition ~nreg ~spill_bases progs in
   {
-    results;
-    base_layout = layout;
     base_programs = programs;
     spilled_ranges =
       List.map (fun r -> Reg.Set.cardinal r.Chaitin.spilled) results;
@@ -499,7 +495,7 @@ let pp_source_error ?src ppf = function
 
 (* A frontend's result, cleaned up when [optimize] is set, through the
    chain. *)
-let allocate_frontend ?nreg ?move_budget ?spill_bases ~optimize = function
+let allocate_frontend ?nreg ~optimize = function
   | Error ds -> Error (Frontend ds)
   | Ok [] ->
     Error
@@ -515,15 +511,13 @@ let allocate_frontend ?nreg ?move_budget ?spill_bases ~optimize = function
     in
     Result.map_error
       (fun trail -> Alloc trail)
-      (balanced ?nreg ?move_budget ?spill_bases progs)
+      (balanced ?nreg progs)
 
-let run_asm ?nreg ?move_budget ?spill_bases ?limit ?(optimize = false) src =
-  allocate_frontend ?nreg ?move_budget ?spill_bases ~optimize
-    (Npra_asm.Parser.parse ?limit src)
+let run_asm ?nreg ?(optimize = false) src =
+  allocate_frontend ?nreg ~optimize (Npra_asm.Parser.parse src)
 
-let run_npc ?nreg ?move_budget ?spill_bases ?limit ?(optimize = false) src =
-  allocate_frontend ?nreg ?move_budget ?spill_bases ~optimize
-    (Npra_npc.Npc.compile ?limit src)
+let run_npc ?nreg ?(optimize = false) src =
+  allocate_frontend ?nreg ~optimize (Npra_npc.Npc.compile src)
 
 (* The throughput experiment's two contenders from one entry point: the
    spilling fixed-partition baseline and the balanced degradation chain,

@@ -1,23 +1,19 @@
-(* Structured diagnostics: spans, severities, budget-capped
+(* Structured diagnostics: spans, budget-capped
    accumulation, and caret rendering. See the interface for the model. *)
 
 type pos = { line : int; col : int }
 type span = { start_pos : pos; end_pos : pos }
-type severity = Error | Warning
 type phase = Lex | Parse | Sema | Ir
-type t = { severity : severity; phase : phase; span : span; message : string }
+type t = { phase : phase; span : span; message : string }
 
 let pos ~line ~col = { line; col }
 let point p = { start_pos = p; end_pos = p }
 let span a b = { start_pos = a; end_pos = b }
 
 let error phase span fmt =
-  Fmt.kstr (fun message -> { severity = Error; phase; span; message }) fmt
+  Fmt.kstr (fun message -> { phase; span; message }) fmt
 
-let compare a b =
-  let c = Stdlib.compare a.span.start_pos b.span.start_pos in
-  if c <> 0 then c
-  else Stdlib.compare a.severity b.severity (* Error < Warning *)
+let compare a b = Stdlib.compare a.span.start_pos b.span.start_pos
 
 let pp_phase ppf = function
   | Lex -> Fmt.string ppf "lex"
@@ -25,13 +21,9 @@ let pp_phase ppf = function
   | Sema -> Fmt.string ppf "sema"
   | Ir -> Fmt.string ppf "ir"
 
-let pp_severity ppf = function
-  | Error -> Fmt.string ppf "error"
-  | Warning -> Fmt.string ppf "warning"
-
 let pp ppf d =
-  Fmt.pf ppf "%d:%d: %a %a: %s" d.span.start_pos.line d.span.start_pos.col
-    pp_phase d.phase pp_severity d.severity d.message
+  Fmt.pf ppf "%d:%d: %a error: %s" d.span.start_pos.line d.span.start_pos.col
+    pp_phase d.phase d.message
 
 (* The 1-based [line]'th line of [src], without its newline. *)
 let source_line src line =
@@ -93,16 +85,13 @@ type bag = {
   mutable rev_kept : t list;
   mutable kept : int;
   mutable dropped : int;
-  mutable errors : int;
   mutable last : span option;  (* span of the newest diagnostic *)
 }
 
 let bag ?(limit = 20) () =
-  { limit = max 1 limit; rev_kept = []; kept = 0; dropped = 0; errors = 0;
-    last = None }
+  { limit = max 1 limit; rev_kept = []; kept = 0; dropped = 0; last = None }
 
 let add b d =
-  if d.severity = Error then b.errors <- b.errors + 1;
   b.last <- Some d.span;
   if b.kept < b.limit then begin
     b.rev_kept <- d :: b.rev_kept;
@@ -112,7 +101,7 @@ let add b d =
 
 let full b = b.kept >= b.limit
 let count b = b.kept + b.dropped
-let has_errors b = b.errors > 0
+let has_errors b = count b > 0
 
 let diagnostics b =
   let kept = List.rev b.rev_kept in

@@ -1,7 +1,7 @@
 (** Structured diagnostics shared by every frontend.
 
-    A diagnostic carries a severity, the compilation phase that raised
-    it, a source span with line {e and} column, and a message. Frontends
+    A diagnostic is an error: it carries the compilation phase that
+    raised it, a source span with line {e and} column, and a message. Frontends
     accumulate diagnostics in a {!bag} with a configurable error budget
     instead of raising on the first problem, and render them with a
     source excerpt and caret so a bad byte stream always maps to a
@@ -14,38 +14,33 @@ type span = { start_pos : pos; end_pos : pos }
 (** [end_pos] is inclusive of the last character of the construct; a
     single-character construct has [start_pos = end_pos]. *)
 
-type severity = Error | Warning
-
 type phase = Lex | Parse | Sema | Ir
 (** Which frontend stage produced the diagnostic. *)
 
-type t = { severity : severity; phase : phase; span : span; message : string }
+type t = { phase : phase; span : span; message : string }
 
 val pos : line:int -> col:int -> pos
 val point : pos -> span
 val span : pos -> pos -> span
 
 val error : phase -> span -> ('a, Format.formatter, unit, t) format4 -> 'a
-(** [error phase span fmt ...] builds an [Error]-severity diagnostic. *)
+(** [error phase span fmt ...] builds a diagnostic. *)
 
 val compare : t -> t -> int
-(** Source order: by start position, then severity (errors first). *)
+(** Source order: by start position. *)
 
 val pp : t Fmt.t
 (** One line: ["3:7: parse error: unknown mnemonic"]. *)
 
-val render : src:string -> t Fmt.t
-(** {!pp} plus the offending source line and a caret run under the
-    span:
+val render_all : src:string -> t list Fmt.t
+(** Every diagnostic through {!pp} plus the offending source line and a
+    caret run under the span, separated by newlines:
 
     {v
     3:7: parse error: unknown mnemonic "frobnicate"
       |   frobnicate v0
       |   ^^^^^^^^^^
     v} *)
-
-val render_all : src:string -> t list Fmt.t
-(** Every diagnostic through {!render}, separated by newlines. *)
 
 val to_string : ?src:string -> t list -> string
 (** Render a diagnostic list to a string, with source excerpts when

@@ -51,8 +51,6 @@ val run_scenario : ?seed:int -> ?quick:bool -> string -> cell option
 (** Replay a single named scenario (static + adaptive); [None] when the
     name is not in {!scenario_names}. *)
 
-val all_ok : matrix -> bool
-val totals : matrix -> int * int
 val pp : matrix Fmt.t
 
 val pp_cell : cell Fmt.t

@@ -13,6 +13,9 @@ open Npra_workloads
 open Npra_core
 open Npra_traffic
 
+(* A named fault mix handed to [Chaos.schedule], plus whether the cell
+   runs with the overload-shedding credit enabled: none, crash, hang,
+   transient-hang, storm, flood, overload-shed. *)
 type scenario = { sc_name : string; sc_spec : Chaos.spec; sc_shed : bool }
 
 let scenarios =

@@ -13,13 +13,6 @@
 
 open Npra_traffic
 
-(** A named fault mix handed to {!Chaos.schedule}, plus whether the
-    cell runs with the overload-shedding credit enabled. *)
-type scenario = { sc_name : string; sc_spec : Chaos.spec; sc_shed : bool }
-
-val scenarios : scenario list
-(** none, crash, hang, transient-hang, storm, flood, overload-shed. *)
-
 type cell = {
   c_mix : string;
   c_scenario : string;

@@ -37,7 +37,6 @@ let kind_name = function
   | Corrupt_writeback -> "corrupt_writeback"
 
 type injection = {
-  kind : kind;
   thread : int;  (* the mutated thread *)
   detail : string;
   programs : Prog.t list;  (* the corrupted system *)
@@ -113,7 +112,6 @@ let swap_colors layout progs =
              if violates layout ~thread:i p' then
                Some
                  {
-                   kind = Swap_colors;
                    thread = i;
                    detail =
                      Fmt.str "thread %d: swapped private r%d with shared r%d" i
@@ -140,7 +138,6 @@ let leak_csb_live layout progs =
              if violates layout ~thread:i p' then
                Some
                  {
-                   kind = Leak_csb_live;
                    thread = i;
                    detail =
                      Fmt.str
@@ -181,7 +178,6 @@ let drop_move layout progs =
           if violates layout ~thread:i p' then
             Some
               {
-                kind = Drop_move;
                 thread = i;
                 detail =
                   Fmt.str "thread %d: dropped split move %s at instr %d" i
@@ -226,7 +222,6 @@ let shift_block layout progs =
               if violates layout ~thread:i p' then
                 Some
                   {
-                    kind = Shift_block;
                     thread = i;
                     detail =
                       Fmt.str
@@ -267,7 +262,6 @@ let corrupt_writeback layout progs =
               if violates layout ~thread:i p' then
                 Some
                   {
-                    kind = Corrupt_writeback;
                     thread = i;
                     detail =
                       Fmt.str

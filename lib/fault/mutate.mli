@@ -30,7 +30,6 @@ val all_kinds : kind list
 val kind_name : kind -> string
 
 type injection = {
-  kind : kind;
   thread : int;  (** the mutated thread *)
   detail : string;  (** human description of the exact edit *)
   programs : Prog.t list;  (** the corrupted system *)

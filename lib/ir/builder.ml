@@ -79,7 +79,6 @@ let brc b cond src1 src2 target =
   emit b (Instr.Brc { cond; src1; src2; target })
 
 let ctx_switch b = emit b Instr.Ctx_switch
-let nop b = emit b Instr.Nop
 let halt b = emit b Instr.Halt
 
 let imm n = Instr.Imm n

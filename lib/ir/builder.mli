@@ -33,8 +33,6 @@ val place : t -> Instr.label -> unit
 val label : ?hint:string -> t -> Instr.label
 (** Allocates a fresh label and binds it at the current position. *)
 
-val emit : t -> Instr.t -> unit
-
 val alu : t -> Instr.alu_op -> Reg.t -> Reg.t -> Instr.operand -> unit
 val add : t -> Reg.t -> Reg.t -> Instr.operand -> unit
 val sub : t -> Reg.t -> Reg.t -> Instr.operand -> unit
@@ -51,7 +49,6 @@ val store : t -> Reg.t -> Reg.t -> int -> unit
 val br : t -> Instr.label -> unit
 val brc : t -> Instr.cond -> Reg.t -> Instr.operand -> Instr.label -> unit
 val ctx_switch : t -> unit
-val nop : t -> unit
 val halt : t -> unit
 
 val imm : int -> Instr.operand

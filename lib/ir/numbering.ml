@@ -129,11 +129,4 @@ let index t r =
       let i = map.(n) in
       if i < 0 then bad () else i
 
-let mem t r = index_opt t r <> None
-
 let reg t i = t.regs.(i)
-
-let pp ppf t =
-  Fmt.pf ppf "{%a}"
-    Fmt.(iter_bindings ~sep:comma Array.iteri (pair ~sep:(any ":") int Reg.pp))
-    t.regs

@@ -20,9 +20,6 @@ val index : t -> Reg.t -> int
 
 val index_opt : t -> Reg.t -> int option
 
-val mem : t -> Reg.t -> bool
-
 val reg : t -> int -> Reg.t
 (** [reg t i] is the register with index [i]; inverse of {!index}. *)
 
-val pp : t Fmt.t

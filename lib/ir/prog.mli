@@ -60,5 +60,4 @@ val count_ctx_switches : t -> int
 
 val map_regs : (Reg.t -> Reg.t) -> t -> t
 
-val pp : t Fmt.t
 val to_string : t -> string

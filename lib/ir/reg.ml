@@ -25,8 +25,6 @@ let phys_table = Array.init 256 (fun k -> P k)
 let phys k =
   if k >= 0 && k < Array.length phys_table then phys_table.(k) else P k
 
-let hash = Hashtbl.hash
-
 let is_virtual = function V _ -> true | P _ -> false
 let is_physical = function P _ -> true | V _ -> false
 

@@ -11,8 +11,6 @@ type t =
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
-
 val phys : int -> t
 (** [phys k] is [P k]. For [0 <= k < 256] it is the same block on every
     call ([phys k == phys k]), so allocation output shares one value per

@@ -78,23 +78,3 @@ let threads prog =
 
 let funcs prog =
   List.filter_map (function Func f -> Some f | Thread _ -> None) prog
-
-let binop_name = function
-  | Add -> "+"
-  | Sub -> "-"
-  | Mul -> "*"
-  | And -> "&"
-  | Or -> "|"
-  | Xor -> "^"
-  | Shl -> "<<"
-  | Shr -> ">>"
-  | Eq -> "=="
-  | Ne -> "!="
-  | Lt -> "<"
-  | Le -> "<="
-  | Gt -> ">"
-  | Ge -> ">="
-  | Land -> "&&"
-  | Lor -> "||"
-
-let unop_name = function Neg -> "-" | Not -> "!" | Bnot -> "~"

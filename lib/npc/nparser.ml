@@ -334,9 +334,9 @@ let sync_item st =
   in
   go ()
 
-let parse ?(limit = 20) src =
+let parse src =
   let toks, lex_diags = Nlexer.tokenize src in
-  let bag = Diag.bag ~limit () in
+  let bag = Diag.bag () in
   List.iter (Diag.add bag) lex_diags;
   let st = { toks; bag } in
   let items = ref [] in

@@ -8,15 +8,13 @@
 
 open Npra_diag
 
-let parse ?limit src = Nparser.parse ?limit src
-
-let cap ?(limit = 20) diags =
-  let bag = Diag.bag ~limit () in
+let cap diags =
+  let bag = Diag.bag () in
   List.iter (Diag.add bag) diags;
   Diag.diagnostics bag
 
-let compile ?limit src =
-  match parse ?limit src with
+let compile src =
+  match Nparser.parse src with
   | Error ds -> Error ds
   | Ok ast -> (
     match Sema.check ast with
@@ -30,7 +28,7 @@ let compile ?limit src =
               (Diag.point (Diag.pos ~line:1 ~col:1))
               "internal lowering failure: %s" m;
           ])
-    | errs -> Error (cap ?limit errs))
+    | errs -> Error (cap errs))
 
 let compile_exn src =
   match compile src with

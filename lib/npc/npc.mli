@@ -31,14 +31,9 @@
 
 open Npra_ir
 
-val parse :
-  ?limit:int -> string -> (Ast.program, Npra_diag.Diag.t list) result
-(** Syntax only. Recovers at statement and item boundaries; reports at
-    most [limit] (default 20) diagnostics. *)
-
-val compile :
-  ?limit:int -> string -> (Prog.t list, Npra_diag.Diag.t list) result
-(** Parse, scope-check, lower. One program per thread. *)
+val compile : string -> (Prog.t list, Npra_diag.Diag.t list) result
+(** Parse, scope-check, lower. One program per thread. Reports at most
+    20 diagnostics, the {!Npra_diag.Diag.bag} default. *)
 
 val compile_exn : string -> Prog.t list
 (** @raise Failure with rendered diagnostics. For tests and scripts. *)

@@ -19,7 +19,6 @@ type result = {
   coloring : int Reg.Map.t;  (* live register -> colour in 1..colors *)
   colors : int;  (* number of colours used *)
   spilled : Reg.Set.t;  (* all registers spilled across iterations *)
-  spill_slots : (Reg.t * int) list;
   iterations : int;
 }
 
@@ -255,7 +254,6 @@ let allocate ~k ~spill_base prog =
         colors =
           Reg.Map.fold (fun _ c acc -> max acc c) coloring 0;
         spilled = all_spilled;
-        spill_slots = Hashtbl.fold (fun r s acc -> (r, s) :: acc) slots [];
         iterations = iter;
       }
     else begin

@@ -13,7 +13,6 @@ type result = {
   coloring : int Reg.Map.t;  (** live register -> colour in [1..colors] *)
   colors : int;
   spilled : Reg.Set.t;  (** registers spilled across all iterations *)
-  spill_slots : (Reg.t * int) list;
   iterations : int;
 }
 

@@ -25,7 +25,6 @@ type node = {
 }
 
 type t = {
-  ctx : Context.t;
   nodes : node list;
   gig_edges : (Reg.t * Reg.t) list;
   big_edges : (Reg.t * Reg.t) list;
@@ -78,7 +77,6 @@ let build prog =
   let big_edges = edge_set (fun n -> Context.boundary_neighbors ctx n) in
   let num = Points.numbering (Context.points ctx) in
   {
-    ctx;
     nodes;
     gig_edges;
     big_edges;
@@ -112,8 +110,3 @@ let stats t =
     List.length (boundary_nodes t),
     List.length t.gig_edges,
     List.length t.big_edges )
-
-let pp ppf t =
-  let n, b, ge, be = stats t in
-  Fmt.pf ppf "GIG: %d nodes (%d boundary), %d edges; BIG: %d edges@." n b ge
-    be

@@ -35,5 +35,3 @@ val boundary_interferes : t -> Reg.t -> Reg.t -> bool
 
 val stats : t -> int * int * int * int
 (** (nodes, boundary nodes, GIG edges, BIG edges). *)
-
-val pp : t Fmt.t

@@ -11,7 +11,6 @@ open Npra_ir
 open Npra_cfg
 
 type t = {
-  prog : Prog.t;
   region_of_instr : int option array;
   num_regions : int;
   region_sizes : int array;  (* instructions per region *)
@@ -53,7 +52,7 @@ let compute prog =
       | Some r -> region_sizes.(r) <- region_sizes.(r) + 1
       | None -> ())
     region_of_instr;
-  { prog; region_of_instr; num_regions = !next; region_sizes }
+  { region_of_instr; num_regions = !next; region_sizes }
 
 let num_regions t = t.num_regions
 

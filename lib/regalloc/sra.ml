@@ -7,12 +7,8 @@
    representative thread's estimated context there with the
    intra-thread allocator and keep the cheapest allocation. *)
 
-open Npra_ir
-
 type t = {
   name : string;
-  prog : Prog.t;
-  ctx : Context.t;
   bounds : Estimate.bounds;
   nthd : int;
   pr : int;
@@ -85,7 +81,7 @@ let fold_sweep ~nreg ~nthd (th : Inter.thread_alloc) f init =
     walk acc th.ctx max_pr (Context.move_count th.ctx)
 
 let allocate ~nreg ~nthd (th : Inter.thread_alloc) =
-  let { Inter.name; prog; bounds; _ } = th in
+  let { Inter.name; bounds; _ } = th in
   let { Estimate.min_pr; max_pr; _ } = bounds in
   (* The sweep visits points in no fixed order, so ties on cost and
      demand go to the lower PR. *)
@@ -98,8 +94,6 @@ let allocate ~nreg ~nthd (th : Inter.thread_alloc) =
           let cand =
             {
               name;
-              prog;
-              ctx = red.Intra.ctx;
               bounds;
               nthd;
               pr;

@@ -4,12 +4,8 @@
     to [Nthd * PR + SR <= Nreg] and the (PR, SR) space is traversed
     exhaustively for the cheapest allocation. *)
 
-open Npra_ir
-
 type t = {
   name : string;
-  prog : Prog.t;
-  ctx : Context.t;
   bounds : Estimate.bounds;
   nthd : int;
   pr : int;

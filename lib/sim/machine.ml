@@ -697,8 +697,9 @@ let instantiate_with ~record_stores ~engine ~mem_image ~timeline img =
            });
   }
 
-let instantiate ?(engine = `Soa) ?(mem_image = []) ?(timeline = false) img =
-  instantiate_with ~record_stores:false ~engine ~mem_image ~timeline img
+let instantiate ?(mem_image = []) img =
+  instantiate_with ~record_stores:false ~engine:`Soa ~mem_image ~timeline:false
+    img
 
 let create ?config ?(engine = `Soa) ?(mem_image = []) ?(timeline = false)
     ?sentinel progs =
@@ -1312,10 +1313,6 @@ let stalled t = t.cycle < t.stalled_until
 
 let instructions_retired t =
   Array.fold_left (fun a th -> a + th.instrs) 0 t.threads
-
-(* Cheap per-thread progress counter for per-slice controllers: unlike
-   {!report} this copies nothing. *)
-let thread_instrs t i = t.threads.(i).instrs
 
 let thread_statuses = statuses
 

@@ -159,10 +159,10 @@ val guard_set : image -> thread:int -> pc:int -> int list
     along any path through branches and loops. Empty for a disarmed
     image. *)
 
-val instantiate :
-  ?engine:engine -> ?mem_image:(int * int) list -> ?timeline:bool -> image -> t
+val instantiate : ?mem_image:(int * int) list -> image -> t
 (** A fresh machine running the image's programs, one thread each, under
-    the image's config and sentinel mode. It records no store trace:
+    the image's config and sentinel mode, on the [`Soa] engine with no
+    timeline. It records no store trace:
     every [store_trace] in its {!report} is [[]] ([store_count] and
     [store_digest] still cover the stores). *)
 
@@ -268,10 +268,6 @@ val stalled : t -> bool
 val instructions_retired : t -> int
 (** Total instructions retired across all threads — the watchdog's
     progress counter. *)
-
-val thread_instrs : t -> int -> int
-(** Instructions retired by one thread so far. O(1), unlike {!report} —
-    safe to sample every slice from a feedback controller. *)
 
 val scribble : t -> seed:int -> count:int -> int
 (** Chaos storm: deterministically overwrites up to [count] currently

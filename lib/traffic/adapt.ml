@@ -61,7 +61,6 @@ type swap_record = {
   sw_cycle : int;
   sw_critical : int;  (* thread promoted to critical *)
   sw_previous : int option;  (* thread that was critical before *)
-  sw_scores : int array;  (* windowed scores at the decision *)
   sw_dwell : int;  (* slices since the previous swap (or start) *)
   sw_required_dwell : int;  (* hysteresis requirement it had to meet *)
   sw_provenance : string;  (* which pipeline stage produced the winner *)
@@ -74,7 +73,6 @@ type sample = {
   s_served : int array;
   s_dropped : int array;
   s_wait : int array;
-  s_instrs : int array;
 }
 
 type t = {
@@ -110,13 +108,12 @@ let rebalance_count t = t.nswaps
 let alloc_failures t = t.alloc_failures
 
 (* Per-thread cumulative counters summed over every engine. Dead
-   engines contribute their frozen totals (delta 0); a reset engine's
-   instruction counter restarts, so deltas clamp at 0. *)
+   engines contribute their frozen totals (delta 0), and deltas clamp
+   at 0. *)
 let sample_of (o : Dispatch.observation) nthd =
   let served = Array.make nthd 0
   and dropped = Array.make nthd 0
-  and wait = Array.make nthd 0
-  and instrs = Array.make nthd 0 in
+  and wait = Array.make nthd 0 in
   Array.iter
     (fun (e : Dispatch.obs_engine) ->
       Array.iteri
@@ -124,12 +121,11 @@ let sample_of (o : Dispatch.observation) nthd =
           if i < nthd then begin
             served.(i) <- served.(i) + p.Dispatch.op_served;
             dropped.(i) <- dropped.(i) + p.Dispatch.op_lost;
-            wait.(i) <- wait.(i) + p.Dispatch.op_sum_wait;
-            instrs.(i) <- instrs.(i) + p.Dispatch.op_instrs
+            wait.(i) <- wait.(i) + p.Dispatch.op_sum_wait
           end)
         e.Dispatch.oe_ports)
     o.Dispatch.o_engines;
-  { s_served = served; s_dropped = dropped; s_wait = wait; s_instrs = instrs }
+  { s_served = served; s_dropped = dropped; s_wait = wait }
 
 let queues_of (o : Dispatch.observation) nthd =
   let q = Array.make nthd 0 in
@@ -230,7 +226,6 @@ let controller t : Dispatch.controller =
                 sw_cycle = o.Dispatch.o_now;
                 sw_critical = winner;
                 sw_previous = t.critical;
-                sw_scores = scores;
                 sw_dwell = dwell;
                 sw_required_dwell = required;
                 sw_provenance = provenance;

@@ -42,7 +42,6 @@ type swap_record = {
   sw_cycle : int;
   sw_critical : int;
   sw_previous : int option;
-  sw_scores : int array;
   sw_dwell : int;
   sw_required_dwell : int;
   sw_provenance : string;

@@ -88,21 +88,16 @@ type engine = {
    position. *)
 
 type obs_port = {
-  op_thread : int;
-  op_offered : int;  (* cumulative arrivals *)
   op_served : int;  (* cumulative completions *)
-  op_dropped : int;  (* cumulative refusals, all reasons *)
   op_lost : int;
       (* cumulative legitimate-stream refusals only (queue-full, shed,
          quarantine) — flood-tagged packets are the adversary's, and
          counting them would let a flood stampede the controller *)
   op_queue : int;  (* standing legit backlog (+1 if one is in service) *)
   op_sum_wait : int;  (* cumulative queue-wait cycles of served packets *)
-  op_instrs : int;  (* cumulative instructions retired by the thread *)
 }
 
 type obs_engine = {
-  oe_engine : int;
   oe_live : bool;
   oe_ports : obs_port array;
 }
@@ -124,17 +119,12 @@ let observe ~now ~barrier_no es =
       Array.map
         (fun e ->
           {
-            oe_engine = e.index;
             oe_live = (e.life = Live);
             oe_ports =
-              Array.mapi
-                (fun i p ->
+              Array.map
+                (fun p ->
                   {
-                    op_thread = i;
-                    op_offered = p.offered;
                     op_served = p.served;
-                    op_dropped =
-                      p.d_queue_full + p.d_shed + p.d_quarantine + p.d_flood;
                     op_lost = p.d_queue_full + p.d_shed + p.d_quarantine;
                     op_queue =
                       (Queue.fold
@@ -145,7 +135,6 @@ let observe ~now ~barrier_no es =
                       | Some (_, _, false) -> 1
                       | _ -> 0);
                     op_sum_wait = p.sum_wait;
-                    op_instrs = Machine.thread_instrs e.machine i;
                   })
                 e.ports;
           })

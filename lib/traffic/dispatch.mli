@@ -71,21 +71,16 @@ val default_machine_config : Machine.config
     deterministic. *)
 
 type obs_port = {
-  op_thread : int;
-  op_offered : int;  (** cumulative arrivals *)
   op_served : int;  (** cumulative completions *)
-  op_dropped : int;  (** cumulative refusals, all reasons *)
   op_lost : int;
       (** legitimate-stream refusals only (queue-full, shed,
           quarantine); excludes flood-tagged packets so an adversarial
           flood cannot stampede a controller that scores on losses *)
   op_queue : int;  (** standing legit backlog (+1 if one is in service) *)
   op_sum_wait : int;  (** cumulative queue-wait cycles of served packets *)
-  op_instrs : int;  (** cumulative instructions retired by the thread *)
 }
 
 type obs_engine = {
-  oe_engine : int;
   oe_live : bool;
   oe_ports : obs_port array;
 }

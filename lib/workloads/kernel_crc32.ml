@@ -56,7 +56,6 @@ let build ~mem_base ~iters =
   let prog = finish b in
   {
     Workload.name = "crc32";
-    description = "bitwise CRC-32 over packet words";
     prog;
     iters;
     mem_base;

@@ -60,7 +60,6 @@ let build ~mem_base ~iters =
   let prog = finish b in
   {
     Workload.name = "drr";
-    description = "deficit round robin over eight queues";
     prog;
     iters;
     mem_base;

@@ -58,7 +58,6 @@ let build ~mem_base ~iters =
   let prog = finish b in
   {
     Workload.name = "fir2dim";
-    description = "2D FIR filter with a wide multiply-accumulate tree";
     prog;
     iters;
     mem_base;

@@ -61,7 +61,6 @@ let build ~mem_base ~iters =
   let prog = finish b in
   {
     Workload.name = "frag";
-    description = "IP checksum + two-way fragmentation";
     prog;
     iters;
     mem_base;

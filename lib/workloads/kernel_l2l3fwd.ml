@@ -79,7 +79,6 @@ let build_rx ~mem_base ~iters =
   in
   {
     Workload.name = "l2l3fwd_rx";
-    description = "frame receive: validate, checksum, port lookup, enqueue";
     prog;
     iters;
     mem_base;
@@ -128,7 +127,6 @@ let build_tx ~mem_base ~iters =
   let prog = finish b in
   {
     Workload.name = "l2l3fwd_tx";
-    description = "frame send: TTL decrement, checksum fix, emit";
     prog;
     iters;
     mem_base;

@@ -118,7 +118,6 @@ let build ~mem_base ~iters =
   let prog = finish b in
   {
     Workload.name = "md5";
-    description = "two-way pipelined MD5-style digest over packet chunks";
     prog;
     iters;
     mem_base;

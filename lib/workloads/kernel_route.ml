@@ -44,7 +44,6 @@ let build ~mem_base ~iters =
   in
   {
     Workload.name = "route";
-    description = "4-way trie route lookup, three dependent loads";
     prog;
     iters;
     mem_base;

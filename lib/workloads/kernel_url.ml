@@ -50,7 +50,6 @@ let build ~mem_base ~iters =
   let prog = finish b in
   {
     Workload.name = "url";
-    description = "pattern scan over packet payload";
     prog;
     iters;
     mem_base;

@@ -78,7 +78,6 @@ let build_rx ~mem_base ~iters =
   let prog = finish b in
   {
     Workload.name = "wraps_rx";
-    description = "WRAPS arrival processing: classify and charge credits";
     prog;
     iters;
     mem_base;
@@ -142,7 +141,6 @@ let build_tx ~mem_base ~iters =
   let prog = finish b in
   {
     Workload.name = "wraps_tx";
-    description = "WRAPS departure processing: pick and debit a flow";
     prog;
     iters;
     mem_base;

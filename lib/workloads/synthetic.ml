@@ -10,7 +10,7 @@
 
 open Npra_ir
 
-let large ?(seed = 1) ?(nvars = 48) ~size () =
+let large ?(seed = 1) ~size () =
   let state = ref (if seed = 0 then 0x9E3779B9 else seed land 0x3FFFFFFF) in
   let rand bound =
     let x = !state in
@@ -22,7 +22,7 @@ let large ?(seed = 1) ?(nvars = 48) ~size () =
     x mod bound
   in
   let b = Builder.create ~name:(Fmt.str "synthetic%d" size) in
-  let nv = max 2 nvars in
+  let nv = 48 (* long-lived variables *) in
   let var = Array.init nv (fun i -> Builder.reg b (Fmt.str "x%d" i)) in
   let base = Builder.reg b "base" in
   Builder.movi b base 0;

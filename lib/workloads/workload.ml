@@ -19,7 +19,6 @@ open Npra_ir
 
 type t = {
   name : string;
-  description : string;
   prog : Prog.t;
   iters : int;
   mem_base : int;
